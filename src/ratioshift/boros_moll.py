@@ -66,7 +66,7 @@ def bm_shifted_seq(m: int) -> tuple[Fraction, ...]:
     """(c_0(m), ..., c_m(m)): the coefficient sequence of P_m(x - 1)."""
     if m < 0:
         raise DomainError(f"need m >= 0, got {m}")
-    return tuple(bm_coefficient(m, k) for k in range(m + 1))
+    return tuple([bm_coefficient(m, k) for k in range(m + 1)])
 
 
 def bm_polynomial(m: int) -> Polynomial:

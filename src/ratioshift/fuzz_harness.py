@@ -28,14 +28,13 @@ entries are rationals with numerator and denominator bounded by
 
 from __future__ import annotations
 
-import hashlib
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 
-from .numeric_core import DomainError, as_rational, render_rational
+from .numeric_core import DomainError, as_rational, clear_denominators, render_rational
 from .poly_ops import Polynomial, taylor_shift
 from .shape_props import (
     Status,
@@ -46,6 +45,16 @@ from .shape_props import (
     check_spiral,
 )
 from .theorem_engine import HypothesisError, lemma1_holds, lemma2_preserved, lemma3_gap
+
+# hashlib loads OpenSSL, megabytes of memory for one digest per trial; the
+# builtin module gives the same digests (CPython's random.py does the same).
+try:
+    from _sha2 import sha256 as _sha256  # CPython 3.12+
+except ImportError:
+    try:
+        from _sha256 import sha256 as _sha256  # CPython 3.10, 3.11
+    except ImportError:
+        from hashlib import sha256 as _sha256
 
 __all__ = [
     "TARGETS",
@@ -135,7 +144,7 @@ class CampaignReport:
 
 def _trial_rng(seed: int, trial: int, label: str) -> random.Random:
     """RNG derived from (seed, trial, label) only; stable across processes."""
-    digest = hashlib.sha256(f"{seed}:{trial}:{label}".encode()).digest()
+    digest = _sha256(f"{seed}:{trial}:{label}".encode()).digest()
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
@@ -160,7 +169,11 @@ def gen_nondecreasing_seq(seed: int, trial: int, degree: int, bound: int,
         raise DomainError(f"bound must be >= 1, got {bound}")
     rng = _trial_rng(seed, trial, "seq")
     low = 1 if positive else 0
-    draws = sorted(_draw(rng, low, bound, integer_only) for _ in range(degree + 1))
+    draws = [_draw(rng, low, bound, integer_only) for _ in range(degree + 1)]
+    # Sorting integer keys is faster than comparing Fractions; equal keys are
+    # equal Fractions, so the order is the same.
+    keys, _ = clear_denominators(draws)
+    draws = [draws[i] for i in sorted(range(len(draws)), key=keys.__getitem__)]
     if draws[-1] == 0:
         draws[-1] = _draw(rng, 1, bound, integer_only)
     return tuple(draws)
@@ -170,7 +183,7 @@ def _gen_positive_seq(seed: int, trial: int, degree: int, bound: int,
                       integer_only: bool) -> tuple[Fraction, ...]:
     """Unsorted i.i.d. positive draws, for the separation search."""
     rng = _trial_rng(seed, trial, "positive-seq")
-    return tuple(_draw(rng, 1, bound, integer_only) for _ in range(degree + 1))
+    return tuple([_draw(rng, 1, bound, integer_only) for _ in range(degree + 1)])
 
 
 def _pick_degree(spec: CampaignSpec, trial: int) -> int:

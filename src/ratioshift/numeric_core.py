@@ -10,8 +10,10 @@ by cross-multiplication on exact integers, never by division.
 
 from __future__ import annotations
 
+import math
 import re
 from fractions import Fraction
+from typing import Sequence
 
 # The canonical rational scalar. Immutable, always normalized.
 Rational = Fraction
@@ -22,6 +24,7 @@ __all__ = [
     "Rational",
     "as_rational",
     "binomial",
+    "clear_denominators",
     "parse_rational",
     "ratio_leq",
     "render_rational",
@@ -71,6 +74,16 @@ def ratio_leq(p_num: Fraction | int, p_den: Fraction | int,
     return p_num * q_den <= q_num * p_den
 
 
+def clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
+    """Return ([L * v for v in values], L) with L the lcm of the denominators.
+
+    L is positive, so every sign, order and ratio among the values holds
+    among the integers too.
+    """
+    lcm = math.lcm(*[v.denominator for v in values])
+    return [v.numerator * (lcm // v.denominator) for v in values], lcm
+
+
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
 _FRACTION_RE = re.compile(r"([+-]?[0-9]+)/([0-9]+)\Z")
 _DECIMAL_RE = re.compile(r"([+-]?)([0-9]*)\.([0-9]*)\Z")
@@ -116,7 +129,10 @@ def as_rational(value: Fraction | int) -> Fraction:
 
     Floats are refused everywhere exact values are expected; converting one
     silently would smuggle a binary approximation into exact arithmetic.
+    A Fraction is immutable, so it is returned as is.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError(
             f"refusing to treat float {value!r} as an exact rational; "

@@ -7,8 +7,10 @@ terms of positions m-1, m-2 relative to the representation length. Trimming
 is the explicit, opt-in :func:`normalize`.
 
 Two independent Taylor-shift algorithms are provided and must agree exactly:
-the naive binomial expansion (the oracle) and repeated synthetic division
-(the fast default).
+the naive binomial expansion on Fractions (the oracle) and repeated
+synthetic division (the fast default). Synthetic division runs on plain
+integers: it clears the denominators once, shifts the integer polynomial,
+and divides back to canonical Fractions only when it returns.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple
 
-from .numeric_core import DomainError, as_rational, binomial
+from .numeric_core import DomainError, as_rational, binomial, clear_denominators
 
 __all__ = [
     "BoundaryCoeffs",
@@ -45,7 +47,9 @@ class Polynomial:
     coeffs: tuple[Fraction, ...]
 
     def __init__(self, coeffs: Iterable[Fraction | int]) -> None:
-        entries = tuple(as_rational(c) for c in coeffs)
+        # From a list, not a generator: tuple() grows a generator's result by
+        # reallocation, which fragments the heap on long runs.
+        entries = tuple([as_rational(c) for c in coeffs])
         if not entries:
             raise DomainError("a polynomial needs at least one coefficient")
         object.__setattr__(self, "coeffs", entries)
@@ -90,19 +94,40 @@ def _shift_naive(coeffs: tuple[Fraction, ...], c: Fraction) -> list[Fraction]:
 
 
 def _shift_horner(coeffs: tuple[Fraction, ...], c: Fraction) -> list[Fraction]:
-    """Repeated synthetic division: after pass i, b[i] is final."""
-    out = list(coeffs)
+    """Repeated synthetic division on integers.
+
+    With L the lcm of the denominators, c = p/q and m = len - 1, the
+    polynomial Q(y) = L q^m P(y/q) has integer coefficients a_k L q^(m-k),
+    and Q(y + p) = L q^m P(y/q + c), so coefficient j of P(x + c) is
+    coefficient j of Q(y + p) divided by L q^(m-j).
+    """
+    out, lcm = clear_denominators(coeffs)
+    p, q = c.numerator, c.denominator
     n = len(out)
-    for i in range(n - 1):
-        for j in range(n - 2, i - 1, -1):
-            out[j] += c * out[j + 1]
+    if q != 1:
+        weight = 1
+        for k in range(n - 1, -1, -1):
+            out[k] *= weight
+            weight *= q
+    # After pass i, out[i] is final.
+    if p == 1:
+        for i in range(n - 1):
+            for j in range(n - 2, i - 1, -1):
+                out[j] += out[j + 1]
+    elif p != 0:
+        for i in range(n - 1):
+            for j in range(n - 2, i - 1, -1):
+                out[j] += p * out[j + 1]
+    den = lcm
+    for j in range(n - 1, -1, -1):
+        out[j] = Fraction(out[j], den)
+        den *= q
     return out
 
 
 def mul_by_x_plus_one(b: Polynomial) -> Polynomial:
     """Multiply by (x + 1): result coefficient k is a_{k-1} + a_k."""
     a = b.coeffs
-    zero = Fraction(0)
     return Polynomial(
         (a[k] if k == 0 else a[k - 1] if k == len(a) else a[k - 1] + a[k])
         for k in range(len(a) + 1)

@@ -18,7 +18,9 @@ Spiral, log-concave, and ratio-monotone are defined for strictly positive
 sequences only; on any nonpositive entry the checkers return NotApplicable
 rather than Fails, so campaigns can tell precondition violations apart from
 property violations. All inequalities are non-strict and every ratio
-comparison is decided by cross-multiplication, never division.
+comparison is decided by cross-multiplication, never division. Every one of
+these properties is invariant under positive scaling, so the checkers for
+them compare the sequence times the lcm of its denominators, as plain ints.
 
 Every Fails verdict carries a witness whose indices and values reproduce
 the violated inequality exactly; the witness layout per property is
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .numeric_core import as_rational, ratio_leq, render_rational
+from .numeric_core import as_rational, clear_denominators, ratio_leq, render_rational
 
 __all__ = [
     "CoeffSeq",
@@ -56,7 +58,7 @@ CoeffSeq = tuple[Fraction, ...]
 
 def coeff_seq(values: Iterable[Fraction | int]) -> CoeffSeq:
     """Coerce to a tuple of exact rationals; at least one entry required."""
-    seq = tuple(as_rational(v) for v in values)
+    seq = tuple([as_rational(v) for v in values])  # a list: see Polynomial
     if not seq:
         raise ValueError("a coefficient sequence needs at least one entry")
     return seq
@@ -112,15 +114,16 @@ def _fails(prop: str, witness: Witness, detail: str) -> PropertyVerdict:
     return PropertyVerdict(prop, Status.FAILS, witness, detail)
 
 
-def _not_applicable_nonpositive(prop: str, seq: CoeffSeq) -> PropertyVerdict | None:
+def _not_applicable_nonpositive(prop: str, seq: CoeffSeq,
+                                scaled: list[int]) -> PropertyVerdict | None:
     """NotApplicable verdict if the positivity precondition fails, else None."""
-    for i, v in enumerate(seq):
+    for i, v in enumerate(scaled):
         if v <= 0:
             return PropertyVerdict(
                 prop,
                 Status.NOT_APPLICABLE,
-                Witness((i,), (v,)),
-                f"nonpositive entry {render_rational(v)} at index {i}",
+                Witness((i,), (seq[i],)),
+                f"nonpositive entry {render_rational(seq[i])} at index {i}",
             )
     return None
 
@@ -172,12 +175,13 @@ def check_spiral(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """Witness: (i, j), adjacent chain positions with a_i > a_j."""
     prop = "spiral"
     a = coeff_seq(seq)
-    na = _not_applicable_nonpositive(prop, a)
+    s, _ = clear_denominators(a)
+    na = _not_applicable_nonpositive(prop, a, s)
     if na:
         return na
     order = spiral_chain_indices(len(a) - 1)
     for prev, nxt in zip(order, order[1:]):
-        if a[prev] > a[nxt]:
+        if s[prev] > s[nxt]:
             return _fails(
                 prop, Witness((prev, nxt), (a[prev], a[nxt])),
                 f"chain link a_{prev} <= a_{nxt} violated: "
@@ -189,12 +193,13 @@ def check_log_concave(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """Witness: (k-1, k, k+1) where a_k^2 - a_{k+1} a_{k-1} < 0."""
     prop = "log-concave"
     a = coeff_seq(seq)
-    na = _not_applicable_nonpositive(prop, a)
+    s, _ = clear_denominators(a)
+    na = _not_applicable_nonpositive(prop, a, s)
     if na:
         return na
     for k in range(1, len(a) - 1):
-        disc = a[k] * a[k] - a[k + 1] * a[k - 1]
-        if disc < 0:
+        if s[k] * s[k] < s[k + 1] * s[k - 1]:
+            disc = a[k] * a[k] - a[k + 1] * a[k - 1]
             return _fails(
                 prop, Witness((k - 1, k, k + 1), (a[k - 1], a[k], a[k + 1])),
                 f"discriminant at k={k} is {render_rational(disc)} < 0")
@@ -222,20 +227,21 @@ def check_ratio_monotone(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """
     prop = "ratio-monotone"
     a = coeff_seq(seq)
-    na = _not_applicable_nonpositive(prop, a)
+    s, _ = clear_denominators(a)
+    na = _not_applicable_nonpositive(prop, a, s)
     if na:
         return na
     chains = ratio_chain_indices(len(a) - 1)
     for name, pairs in zip("AB", chains):
         for (n0, d0), (n1, d1) in zip(pairs, pairs[1:]):
-            if not ratio_leq(a[n0], a[d0], a[n1], a[d1]):
+            if not ratio_leq(s[n0], s[d0], s[n1], s[d1]):
                 return _fails(
                     prop,
                     Witness((n0, d0, n1, d1), (a[n0], a[d0], a[n1], a[d1])),
                     f"chain {name}: a_{n0}/a_{d0} > a_{n1}/a_{d1}")
         if pairs:
             n, d = pairs[-1]
-            if a[n] > a[d]:
+            if s[n] > s[d]:
                 return _fails(
                     prop, Witness((n, d), (a[n], a[d])),
                     f"chain {name}: final ratio a_{n}/a_{d} > 1")

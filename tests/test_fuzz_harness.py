@@ -1,8 +1,14 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import ratioshift
 from ratioshift.fuzz_harness import (
     TARGETS,
     CampaignSpec,
@@ -164,3 +170,36 @@ def test_report_json_is_serializable_and_shaped():
     assert parsed["trials_run"] == 30
     assert isinstance(parsed["violations"], list)
     assert isinstance(parsed["coverage"], dict)
+
+
+# --- pinned report bytes ---
+# sha256 of report_json(spec), recorded before the integer kernel replaced
+# Fraction arithmetic in the shift and the checkers. A change to any layer a
+# campaign runs through must leave these bytes alone.
+
+@pytest.mark.parametrize("spec, digest", [
+    (CampaignSpec(target="theorem1", trials=60, seed=2024, degree_range=(2, 20)),
+     "10c2a581824e1e64abbcbec9178a3894b9ce87de4404c74e0ee6becfb12714bc"),
+    (CampaignSpec(target="corollary", trials=60, seed=2024, degree_range=(2, 12),
+                  shift_c=Fraction(3, 2)),
+     "e7edb819d2adf022e24cd709f778d9649af38f2aba8bd140f745e98e5e057aa3"),
+    (CampaignSpec(target="corollary", trials=60, seed=2024, degree_range=(2, 12),
+                  shift_c=Fraction(1, 2), allow_c_below_one=True),
+     "4ac60e7f5d1fb0f9c974d6952a2e794706c894caaf990cf4296f348aaa8a2c6f"),
+    (CampaignSpec(target="separation", trials=300, seed=2029, degree_range=(2, 6),
+                  magnitude_bound=100),
+     "6228e55e81c265b78b3d155c908bd870423e569067e266bdf7fc1347ace306f3"),
+], ids=["theorem1", "corollary-3/2", "corollary-1/2", "separation"])
+def test_report_bytes_pinned(spec, digest):
+    assert hashlib.sha256(report_json(spec).encode()).hexdigest() == digest
+
+
+def test_package_import_leaves_openssl_unloaded():
+    # Trial seeding uses the builtin sha256, not hashlib, which loads OpenSSL.
+    src = str(Path(ratioshift.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = "import sys, ratioshift.cli; print('_hashlib' in sys.modules)"
+    # -S keeps site hooks, which may load anything, out of the picture.
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "False"

@@ -10,6 +10,7 @@ from ratioshift.numeric_core import (
     ParseError,
     as_rational,
     binomial,
+    clear_denominators,
     parse_rational,
     ratio_leq,
     render_rational,
@@ -142,3 +143,9 @@ def test_as_rational_accepts_exact_types():
 def test_as_rational_rejects_float():
     with pytest.raises(TypeError):
         as_rational(0.5)
+
+
+def test_clear_denominators():
+    values = (Fraction(1, 2), Fraction(-2, 3), Fraction(0), Fraction(5, 4))
+    assert clear_denominators(values) == ([6, -8, 0, 15], 12)
+    assert clear_denominators((Fraction(7),)) == ([7], 1)

@@ -163,3 +163,44 @@ def test_normalize_trims_trailing_zeros():
     assert normalize(Polynomial((1, 2, 0, 0))).coeffs == (Fraction(1), Fraction(2))
     assert normalize(Polynomial((0, 0))).coeffs == (Fraction(0),)
     assert normalize(Polynomial((4,))).coeffs == (Fraction(4),)
+
+
+# --- integer Horner kernel against the binomial oracle ---
+
+def assert_matches_oracle(coeffs, c):
+    p = Polynomial(coeffs)
+    fast = taylor_shift(p, c, ShiftAlgorithm.HORNER_SYNTHETIC)
+    assert fast.coeffs == taylor_shift(p, c, ShiftAlgorithm.NAIVE_BINOMIAL).coeffs
+    assert all(type(b) is Fraction for b in fast.coeffs)
+    assert len(fast.coeffs) == len(p.coeffs)
+
+
+def test_horner_matches_oracle_on_seeded_inputs():
+    rng = random.Random(20240)
+    bound = 10 ** 6
+    shifts = (Fraction(1), Fraction(-1), Fraction(3, 2), Fraction(-7, 3),
+              Fraction(rng.randint(-bound, bound), rng.randint(1, bound)))
+    for trial in range(60):
+        m = rng.randint(0, 64)
+        coeffs = [Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
+                  for _ in range(m + 1)]
+        assert_matches_oracle(coeffs, shifts[trial % len(shifts)])
+
+
+BIG = 7 ** 5917  # about 5,000 decimal digits, past the int/str conversion limit
+
+
+@pytest.mark.parametrize("coeffs, c", [
+    ((Fraction(5, 3),), Fraction(-7, 3)),                       # degree 0
+    ((0, 0, 0, 0), Fraction(3, 2)),                             # zero polynomial
+    ((Fraction(1, 2), 0, 0, Fraction(-4, 9), 0, 3), 1),         # interior zeros
+    ((Fraction(1, 2), 0, Fraction(-4, 9), 3), 0),               # c = 0
+    ((Fraction(2, 5), -1, Fraction(7, 11), Fraction(-3, 4)), Fraction(-7, 3)),
+    ((Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 7),
+      Fraction(1, 11), Fraction(1, 13)), Fraction(5, 17)),      # coprime denominators
+    ((BIG, Fraction(-BIG, 3), Fraction(BIG + 1, BIG - 1), 1, Fraction(1, BIG)),
+     Fraction(-7, 3)),                                          # huge numerators
+    ((Fraction(BIG, 5), 2, Fraction(3, BIG)), Fraction(BIG, 11)),
+])
+def test_horner_matches_oracle_on_edge_cases(coeffs, c):
+    assert_matches_oracle(coeffs, c)

@@ -10,8 +10,11 @@ from fractions import Fraction
 
 import pytest
 
+from ratioshift.numeric_core import render_rational
 from ratioshift.shape_props import (
+    PropertyVerdict,
     Status,
+    Witness,
     audit_implications,
     check_log_concave,
     check_no_internal_zeros,
@@ -269,3 +272,91 @@ def test_holds_verdict_json_has_null_witness():
     d = check_unimodal((1, 2, 1)).to_json_dict()
     assert d["status"] == "holds"
     assert d["witness"] is None
+
+
+# --- integer checkers against a Fraction reference ---
+# The checkers compare the sequence scaled to ints; these references compare
+# the caller's Fractions directly and must produce identical verdicts.
+
+def _reference_nonpositive(prop, a):
+    for i, v in enumerate(a):
+        if v <= 0:
+            return PropertyVerdict(prop, Status.NOT_APPLICABLE, Witness((i,), (v,)),
+                                   f"nonpositive entry {render_rational(v)} at index {i}")
+    return None
+
+
+def reference_spiral(a):
+    prop = "spiral"
+    na = _reference_nonpositive(prop, a)
+    if na:
+        return na
+    order = spiral_chain_indices(len(a) - 1)
+    for i, j in zip(order, order[1:]):
+        if a[i] > a[j]:
+            return PropertyVerdict(
+                prop, Status.FAILS, Witness((i, j), (a[i], a[j])),
+                f"chain link a_{i} <= a_{j} violated: "
+                f"{render_rational(a[i])} > {render_rational(a[j])}")
+    return PropertyVerdict(prop, Status.HOLDS, None, "")
+
+
+def reference_log_concave(a):
+    prop = "log-concave"
+    na = _reference_nonpositive(prop, a)
+    if na:
+        return na
+    for k in range(1, len(a) - 1):
+        disc = a[k] * a[k] - a[k + 1] * a[k - 1]
+        if disc < 0:
+            return PropertyVerdict(
+                prop, Status.FAILS, Witness((k - 1, k, k + 1), (a[k - 1], a[k], a[k + 1])),
+                f"discriminant at k={k} is {render_rational(disc)} < 0")
+    return PropertyVerdict(prop, Status.HOLDS, None, "")
+
+
+def reference_ratio_monotone(a):
+    prop = "ratio-monotone"
+    na = _reference_nonpositive(prop, a)
+    if na:
+        return na
+    for name, pairs in zip("AB", ratio_chain_indices(len(a) - 1)):
+        for (n0, d0), (n1, d1) in zip(pairs, pairs[1:]):
+            if a[n0] / a[d0] > a[n1] / a[d1]:
+                return PropertyVerdict(
+                    prop, Status.FAILS,
+                    Witness((n0, d0, n1, d1), (a[n0], a[d0], a[n1], a[d1])),
+                    f"chain {name}: a_{n0}/a_{d0} > a_{n1}/a_{d1}")
+        if pairs and a[pairs[-1][0]] > a[pairs[-1][1]]:
+            n, d = pairs[-1]
+            return PropertyVerdict(prop, Status.FAILS, Witness((n, d), (a[n], a[d])),
+                                   f"chain {name}: final ratio a_{n}/a_{d} > 1")
+    return PropertyVerdict(prop, Status.HOLDS, None, "")
+
+
+@pytest.mark.parametrize("checker, reference", [
+    (check_spiral, reference_spiral),
+    (check_log_concave, reference_log_concave),
+    (check_ratio_monotone, reference_ratio_monotone),
+])
+def test_integer_checkers_match_fraction_reference(checker, reference):
+    rng = random.Random(4242)
+    statuses = set()
+    for trial in range(1500):
+        m = rng.randint(0, 9)
+        low = -3 if trial % 3 == 0 else 1  # a third may hold zero or negative entries
+        seq = tuple(Fraction(rng.randint(low, 40), rng.randint(1, 12)) for _ in range(m + 1))
+        if trial % 5 == 0:
+            seq = tuple(sorted(seq))  # sorted runs reach Holds and late witnesses
+        elif trial % 7 == 0:
+            # Geometric runs make the inequalities tight (equal products).
+            ratio = Fraction(rng.randint(1, 4), rng.randint(1, 4))
+            seq = tuple(seq[0] * ratio ** k for k in range(m + 1))
+        verdict = checker(seq)
+        assert verdict == reference(seq)
+        if verdict.witness is not None:
+            # Witness values are the caller's own Fraction objects.
+            assert all(v is seq[i] for i, v in zip(verdict.witness.indices,
+                                                    verdict.witness.values))
+        statuses.add(verdict.status)
+    assert statuses == set(Status)
