@@ -94,8 +94,9 @@ def _cmd_shift(args: argparse.Namespace) -> int:
     except (ParseError, DomainError) as exc:
         raise _UsageError(f"--c: {exc}") from exc
     shifted = taylor_shift(Polynomial(coeffs), c, _ALGOS[args.algo])
-    for value in shifted.coeffs:
-        print(render_rational(value))
+    # Render every coefficient before printing any, so a coefficient too long
+    # to render (DomainError, exit 2) leaves stdout empty.
+    print("\n".join([render_rational(value) for value in shifted.coeffs]))
     return 0
 
 

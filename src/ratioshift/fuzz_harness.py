@@ -1,9 +1,13 @@
 """Seeded randomized campaigns over the exact contracts.
 
-Campaign targets:
+Campaign targets are rows of one table (``_TARGETS``, whose keys are
+``TARGETS``), all run by one trial runner. A row names how a trial draws its
+input, the constant it shifts the input by (if any), the verdicts that must
+hold, the degree below which a trial is vacuous, and the example kinds it
+records:
 
 * ``theorem1``: shift a random nonnegative nondecreasing sequence by one,
-  the result must be ratio monotone;
+  the result must be ratio monotone (vacuous below degree 1);
 * ``lemma1``: random positive sextuples built to satisfy a/b <= c/d <= e/f,
   the mediant conclusion must hold;
 * ``lemma2``: random ratio-monotone polynomials (produced as 1-shifts of
@@ -12,11 +16,18 @@ Campaign targets:
 * ``lemma3``: random positive nondecreasing sequences, the gap must be
   nonnegative;
 * ``corollary``: shift by a rational c >= 1, the result must be log-concave
-  with no internal zeros (c < 1 runs are exploratory: failures are reported
-  as findings, not violations);
+  with no internal zeros (vacuous below degree 2; c < 1 runs are
+  exploratory: failures are reported as findings, not violations);
 * ``separation``: random positive sequences, searching for a log-concave
   sequence that is not spiral and a spiral sequence that is not log-concave,
   while auditing the implication lattice on every input.
+
+Every violation (or finding) has one shape: ``trial``, ``input`` (the drawn
+sequence), ``verdicts`` (the failing verdicts as
+``PropertyVerdict.to_json_dict()`` dicts), and, for targets that shift,
+``shift_c`` and ``shifted``. A lemma predicate whose hypothesis the drawn
+input breaks is a violation with a not-applicable verdict, and its trial is
+vacuous. A trial with a violation records no examples.
 
 Determinism: all per-trial randomness derives from sha256(seed, trial,
 label), so a report is identical regardless of execution parallelism, and
@@ -33,16 +44,20 @@ import time
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
+from typing import Callable, NamedTuple
 
 from .numeric_core import DomainError, as_rational, clear_denominators, render_rational
 from .poly_ops import Polynomial, taylor_shift
 from .shape_props import (
+    PropertyVerdict,
     Status,
-    audit_implications,
+    audit_implications,  # noqa: F401  bench/layers.py wraps these two names here
+    audit_verdicts,
     check_log_concave,
     check_no_internal_zeros,
     check_ratio_monotone,
-    check_spiral,
+    check_spiral,  # noqa: F401
+    lattice_verdicts,
 )
 from .theorem_engine import HypothesisError, lemma1_holds, lemma2_preserved, lemma3_gap
 
@@ -63,11 +78,6 @@ __all__ = [
     "gen_nondecreasing_seq",
     "run_campaign",
 ]
-
-TARGETS = ("theorem1", "lemma1", "lemma2", "lemma3", "corollary", "separation")
-
-_SEPARATION_KINDS = ("log-concave-not-spiral", "spiral-not-log-concave")
-
 
 @dataclass(frozen=True)
 class CampaignSpec:
@@ -195,169 +205,147 @@ def _render_seq(seq: tuple[Fraction, ...]) -> list[str]:
     return [render_rational(v) for v in seq]
 
 
+def _draw_nondecreasing(spec: CampaignSpec, trial: int) -> tuple[Fraction, ...]:
+    return gen_nondecreasing_seq(spec.seed, trial, _pick_degree(spec, trial),
+                                 spec.magnitude_bound, integer_only=spec.integer_only)
+
+
+def _draw_positive_nondecreasing(spec: CampaignSpec, trial: int) -> tuple[Fraction, ...]:
+    return gen_nondecreasing_seq(spec.seed, trial, _pick_degree(spec, trial),
+                                 spec.magnitude_bound, integer_only=spec.integer_only,
+                                 positive=True)
+
+
+def _draw_positive(spec: CampaignSpec, trial: int) -> tuple[Fraction, ...]:
+    return _gen_positive_seq(spec.seed, trial, _pick_degree(spec, trial),
+                             spec.magnitude_bound, spec.integer_only)
+
+
+def _draw_sextuple(spec: CampaignSpec, trial: int) -> tuple[Fraction, ...]:
+    """Positive (a, b, c, d, e, f) with a/b <= c/d <= e/f, for lemma1."""
+    rng = _trial_rng(spec.seed, trial, "lemma1")
+    bound = spec.magnitude_bound
+    b, d, f = [_draw(rng, 1, bound, spec.integer_only) for _ in range(3)]
+    r1, r2, r3 = sorted([_draw(rng, 1, bound, spec.integer_only) for _ in range(3)])
+    return (r1 * b, b, r2 * d, d, r3 * f, f)
+
+
+def _verdict(prop: str, holds: bool, detail: str) -> PropertyVerdict:
+    """A Holds verdict, or a Fails verdict that says ``detail``; no witness."""
+    if holds:
+        return PropertyVerdict(prop, Status.HOLDS, None, "")
+    return PropertyVerdict(prop, Status.FAILS, None, detail)
+
+
+# Each check maps (input, shifted polynomial or None) to the verdicts the
+# trial computed, by property name.
+
+def _check_theorem1(seq, shifted) -> dict[str, PropertyVerdict]:
+    return {"ratio-monotone": check_ratio_monotone(shifted.coeffs)}
+
+
+def _check_lemma1(seq, shifted) -> dict[str, PropertyVerdict]:
+    return {"lemma1": _verdict("lemma1", lemma1_holds(*seq),
+                               "mediant conclusion (a+c)/(b+d) <= (e+c)/(f+d) is false")}
+
+
+def _check_lemma2(seq, shifted) -> dict[str, PropertyVerdict]:
+    return {"lemma2": _verdict("lemma2", lemma2_preserved(shifted),
+                               "ratio monotonicity lost after multiplying by (x+1)")}
+
+
+def _check_lemma3(seq, shifted) -> dict[str, PropertyVerdict]:
+    r = lemma3_gap(seq)
+    if r.gap >= 0:
+        return {"lemma3": _verdict("lemma3", True, "")}
+    return {"lemma3": _verdict("lemma3", False, f"gap {render_rational(r.gap)} < 0: "
+                               f"lhs {render_rational(r.lhs)}, rhs {render_rational(r.rhs)}")}
+
+
+def _check_corollary(seq, shifted) -> dict[str, PropertyVerdict]:
+    return {"log-concave": check_log_concave(shifted.coeffs),
+            "no-internal-zeros": check_no_internal_zeros(shifted.coeffs)}
+
+
+def _check_lattice(seq, shifted) -> dict[str, PropertyVerdict]:
+    verdicts = lattice_verdicts(seq)
+    inconsistent = [name for name, ok in audit_verdicts(verdicts) if not ok]
+    verdicts["implications"] = _verdict("implications", not inconsistent,
+                                        f"implication audit inconsistent: {inconsistent}")
+    return verdicts
+
+
+class _Target(NamedTuple):
+    """One campaign target: draw an input, maybe shift it, check it.
+
+    ``must_hold`` names the verdicts whose failure is a violation (a finding
+    on exploratory runs); a trial of degree below ``min_degree`` is vacuous.
+    Each example kind is (kind, property that holds, property that fails);
+    its payload quotes the failing verdict under that property's name, with
+    underscores for hyphens.
+    """
+
+    draw: Callable[[CampaignSpec, int], tuple[Fraction, ...]]
+    shift_c: Callable[[CampaignSpec], Fraction | int] | None
+    check: Callable[..., dict[str, PropertyVerdict]]
+    must_hold: tuple[str, ...]
+    min_degree: int = 0
+    examples: tuple[tuple[str, str, str], ...] = ()
+
+
+_TARGETS = {
+    "theorem1": _Target(_draw_nondecreasing, lambda spec: 1, _check_theorem1,
+                        ("ratio-monotone",), min_degree=1),
+    "lemma1": _Target(_draw_sextuple, None, _check_lemma1, ("lemma1",)),
+    "lemma2": _Target(_draw_nondecreasing, lambda spec: 1, _check_lemma2, ("lemma2",)),
+    "lemma3": _Target(_draw_positive_nondecreasing, None, _check_lemma3, ("lemma3",)),
+    "corollary": _Target(_draw_nondecreasing, lambda spec: spec.shift_c, _check_corollary,
+                         ("log-concave", "no-internal-zeros"), min_degree=2),
+    "separation": _Target(_draw_positive, None, _check_lattice, ("implications",), examples=(
+        ("log-concave-not-spiral", "log-concave", "spiral"),
+        ("spiral-not-log-concave", "spiral", "log-concave"),
+    )),
+}
+
+TARGETS = tuple(_TARGETS)
+
+
 @dataclass
 class _TrialOutcome:
     trial: int
-    exercised: bool = False
-    violation: dict | None = None
-    finding: dict | None = None
+    exercised: bool
+    payload: dict | None = None
     examples: dict[str, dict] = field(default_factory=dict)
 
 
-def _trial_theorem1(spec: CampaignSpec, trial: int) -> _TrialOutcome:
-    degree = _pick_degree(spec, trial)
-    seq = gen_nondecreasing_seq(spec.seed, trial, degree, spec.magnitude_bound,
-                                integer_only=spec.integer_only)
-    shifted = taylor_shift(Polynomial(seq), 1)
-    verdict = check_ratio_monotone(shifted.coeffs)
-    out = _TrialOutcome(trial, exercised=degree >= 1)
-    if not verdict.holds:
-        out.violation = {
-            "trial": trial,
-            "input": _render_seq(seq),
-            "shifted": _render_seq(shifted.coeffs),
-            "verdict": verdict.to_json_dict(),
-        }
-    return out
-
-
-def _trial_lemma1(spec: CampaignSpec, trial: int) -> _TrialOutcome:
-    rng = _trial_rng(spec.seed, trial, "lemma1")
-    bound = spec.magnitude_bound
-    b, d, f = (_draw(rng, 1, bound, spec.integer_only) for _ in range(3))
-    r1, r2, r3 = sorted(_draw(rng, 1, bound, spec.integer_only) for _ in range(3))
-    a, c, e = r1 * b, r2 * d, r3 * f
-    sextuple = (a, b, c, d, e, f)
-    out = _TrialOutcome(trial)
-    try:
-        conclusion = lemma1_holds(*sextuple)
-    except HypothesisError as exc:
-        out.violation = {
-            "trial": trial,
-            "input": _render_seq(sextuple),
-            "detail": f"generator produced a hypothesis violation: {exc}",
-        }
-        return out
-    out.exercised = True
-    if not conclusion:
-        out.violation = {
-            "trial": trial,
-            "input": _render_seq(sextuple),
-            "detail": "mediant conclusion (a+c)/(b+d) <= (e+c)/(f+d) is false",
-        }
-    return out
-
-
-def _trial_lemma2(spec: CampaignSpec, trial: int) -> _TrialOutcome:
-    degree = _pick_degree(spec, trial)
-    base = gen_nondecreasing_seq(spec.seed, trial, degree, spec.magnitude_bound,
-                                 integer_only=spec.integer_only)
-    shifted = taylor_shift(Polynomial(base), 1)
-    out = _TrialOutcome(trial)
-    try:
-        preserved = lemma2_preserved(shifted)
-    except HypothesisError:
-        out.violation = {
-            "trial": trial,
-            "input": _render_seq(shifted.coeffs),
-            "detail": "1-shift of a nondecreasing sequence is not ratio monotone",
-            "base": _render_seq(base),
-        }
-        return out
-    out.exercised = True
-    if not preserved:
-        out.violation = {
-            "trial": trial,
-            "input": _render_seq(shifted.coeffs),
-            "detail": "ratio monotonicity lost after multiplying by (x+1)",
-            "base": _render_seq(base),
-        }
-    return out
-
-
-def _trial_lemma3(spec: CampaignSpec, trial: int) -> _TrialOutcome:
-    degree = _pick_degree(spec, trial)
-    seq = gen_nondecreasing_seq(spec.seed, trial, degree, spec.magnitude_bound,
-                                integer_only=spec.integer_only, positive=True)
-    report = lemma3_gap(seq)
-    out = _TrialOutcome(trial, exercised=True)
-    if report.gap < 0:
-        out.violation = {
-            "trial": trial,
-            "input": _render_seq(seq),
-            "lhs": render_rational(report.lhs),
-            "rhs": render_rational(report.rhs),
-            "gap": render_rational(report.gap),
-        }
-    return out
-
-
-def _trial_corollary(spec: CampaignSpec, trial: int) -> _TrialOutcome:
-    degree = _pick_degree(spec, trial)
-    seq = gen_nondecreasing_seq(spec.seed, trial, degree, spec.magnitude_bound,
-                                integer_only=spec.integer_only)
-    shifted = taylor_shift(Polynomial(seq), spec.shift_c)
-    verdicts = (check_log_concave(shifted.coeffs),
-                check_no_internal_zeros(shifted.coeffs))
-    failed = [v.to_json_dict() for v in verdicts if not v.holds]
-    out = _TrialOutcome(trial, exercised=degree >= 2)
-    if failed:
-        payload = {
-            "trial": trial,
-            "input": _render_seq(seq),
-            "shift_c": render_rational(spec.shift_c),
-            "shifted": _render_seq(shifted.coeffs),
-            "verdicts": failed,
-        }
-        if spec.exploratory:
-            out.finding = payload
-        else:
-            out.violation = payload
-    return out
-
-
-def _trial_separation(spec: CampaignSpec, trial: int) -> _TrialOutcome:
-    degree = _pick_degree(spec, trial)
-    seq = _gen_positive_seq(spec.seed, trial, degree, spec.magnitude_bound,
-                            spec.integer_only)
-    out = _TrialOutcome(trial, exercised=True)
-    inconsistent = [name for name, ok in audit_implications(seq) if not ok]
-    if inconsistent:
-        out.violation = {
-            "trial": trial,
-            "input": _render_seq(seq),
-            "detail": f"implication audit inconsistent: {inconsistent}",
-        }
-        return out
-    lc = check_log_concave(seq)
-    sp = check_spiral(seq)
-    if lc.status is Status.HOLDS and sp.status is Status.FAILS:
-        out.examples["log-concave-not-spiral"] = {
-            "trial": trial,
-            "sequence": _render_seq(seq),
-            "spiral": sp.to_json_dict(),
-        }
-    if sp.status is Status.HOLDS and lc.status is Status.FAILS:
-        out.examples["spiral-not-log-concave"] = {
-            "trial": trial,
-            "sequence": _render_seq(seq),
-            "log_concave": lc.to_json_dict(),
-        }
-    return out
-
-
-_TRIAL_RUNNERS = {
-    "theorem1": _trial_theorem1,
-    "lemma1": _trial_lemma1,
-    "lemma2": _trial_lemma2,
-    "lemma3": _trial_lemma3,
-    "corollary": _trial_corollary,
-    "separation": _trial_separation,
-}
-
-
 def _run_trial(spec: CampaignSpec, trial: int) -> _TrialOutcome:
-    return _TRIAL_RUNNERS[spec.target](spec, trial)
+    target = _TARGETS[spec.target]
+    seq = target.draw(spec, trial)
+    shifted = None
+    if target.shift_c is not None:
+        shifted = taylor_shift(Polynomial(seq), target.shift_c(spec))
+    out = _TrialOutcome(trial, exercised=len(seq) - 1 >= target.min_degree)
+    try:
+        verdicts = target.check(seq, shifted)
+        failed = [verdicts[prop] for prop in target.must_hold if not verdicts[prop].holds]
+    except HypothesisError as exc:
+        out.exercised = False
+        failed = [PropertyVerdict(spec.target, Status.NOT_APPLICABLE, None,
+                                  f"generator produced a hypothesis violation: {exc}")]
+    if failed:
+        # Rendered only for a failing trial: rendering every trial's input
+        # and shift costs theorem1 about a fifth of its throughput.
+        out.payload = {"trial": trial, "input": _render_seq(seq),
+                       "verdicts": [v.to_json_dict() for v in failed]}
+        if shifted is not None:
+            out.payload["shift_c"] = render_rational(target.shift_c(spec))
+            out.payload["shifted"] = _render_seq(shifted.coeffs)
+        return out
+    for kind, holds, fails in target.examples:
+        if verdicts[holds].status is Status.HOLDS and verdicts[fails].status is Status.FAILS:
+            out.examples[kind] = {"trial": trial, "sequence": _render_seq(seq),
+                                  fails.replace("-", "_"): verdicts[fails].to_json_dict()}
+    return out
 
 
 def run_campaign(spec: CampaignSpec, jobs: int = 1) -> CampaignReport:
@@ -378,25 +366,23 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1) -> CampaignReport:
     else:
         outcomes = [_run_trial(spec, t) for t in trials]
 
-    violations = [o.violation for o in outcomes if o.violation is not None]
-    findings = [o.finding for o in outcomes if o.finding is not None]
+    payloads = [o.payload for o in outcomes if o.payload is not None]
     coverage = {"non_vacuous_trials": sum(1 for o in outcomes if o.exercised)}
     examples_found: dict[str, dict | None] = {}
-    if spec.target == "separation":
-        examples_found = {kind: None for kind in _SEPARATION_KINDS}
-        for kind in _SEPARATION_KINDS:
-            coverage[kind] = 0
-        for outcome in outcomes:
-            for kind, payload in outcome.examples.items():
-                coverage[kind] += 1
-                if examples_found[kind] is None:
-                    examples_found[kind] = payload
+    for kind, _, _ in _TARGETS[spec.target].examples:
+        coverage[kind] = 0
+        examples_found[kind] = None
+    for outcome in outcomes:
+        for kind, payload in outcome.examples.items():
+            coverage[kind] += 1
+            if examples_found[kind] is None:
+                examples_found[kind] = payload
     return CampaignReport(
         spec=spec,
         trials_run=spec.trials,
         coverage=coverage,
-        violations=violations,
-        findings=findings,
+        violations=[] if spec.exploratory else payloads,
+        findings=payloads if spec.exploratory else [],
         examples_found=examples_found,
         wall_time=time.perf_counter() - start,
     )

@@ -89,20 +89,34 @@ _FRACTION_RE = re.compile(r"([+-]?[0-9]+)/([0-9]+)\Z")
 _DECIMAL_RE = re.compile(r"([+-]?)([0-9]*)\.([0-9]*)\Z")
 
 
+def _digits_limit_error(what: str, exc: ValueError) -> DomainError:
+    # CPython (3.11, and 3.10.7 on) refuses int/str conversions past
+    # sys.get_int_max_str_digits() digits, with a plain ValueError.
+    return DomainError(f"{what} is too long to convert: {exc}")
+
+
+def _int(digits: str) -> int:
+    try:
+        return int(digits)
+    except ValueError as exc:
+        raise _digits_limit_error(f"a {len(digits)}-digit integer", exc) from exc
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``p``, ``p/q``, or a decimal literal into an exact Fraction.
 
     Decimals are scaled by a power of ten, never routed through floating
-    point, so e.g. ``"0.1"`` is exactly 1/10.
+    point, so e.g. ``"0.1"`` is exactly 1/10. A literal with more digits
+    than the interpreter converts raises DomainError.
     """
     stripped = text.strip()
     if not stripped:
         raise ParseError("empty rational literal", 0)
     if _INTEGER_RE.match(stripped):
-        return Fraction(int(stripped))
+        return Fraction(_int(stripped))
     m = _FRACTION_RE.match(stripped)
     if m:
-        num, den = int(m.group(1)), int(m.group(2))
+        num, den = _int(m.group(1)), _int(m.group(2))
         if den == 0:
             raise DomainError(f"zero denominator in {stripped!r}")
         return Fraction(num, den)
@@ -111,7 +125,7 @@ def parse_rational(text: str) -> Fraction:
         sign, whole, frac = m.groups()
         if not whole and not frac:
             raise ParseError(f"no digits in decimal literal {stripped!r}", 0)
-        value = Fraction(int(whole or "0") * 10 ** len(frac) + int(frac or "0"),
+        value = Fraction(_int(whole or "0") * 10 ** len(frac) + _int(frac or "0"),
                          10 ** len(frac))
         return -value if sign == "-" else value
     # Report the first character that cannot appear in a literal, if any.
@@ -120,8 +134,15 @@ def parse_rational(text: str) -> Fraction:
 
 
 def render_rational(value: Fraction | int) -> str:
-    """Canonical text form: ``p/q`` with q > 0 and gcd 1, or ``p`` when q = 1."""
-    return str(Fraction(value))
+    """Canonical text form: ``p/q`` with q > 0 and gcd 1, or ``p`` when q = 1.
+
+    Raises DomainError if p or q has more digits than the interpreter
+    converts to text.
+    """
+    try:
+        return str(Fraction(value))
+    except ValueError as exc:
+        raise _digits_limit_error("a rational", exc) from exc
 
 
 def as_rational(value: Fraction | int) -> Fraction:

@@ -78,8 +78,8 @@ def simpson_refine(f: Callable[[float], float], a: float, b: float, tol: float,
     Function evaluations are reused across refinements by building Simpson
     values from the trapezoid ladder, S_2n = (4 T_2n - T_n) / 3.
     """
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tolerance must be finite and positive, got {tol}")
     trap = 0.5 * (b - a) * (f(a) + f(b))
     simpson_prev = None
     last_err = math.inf
@@ -104,8 +104,8 @@ def simpson_refine(f: Callable[[float], float], a: float, b: float, tol: float,
 
 
 def _check_domain(x: float, m: int) -> None:
-    if not x > -1:
-        raise DomainError(f"need x > -1, got x = {x}")
+    if not -1 < x < math.inf:
+        raise DomainError(f"need finite x > -1, got x = {x}")
     if m < 0:
         raise DomainError(f"need m >= 0, got m = {m}")
 
@@ -161,8 +161,8 @@ def verify_identity(x: float, m: int, tol: float) -> IntegralCheck:
     The quadrature runs two orders of magnitude tighter than the comparison
     tolerance so its own error does not consume the budget.
     """
-    if not tol > 0:
-        raise DomainError(f"tolerance must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tolerance must be finite and positive, got {tol}")
     lhs = quadrature_lhs(x, m, max(tol * 1e-2, 1e-13))
     rhs = closed_form_rhs(x, m)
     rel_err = abs(lhs - rhs) / abs(rhs)

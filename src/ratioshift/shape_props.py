@@ -42,6 +42,7 @@ __all__ = [
     "Status",
     "Witness",
     "audit_implications",
+    "audit_verdicts",
     "check_log_concave",
     "check_no_internal_zeros",
     "check_nonneg_nondecreasing",
@@ -49,6 +50,7 @@ __all__ = [
     "check_spiral",
     "check_unimodal",
     "coeff_seq",
+    "lattice_verdicts",
     "ratio_chain_indices",
     "spiral_chain_indices",
 ]
@@ -273,23 +275,32 @@ _IMPLICATIONS = (
 )
 
 
-def audit_implications(seq: Sequence[Fraction | int]) -> list[tuple[str, bool]]:
-    """Evaluate the implication lattice on one sequence.
-
-    Returns (implication name, consistent) per implication; an implication is
-    inconsistent only when its antecedent Holds while its consequent Fails.
-    NotApplicable antecedents make the implication vacuously consistent.
-    """
+def lattice_verdicts(seq: Sequence[Fraction | int]) -> dict[str, PropertyVerdict]:
+    """The verdicts of the four checkers the implication lattice relates."""
     a = coeff_seq(seq)
-    verdicts = {
+    return {
         "ratio-monotone": check_ratio_monotone(a),
         "spiral": check_spiral(a),
         "log-concave": check_log_concave(a),
         "unimodal": check_unimodal(a),
     }
+
+
+def audit_verdicts(verdicts: dict[str, PropertyVerdict]) -> list[tuple[str, bool]]:
+    """Evaluate the implication lattice on the verdicts of one sequence.
+
+    Returns (implication name, consistent) per implication; an implication is
+    inconsistent only when its antecedent Holds while its consequent Fails.
+    NotApplicable antecedents make the implication vacuously consistent.
+    """
     results = []
     for antecedent, consequent in _IMPLICATIONS:
         inconsistent = (verdicts[antecedent].status is Status.HOLDS
                         and verdicts[consequent].status is Status.FAILS)
         results.append((f"{antecedent}=>{consequent}", not inconsistent))
     return results
+
+
+def audit_implications(seq: Sequence[Fraction | int]) -> list[tuple[str, bool]]:
+    """Evaluate the implication lattice on one sequence (see audit_verdicts)."""
+    return audit_verdicts(lattice_verdicts(seq))

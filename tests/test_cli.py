@@ -5,6 +5,7 @@ verification misses its tolerance, 2 on usage or input errors.
 """
 
 import json
+import sys
 
 import pytest
 
@@ -74,6 +75,41 @@ def test_bad_token_reports_line_and_column(poly_file, capsys):
     code, _, err = run(capsys, "shift", "--c", "1", path)
     assert code == 2
     assert ":2:3:" in err
+
+
+# CPython 3.11 (and 3.10.7 on) refuses int/str conversions past a digit
+# limit, 4,300 by default; 0 means no limit.
+_DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+needs_digit_limit = pytest.mark.skipif(_DIGIT_LIMIT == 0,
+                                       reason="interpreter has no int/str digit limit")
+
+
+@needs_digit_limit
+def test_shift_coefficient_past_digit_limit_is_usage_error(poly_file, capsys):
+    path = poly_file("1" * (_DIGIT_LIMIT + 700))
+    code, out, err = run(capsys, "shift", "--c", "1", path)
+    assert (code, out) == (2, "")
+    assert ":1:1:" in err and "too long to convert" in err
+
+
+@needs_digit_limit
+def test_shift_result_past_digit_limit_is_usage_error(poly_file, capsys):
+    # Both inputs are under the limit; the constant coefficient of the
+    # result, 1 + (10^k - 1) * 10^400, is over it.
+    path = poly_file("1\n" + "9" * (_DIGIT_LIMIT - 300) + "\n")
+    code, out, err = run(capsys, "shift", "--c", "1" + "0" * 400, path)
+    assert (code, out) == (2, "")
+    assert "too long to convert" in err
+
+
+@needs_digit_limit
+def test_check_detail_past_digit_limit_is_usage_error(poly_file, capsys):
+    # The failing log-concavity detail quotes a_1^2 - a_2 a_0 = -10^(2k).
+    a = "1" + "0" * (_DIGIT_LIMIT // 2 + 50)
+    path = poly_file(f"{a} {a} 2{a}")
+    code, out, err = run(capsys, "check", "--props", "log-concave", path)
+    assert (code, out) == (2, "")
+    assert "too long to convert" in err
 
 
 def test_empty_file_is_usage_error(poly_file, capsys):
@@ -191,6 +227,20 @@ def test_verify_integral_x_out_of_domain(capsys):
     code, _, err = run(capsys, "verify-integral", "--m", "0", "--x", "-2.0")
     assert code == 2
     assert "x > -1" in err
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan"])
+def test_verify_integral_non_finite_tol_is_domain_error(capsys, tol):
+    code, out, err = run(capsys, "verify-integral", "--m", "3", "--x", "1.0", "--tol", tol)
+    assert (code, out) == (2, "")
+    assert "tolerance must be finite" in err
+
+
+@pytest.mark.parametrize("x", ["inf", "nan"])
+def test_verify_integral_non_finite_x_is_domain_error(capsys, x):
+    code, out, err = run(capsys, "verify-integral", "--m", "3", "--x", x)
+    assert (code, out) == (2, "")
+    assert "need finite x > -1" in err
 
 
 # --- fuzz ---

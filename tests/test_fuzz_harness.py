@@ -9,14 +9,25 @@ from pathlib import Path
 import pytest
 
 import ratioshift
+from ratioshift import fuzz_harness
+from ratioshift.cli import main as cli_main
 from ratioshift.fuzz_harness import (
     TARGETS,
     CampaignSpec,
+    _trial_rng,
     gen_nondecreasing_seq,
     run_campaign,
 )
 from ratioshift.numeric_core import DomainError
-from ratioshift.shape_props import check_log_concave, check_spiral
+from ratioshift.poly_ops import Polynomial, taylor_shift
+from ratioshift.shape_props import (
+    PropertyVerdict,
+    Status,
+    Witness,
+    check_log_concave,
+    check_spiral,
+)
+from ratioshift.theorem_engine import HypothesisError, Lemma3Report
 
 
 def report_json(spec, jobs=1):
@@ -173,9 +184,10 @@ def test_report_json_is_serializable_and_shaped():
 
 
 # --- pinned report bytes ---
-# sha256 of report_json(spec), recorded before the integer kernel replaced
-# Fraction arithmetic in the shift and the checkers. A change to any layer a
-# campaign runs through must leave these bytes alone.
+# sha256 of report_json(spec). The first four were recorded before the
+# integer kernel replaced Fraction arithmetic in the shift and the checkers,
+# the rest before the six trial runners became one table. A change to any
+# layer a campaign runs through must leave these bytes alone.
 
 @pytest.mark.parametrize("spec, digest", [
     (CampaignSpec(target="theorem1", trials=60, seed=2024, degree_range=(2, 20)),
@@ -189,7 +201,21 @@ def test_report_json_is_serializable_and_shaped():
     (CampaignSpec(target="separation", trials=300, seed=2029, degree_range=(2, 6),
                   magnitude_bound=100),
      "6228e55e81c265b78b3d155c908bd870423e569067e266bdf7fc1347ace306f3"),
-], ids=["theorem1", "corollary-3/2", "corollary-1/2", "separation"])
+    (CampaignSpec(target="lemma1", trials=60, seed=2024),
+     "99f8e03a95c15a99f31345044f919115d55bbebde61d4cec63273ca8225c89b3"),
+    (CampaignSpec(target="lemma2", trials=60, seed=2024, degree_range=(2, 12)),
+     "726f8d30aee02024e5d81b5dfbc1a9054d3accdcfda4d7c79df9fcb806114012"),
+    (CampaignSpec(target="lemma3", trials=60, seed=2024, degree_range=(2, 12)),
+     "0234f12d2d1055f3b83dfb92af53a2d482aa06c91bd9bfab8ac29aacdf1aa48a"),
+    # Degrees below each target's minimum count as vacuous trials.
+    (CampaignSpec(target="theorem1", trials=60, seed=2024, degree_range=(0, 3),
+                  integer_only=True),
+     "6f1f2b8d3c014465ea6712ff36030096a262bb017a24bb8e03ef32472a55ec19"),
+    (CampaignSpec(target="corollary", trials=60, seed=2024, degree_range=(0, 3),
+                  shift_c=Fraction(3, 2)),
+     "c3a7e479306feab5b277811d477e8c4bb2dc7ab965d78e508a82e014ae1948f8"),
+], ids=["theorem1", "corollary-3/2", "corollary-1/2", "separation", "lemma1", "lemma2",
+        "lemma3", "theorem1-degree-0-integer", "corollary-3/2-degree-0"])
 def test_report_bytes_pinned(spec, digest):
     assert hashlib.sha256(report_json(spec).encode()).hexdigest() == digest
 
@@ -203,3 +229,135 @@ def test_package_import_leaves_openssl_unloaded():
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.strip() == "False"
+
+
+# --- violation and finding paths ---
+# No honest campaign fails, so these force a failing predicate at the name
+# the trial runner looks up and check the payload every target shares.
+
+def _forced_fail(prop):
+    def fail(*args, **kwargs):
+        return PropertyVerdict(prop, Status.FAILS, Witness((0,), (Fraction(7),)), "forced")
+    return fail
+
+
+def _drawn_input(spec, trial):
+    # Re-derive a trial's sequence from (seed, trial) alone.
+    degree = _trial_rng(spec.seed, trial, "degree").randint(*spec.degree_range)
+    return gen_nondecreasing_seq(spec.seed, trial, degree, spec.magnitude_bound,
+                                 integer_only=spec.integer_only,
+                                 positive=spec.target == "lemma3")
+
+
+def _assert_payloads(spec, payloads, *, shifts):
+    assert [p["trial"] for p in payloads] == list(range(spec.trials))
+    keys = {"trial", "input", "verdicts"} | ({"shift_c", "shifted"} if shifts else set())
+    for p in payloads:
+        assert set(p) == keys
+        if spec.target != "lemma1":
+            seq = _drawn_input(spec, p["trial"])
+            assert p["input"] == [str(v) for v in seq]
+        if shifts:
+            shifted = taylor_shift(Polynomial(seq), Fraction(p["shift_c"]))
+            assert p["shifted"] == [str(v) for v in shifted.coeffs]
+        for v in p["verdicts"]:
+            assert set(v) == {"property", "status", "witness", "detail"}
+    json.dumps(payloads)
+
+
+def test_theorem1_violation_payload(monkeypatch):
+    monkeypatch.setattr(fuzz_harness, "check_ratio_monotone", _forced_fail("ratio-monotone"))
+    spec = CampaignSpec(target="theorem1", trials=5, seed=4, degree_range=(1, 6))
+    report = run_campaign(spec)
+    _assert_payloads(spec, report.violations, shifts=True)
+    assert report.violations[0]["shift_c"] == "1"
+    assert report.violations[0]["verdicts"] == [
+        {"property": "ratio-monotone", "status": "fails",
+         "witness": {"indices": [0], "values": ["7"]}, "detail": "forced"}]
+    assert report.findings == []
+    assert report.coverage["non_vacuous_trials"] == 5
+
+
+def test_lemma1_false_conclusion_is_violation(monkeypatch):
+    monkeypatch.setattr(fuzz_harness, "lemma1_holds", lambda *v: False)
+    spec = CampaignSpec(target="lemma1", trials=4, seed=6)
+    report = run_campaign(spec)
+    _assert_payloads(spec, report.violations, shifts=False)
+    a, b, c, d, e, f = (Fraction(v) for v in report.violations[0]["input"])
+    assert a / b <= c / d <= e / f
+    assert report.violations[0]["verdicts"][0]["status"] == "fails"
+    assert report.coverage["non_vacuous_trials"] == 4
+
+
+def test_lemma1_hypothesis_error_is_vacuous_violation(monkeypatch):
+    def broken(*values):
+        raise HypothesisError("hypothesis a/b <= c/d <= e/f does not hold")
+    monkeypatch.setattr(fuzz_harness, "lemma1_holds", broken)
+    spec = CampaignSpec(target="lemma1", trials=4, seed=6)
+    report = run_campaign(spec)
+    _assert_payloads(spec, report.violations, shifts=False)
+    verdict = report.violations[0]["verdicts"][0]
+    assert verdict["status"] == "not-applicable"
+    assert "does not hold" in verdict["detail"]
+    assert report.coverage["non_vacuous_trials"] == 0
+
+
+def test_lemma2_violation_carries_base_and_shift(monkeypatch):
+    monkeypatch.setattr(fuzz_harness, "lemma2_preserved", lambda b: False)
+    spec = CampaignSpec(target="lemma2", trials=4, seed=3, degree_range=(2, 8))
+    report = run_campaign(spec)
+    _assert_payloads(spec, report.violations, shifts=True)
+    assert report.violations[0]["verdicts"][0]["property"] == "lemma2"
+
+
+def test_lemma3_violation_keeps_both_sides_exactly(monkeypatch):
+    monkeypatch.setattr(fuzz_harness, "lemma3_gap",
+                        lambda seq: Lemma3Report(m=len(seq) - 1, lhs=Fraction(1, 3),
+                                                 rhs=Fraction(1, 2)))
+    spec = CampaignSpec(target="lemma3", trials=3, seed=2, degree_range=(2, 5))
+    report = run_campaign(spec)
+    _assert_payloads(spec, report.violations, shifts=False)
+    detail = report.violations[0]["verdicts"][0]["detail"]
+    assert "-1/6" in detail and "1/3" in detail and "1/2" in detail
+
+
+@pytest.mark.parametrize("c, allow, field", [
+    (Fraction(3, 2), False, "violations"),
+    (Fraction(1, 2), True, "findings"),
+])
+def test_corollary_failures_route_by_exploratory(monkeypatch, c, allow, field):
+    monkeypatch.setattr(fuzz_harness, "check_log_concave", _forced_fail("log-concave"))
+    spec = CampaignSpec(target="corollary", trials=4, seed=5, degree_range=(2, 6),
+                        shift_c=c, allow_c_below_one=allow)
+    report = run_campaign(spec)
+    payloads = getattr(report, field)
+    other = report.findings if field == "violations" else report.violations
+    assert other == []
+    _assert_payloads(spec, payloads, shifts=True)
+    assert payloads[0]["shift_c"] == str(c)
+    assert [v["property"] for v in payloads[0]["verdicts"]] == ["log-concave"]
+
+
+def test_separation_inconsistent_audit_records_no_examples(monkeypatch):
+    monkeypatch.setattr(fuzz_harness, "audit_verdicts",
+                        lambda verdicts: [("spiral=>unimodal", False)])
+    spec = CampaignSpec(target="separation", trials=40, seed=7, degree_range=(2, 6))
+    report = run_campaign(spec)
+    assert len(report.violations) == 40
+    p = report.violations[0]
+    assert set(p) == {"trial", "input", "verdicts"}
+    degree = _trial_rng(spec.seed, 0, "degree").randint(*spec.degree_range)
+    assert len(p["input"]) == degree + 1
+    assert "spiral=>unimodal" in p["verdicts"][0]["detail"]
+    assert report.coverage == {"non_vacuous_trials": 40, "log-concave-not-spiral": 0,
+                               "spiral-not-log-concave": 0}
+    assert report.examples_found == {"log-concave-not-spiral": None,
+                                     "spiral-not-log-concave": None}
+
+
+def test_cli_fuzz_exits_one_on_violation(monkeypatch, capsys):
+    monkeypatch.setattr(fuzz_harness, "check_ratio_monotone", _forced_fail("ratio-monotone"))
+    code = cli_main(["fuzz", "--target", "theorem1", "--trials", "3", "--seed", "1"])
+    report = json.loads(capsys.readouterr().out)["results"][0]
+    assert code == 1
+    assert len(report["violations"]) == 3

@@ -1,4 +1,5 @@
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -107,6 +108,16 @@ def test_parse_rational_rejects(text):
 def test_parse_rational_zero_denominator_is_domain_error():
     with pytest.raises(DomainError):
         parse_rational("1/0")
+
+
+@pytest.mark.skipif(getattr(sys, "get_int_max_str_digits", lambda: 0)() == 0,
+                    reason="interpreter has no int/str digit limit")
+@pytest.mark.parametrize("text", ["7" * 5000, "1/" + "3" * 5000, "0." + "3" * 5000])
+def test_digits_past_interpreter_limit_are_domain_errors(text):
+    with pytest.raises(DomainError, match="too long to convert"):
+        parse_rational(text)
+    with pytest.raises(DomainError, match="too long to convert"):
+        render_rational(Fraction(10 ** 5000, 3))
 
 
 def test_parse_error_carries_position():

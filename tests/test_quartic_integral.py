@@ -130,6 +130,13 @@ def test_domain_guards():
         verify_identity(1.0, 0, 0.0)
 
 
+@pytest.mark.parametrize("x, tol", [(math.inf, 1e-8), (math.nan, 1e-8),
+                                    (1.0, math.inf), (1.0, math.nan)])
+def test_non_finite_inputs_are_domain_errors(x, tol):
+    with pytest.raises(DomainError):
+        verify_identity(x, 3, tol)
+
+
 def test_integrand_decays_on_tail():
     values = [integrand(t, 0.5, 1) for t in (1.0, 2.0, 4.0, 8.0, 16.0)]
     assert all(a > b > 0 for a, b in zip(values, values[1:]))
