@@ -39,6 +39,7 @@ entries are rationals with numerator and denominator bounded by
 
 from __future__ import annotations
 
+import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -315,7 +316,9 @@ class _TrialOutcome:
     trial: int
     exercised: bool
     payload: dict | None = None
-    examples: dict[str, dict] = field(default_factory=dict)
+    # Example kind -> (input, failing verdict), rendered only if the report keeps it.
+    examples: dict[str, tuple[tuple[Fraction, ...], PropertyVerdict]] = field(
+        default_factory=dict)
 
 
 def _run_trial(spec: CampaignSpec, trial: int) -> _TrialOutcome:
@@ -343,25 +346,29 @@ def _run_trial(spec: CampaignSpec, trial: int) -> _TrialOutcome:
         return out
     for kind, holds, fails in target.examples:
         if verdicts[holds].status is Status.HOLDS and verdicts[fails].status is Status.FAILS:
-            out.examples[kind] = {"trial": trial, "sequence": _render_seq(seq),
-                                  fails.replace("-", "_"): verdicts[fails].to_json_dict()}
+            out.examples[kind] = (seq, verdicts[fails])
     return out
 
 
 def run_campaign(spec: CampaignSpec, jobs: int = 1) -> CampaignReport:
     """Run all trials and assemble the report in trial-index order.
 
-    ``jobs`` > 1 distributes trials over a process pool; because each trial
+    ``jobs`` > 1 distributes trials over a process pool of at most ``jobs``
+    workers, and no more than there are trials or CPUs; because each trial
     derives its randomness from (seed, trial) alone and results are
     assembled in trial order, the report does not depend on ``jobs``.
     """
+    if jobs < 1:
+        raise DomainError(f"jobs must be >= 1, got {jobs}")
     start = time.perf_counter()
     trials = range(spec.trials)
-    if jobs > 1:
+    # The pool starts all its workers on the first submit, needed or not.
+    workers = min(jobs, spec.trials, os.cpu_count() or 1)
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, spec.trials // (jobs * 8))
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        chunk = max(1, spec.trials // (workers * 8))
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(partial(_run_trial, spec), trials, chunksize=chunk))
     else:
         outcomes = [_run_trial(spec, t) for t in trials]
@@ -369,14 +376,14 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1) -> CampaignReport:
     payloads = [o.payload for o in outcomes if o.payload is not None]
     coverage = {"non_vacuous_trials": sum(1 for o in outcomes if o.exercised)}
     examples_found: dict[str, dict | None] = {}
-    for kind, _, _ in _TARGETS[spec.target].examples:
-        coverage[kind] = 0
+    for kind, _, fails in _TARGETS[spec.target].examples:
+        hits = [o for o in outcomes if kind in o.examples]
+        coverage[kind] = len(hits)
         examples_found[kind] = None
-    for outcome in outcomes:
-        for kind, payload in outcome.examples.items():
-            coverage[kind] += 1
-            if examples_found[kind] is None:
-                examples_found[kind] = payload
+        if hits:
+            seq, verdict = hits[0].examples[kind]
+            examples_found[kind] = {"trial": hits[0].trial, "sequence": _render_seq(seq),
+                                    fails.replace("-", "_"): verdict.to_json_dict()}
     return CampaignReport(
         spec=spec,
         trials_run=spec.trials,

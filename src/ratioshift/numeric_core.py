@@ -44,20 +44,10 @@ class ParseError(ValueError):
 
 
 def binomial(n: int, k: int) -> int:
-    """Return C(n, k) exactly; 0 when k > n.
-
-    Uses the multiplicative formula with exact intermediate division
-    (each prefix product is divisible by i!).
-    """
+    """Return C(n, k) exactly; 0 when k > n."""
     if n < 0 or k < 0:
         raise DomainError(f"binomial requires nonnegative arguments, got ({n}, {k})")
-    if k > n:
-        return 0
-    k = min(k, n - k)
-    result = 1
-    for i in range(1, k + 1):
-        result = result * (n - k + i) // i
-    return result
+    return math.comb(n, k)
 
 
 def ratio_leq(p_num: Fraction | int, p_den: Fraction | int,
@@ -80,8 +70,9 @@ def clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     L is positive, so every sign, order and ratio among the values holds
     among the integers too.
     """
-    lcm = math.lcm(*[v.denominator for v in values])
-    return [v.numerator * (lcm // v.denominator) for v in values], lcm
+    pairs = [v.as_integer_ratio() for v in values]  # one call, not two properties
+    lcm = math.lcm(*[d for _, d in pairs])
+    return [n * (lcm // d) for n, d in pairs], lcm
 
 
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")

@@ -10,7 +10,8 @@ Two independent Taylor-shift algorithms are provided and must agree exactly:
 the naive binomial expansion on Fractions (the oracle) and repeated
 synthetic division (the fast default). Synthetic division runs on plain
 integers: it clears the denominators once, shifts the integer polynomial,
-and divides back to canonical Fractions only when it returns.
+and divides back to canonical Fractions only when it returns. The boundary
+closed forms are summed the same way, on the cleared coefficients.
 """
 
 from __future__ import annotations
@@ -149,17 +150,18 @@ def boundary_coeffs(p: Polynomial) -> BoundaryCoeffs:
     + C(m,2) a_m, b_{m-1} = a_{m-1} + m a_m, b_m = a_m. Requires degree
     m >= 2 so the four index positions are distinct from the tail.
     """
-    a = p.coeffs
     m = p.degree
     if m < 2:
         raise DomainError(f"boundary coefficients need degree >= 2, got {m}")
-    return BoundaryCoeffs(
-        b0=sum(a, Fraction(0)),
-        b1=sum((k * a_k for k, a_k in enumerate(a)), Fraction(0)),
-        b_m_minus_2=a[m - 2] + (m - 1) * a[m - 1] + binomial(m, 2) * a[m],
-        b_m_minus_1=a[m - 1] + m * a[m],
-        b_m=a[m],
-    )
+    s, lcm = clear_denominators(p.coeffs)
+    return BoundaryCoeffs(*[Fraction(v, lcm) for v in _scaled_boundary(s)], b_m=p.coeffs[m])
+
+
+def _scaled_boundary(s: list[int]) -> tuple[int, int, int, int]:
+    """L b_0, L b_1, L b_{m-2}, L b_{m-1} from the cleared coefficients L a_k."""
+    m = len(s) - 1
+    return (sum(s), sum([k * v for k, v in enumerate(s)]),
+            s[m - 2] + (m - 1) * s[m - 1] + binomial(m, 2) * s[m], s[m - 1] + m * s[m])
 
 
 def normalize(p: Polynomial) -> Polynomial:

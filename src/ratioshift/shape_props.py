@@ -19,8 +19,9 @@ sequences only; on any nonpositive entry the checkers return NotApplicable
 rather than Fails, so campaigns can tell precondition violations apart from
 property violations. All inequalities are non-strict and every ratio
 comparison is decided by cross-multiplication, never division. Every one of
-these properties is invariant under positive scaling, so the checkers for
-them compare the sequence times the lcm of its denominators, as plain ints.
+these properties is invariant under positive scaling, so each checker scales
+the sequence once by the lcm of its denominators and compares plain ints;
+witnesses and details quote the caller's own Fractions.
 
 Every Fails verdict carries a witness whose indices and values reproduce
 the violated inequality exactly; the witness layout per property is
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .numeric_core import as_rational, clear_denominators, ratio_leq, render_rational
+from .numeric_core import as_rational, clear_denominators, render_rational
 
 __all__ = [
     "CoeffSeq",
@@ -108,60 +109,71 @@ class PropertyVerdict:
         }
 
 
-def _holds(prop: str, detail: str = "") -> PropertyVerdict:
-    return PropertyVerdict(prop, Status.HOLDS, None, detail)
+def _holds(prop: str) -> PropertyVerdict:
+    return PropertyVerdict(prop, Status.HOLDS, None, "")
 
 
-def _fails(prop: str, witness: Witness, detail: str) -> PropertyVerdict:
-    return PropertyVerdict(prop, Status.FAILS, witness, detail)
+def _fails(prop: str, a: CoeffSeq, indices: tuple[int, ...], detail: str) -> PropertyVerdict:
+    """A Fails verdict whose witness quotes the caller's own entries at ``indices``."""
+    return PropertyVerdict(prop, Status.FAILS,
+                           Witness(indices, tuple([a[i] for i in indices])), detail)
 
 
-def _not_applicable_nonpositive(prop: str, seq: CoeffSeq,
-                                scaled: list[int]) -> PropertyVerdict | None:
+def _scaled(seq: Sequence[Fraction | int]) -> tuple[CoeffSeq, list[int]]:
+    """The sequence as Fractions, for witnesses, and times the lcm of its
+    denominators, as ints, for every comparison."""
+    a = coeff_seq(seq)
+    return a, clear_denominators(a)[0]
+
+
+def _not_applicable_nonpositive(prop: str, a: CoeffSeq,
+                                s: list[int]) -> PropertyVerdict | None:
     """NotApplicable verdict if the positivity precondition fails, else None."""
-    for i, v in enumerate(scaled):
+    for i, v in enumerate(s):
         if v <= 0:
-            return PropertyVerdict(
-                prop,
-                Status.NOT_APPLICABLE,
-                Witness((i,), (seq[i],)),
-                f"nonpositive entry {render_rational(seq[i])} at index {i}",
-            )
+            return PropertyVerdict(prop, Status.NOT_APPLICABLE, Witness((i,), (a[i],)),
+                                   f"nonpositive entry {render_rational(a[i])} at index {i}")
+    return None
+
+
+def _nonneg_nondecreasing_witness(s: list[int]) -> tuple[int, ...] | None:
+    """Indices (k,) of the first negative entry, else (k, k+1) of the first
+    descent, else None. The lemma predicates check their hypotheses with it:
+    they need the decision, not a rendered verdict."""
+    for k, v in enumerate(s):
+        if v < 0:
+            return (k,)
+    for k in range(len(s) - 1):
+        if s[k] > s[k + 1]:
+            return (k, k + 1)
     return None
 
 
 def check_nonneg_nondecreasing(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """Witness: (k,) with value a_k < 0, or (k, k+1) with a_k > a_{k+1}."""
     prop = "nonneg-nondecreasing"
-    a = coeff_seq(seq)
-    for k, v in enumerate(a):
-        if v < 0:
-            return _fails(prop, Witness((k,), (v,)),
-                          f"negative entry {render_rational(v)} at index {k}")
-    for k in range(len(a) - 1):
-        if a[k] > a[k + 1]:
-            return _fails(
-                prop, Witness((k, k + 1), (a[k], a[k + 1])),
-                f"descent {render_rational(a[k])} > {render_rational(a[k + 1])} "
-                f"at indices ({k}, {k + 1})")
-    return _holds(prop)
+    a, s = _scaled(seq)
+    w = _nonneg_nondecreasing_witness(s)
+    if w is None:
+        return _holds(prop)
+    if len(w) == 1:
+        return _fails(prop, a, w, f"negative entry {render_rational(a[w[0]])} at index {w[0]}")
+    return _fails(prop, a, w, f"descent {render_rational(a[w[0]])} > "
+                  f"{render_rational(a[w[1]])} at indices {w}")
 
 
 def check_unimodal(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """Witness: (d, d+1, j, j+1), a strict descent followed by a strict ascent."""
     prop = "unimodal"
-    a = coeff_seq(seq)
+    a, s = _scaled(seq)
     descent = None
-    for k in range(len(a) - 1):
+    for k in range(len(s) - 1):
         if descent is None:
-            if a[k] > a[k + 1]:
+            if s[k] > s[k + 1]:
                 descent = k
-        elif a[k] < a[k + 1]:
-            return _fails(
-                prop,
-                Witness((descent, descent + 1, k, k + 1),
-                        (a[descent], a[descent + 1], a[k], a[k + 1])),
-                f"descent at ({descent}, {descent + 1}) then ascent at ({k}, {k + 1})")
+        elif s[k] < s[k + 1]:
+            return _fails(prop, a, (descent, descent + 1, k, k + 1),
+                          f"descent at ({descent}, {descent + 1}) then ascent at ({k}, {k + 1})")
     return _holds(prop)
 
 
@@ -176,35 +188,30 @@ def spiral_chain_indices(m: int) -> list[int]:
 def check_spiral(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """Witness: (i, j), adjacent chain positions with a_i > a_j."""
     prop = "spiral"
-    a = coeff_seq(seq)
-    s, _ = clear_denominators(a)
+    a, s = _scaled(seq)
     na = _not_applicable_nonpositive(prop, a, s)
     if na:
         return na
     order = spiral_chain_indices(len(a) - 1)
     for prev, nxt in zip(order, order[1:]):
         if s[prev] > s[nxt]:
-            return _fails(
-                prop, Witness((prev, nxt), (a[prev], a[nxt])),
-                f"chain link a_{prev} <= a_{nxt} violated: "
-                f"{render_rational(a[prev])} > {render_rational(a[nxt])}")
+            return _fails(prop, a, (prev, nxt), f"chain link a_{prev} <= a_{nxt} violated: "
+                          f"{render_rational(a[prev])} > {render_rational(a[nxt])}")
     return _holds(prop)
 
 
 def check_log_concave(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """Witness: (k-1, k, k+1) where a_k^2 - a_{k+1} a_{k-1} < 0."""
     prop = "log-concave"
-    a = coeff_seq(seq)
-    s, _ = clear_denominators(a)
+    a, s = _scaled(seq)
     na = _not_applicable_nonpositive(prop, a, s)
     if na:
         return na
     for k in range(1, len(a) - 1):
         if s[k] * s[k] < s[k + 1] * s[k - 1]:
             disc = a[k] * a[k] - a[k + 1] * a[k - 1]
-            return _fails(
-                prop, Witness((k - 1, k, k + 1), (a[k - 1], a[k], a[k + 1])),
-                f"discriminant at k={k} is {render_rational(disc)} < 0")
+            return _fails(prop, a, (k - 1, k, k + 1),
+                          f"discriminant at k={k} is {render_rational(disc)} < 0")
     return _holds(prop)
 
 
@@ -228,40 +235,34 @@ def check_ratio_monotone(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     with a_n > a_d. The detail names the chain.
     """
     prop = "ratio-monotone"
-    a = coeff_seq(seq)
-    s, _ = clear_denominators(a)
+    a, s = _scaled(seq)
     na = _not_applicable_nonpositive(prop, a, s)
     if na:
         return na
-    chains = ratio_chain_indices(len(a) - 1)
-    for name, pairs in zip("AB", chains):
+    for name, pairs in zip("AB", ratio_chain_indices(len(a) - 1)):
         for (n0, d0), (n1, d1) in zip(pairs, pairs[1:]):
-            if not ratio_leq(s[n0], s[d0], s[n1], s[d1]):
-                return _fails(
-                    prop,
-                    Witness((n0, d0, n1, d1), (a[n0], a[d0], a[n1], a[d1])),
-                    f"chain {name}: a_{n0}/a_{d0} > a_{n1}/a_{d1}")
+            # Cross-multiplied: past the precondition every entry is positive.
+            if s[n0] * s[d1] > s[n1] * s[d0]:
+                return _fails(prop, a, (n0, d0, n1, d1),
+                              f"chain {name}: a_{n0}/a_{d0} > a_{n1}/a_{d1}")
         if pairs:
             n, d = pairs[-1]
             if s[n] > s[d]:
-                return _fails(
-                    prop, Witness((n, d), (a[n], a[d])),
-                    f"chain {name}: final ratio a_{n}/a_{d} > 1")
+                return _fails(prop, a, (n, d), f"chain {name}: final ratio a_{n}/a_{d} > 1")
     return _holds(prop)
 
 
 def check_no_internal_zeros(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """Witness: (j, i, j') with a_i = 0 between nonzero a_j and a_{j'}."""
     prop = "no-internal-zeros"
-    a = coeff_seq(seq)
-    nonzero = [i for i, v in enumerate(a) if v != 0]
+    a, s = _scaled(seq)
+    nonzero = [i for i, v in enumerate(s) if v != 0]
     if nonzero:
         lo, hi = nonzero[0], nonzero[-1]
         for i in range(lo + 1, hi):
-            if a[i] == 0:
-                return _fails(
-                    prop, Witness((lo, i, hi), (a[lo], a[i], a[hi])),
-                    f"zero at index {i} between nonzero entries at {lo} and {hi}")
+            if s[i] == 0:
+                return _fails(prop, a, (lo, i, hi),
+                              f"zero at index {i} between nonzero entries at {lo} and {hi}")
     return _holds(prop)
 
 

@@ -18,6 +18,11 @@ turns ratio monotone under the shift x -> x + 1:
 * ``induction_decompose``: P(x+1) = a_0 + (x+1) Q(x+1) with Q the tail
   of P.
 
+The sequence predicates clear denominators once per call
+(``numeric_core.clear_denominators``), sum and compare plain ints, and build
+one Fraction per returned value; their nondecreasing hypotheses are decided
+by the code behind ``shape_props.check_nonneg_nondecreasing``.
+
 Hypothesis violations raise (``HypothesisError`` or ``DomainError``) while a
 false conclusion is returned as data, so a randomized campaign can prove it
 exercised a predicate instead of silently skipping it, and a hypothetical
@@ -31,9 +36,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .numeric_core import DomainError, as_rational, ratio_leq
-from .poly_ops import Polynomial, ShiftAlgorithm, boundary_coeffs, mul_by_x_plus_one, taylor_shift
-from .shape_props import check_ratio_monotone, coeff_seq
+from .numeric_core import DomainError, as_rational, clear_denominators, ratio_leq
+from .poly_ops import Polynomial, ShiftAlgorithm, _scaled_boundary, mul_by_x_plus_one, taylor_shift
+from .shape_props import _nonneg_nondecreasing_witness, check_ratio_monotone, coeff_seq
 
 __all__ = [
     "HypothesisError",
@@ -89,14 +94,15 @@ def lemma3_gap(seq: Sequence[Fraction | int]) -> Lemma3Report:
     m = len(a) - 1
     if m < 2:
         raise DomainError(f"need m >= 2, got m = {m}")
-    if a[0] <= 0:
+    s, lcm = clear_denominators(a)
+    if s[0] <= 0:
         raise DomainError("entries must be positive")
-    if any(a[k] > a[k + 1] for k in range(m)):
+    if _nonneg_nondecreasing_witness(s):
         raise DomainError("entries must be nondecreasing")
-    lhs = Fraction(m * (m + 1), 2) * a[m] * a[m] + a[m] * a[m - 1]
-    rhs = (sum(((m - 1 - k) * a[k] for k in range(m - 1)), Fraction(0)) * a[m - 1]
-           + sum(a, Fraction(0)) * a[m - 2])
-    return Lemma3Report(m=m, lhs=lhs, rhs=rhs)
+    # m(m+1)/2 is an integer; both sides are quadratic in the entries.
+    lhs = m * (m + 1) // 2 * s[m] * s[m] + s[m] * s[m - 1]
+    rhs = sum([(m - 1 - k) * s[k] for k in range(m - 1)]) * s[m - 1] + sum(s) * s[m - 2]
+    return Lemma3Report(m=m, lhs=Fraction(lhs, lcm * lcm), rhs=Fraction(rhs, lcm * lcm))
 
 
 def s1_sum(seq: Sequence[Fraction | int]) -> Fraction:
@@ -105,7 +111,8 @@ def s1_sum(seq: Sequence[Fraction | int]) -> Fraction:
     m = len(a) - 1
     if m < 1:
         raise DomainError(f"need m >= 1, got m = {m}")
-    return sum((Fraction(2 * k - m + 1, 2) * a[k] for k in range(m)), Fraction(0))
+    s, lcm = clear_denominators(a)
+    return Fraction(sum([(2 * k - m + 1) * s[k] for k in range(m)]), 2 * lcm)
 
 
 def s1_rearranged(seq: Sequence[Fraction | int]) -> Fraction:
@@ -120,11 +127,9 @@ def s1_rearranged(seq: Sequence[Fraction | int]) -> Fraction:
     m = len(a) - 1
     if m < 1:
         raise DomainError(f"need m >= 1, got m = {m}")
-    return sum(
-        (Fraction(m - 1 - 2 * k, 2) * (a[m - 1 - k] - a[k])
-         for k in range((m - 1) // 2 + 1)),
-        Fraction(0),
-    )
+    s, lcm = clear_denominators(a)
+    return Fraction(sum([(m - 1 - 2 * k) * (s[m - 1 - k] - s[k])
+                         for k in range((m - 1) // 2 + 1)]), 2 * lcm)
 
 
 def edge_inequality_holds(seq: Sequence[Fraction | int]) -> bool:
@@ -139,12 +144,13 @@ def edge_inequality_holds(seq: Sequence[Fraction | int]) -> bool:
     m = len(a) - 1
     if m < 2:
         raise DomainError(f"need m >= 2, got m = {m}")
-    if any(v < 0 for v in a) or any(a[k] > a[k + 1] for k in range(m)):
+    s, _ = clear_denominators(a)
+    if _nonneg_nondecreasing_witness(s):
         raise DomainError("entries must be nonnegative and nondecreasing")
-    if a[m] <= 0:
+    if s[m] <= 0:
         raise DomainError("leading coefficient a_m must be positive")
-    b = boundary_coeffs(Polynomial(a))
-    return b.b0 * b.b_m_minus_2 <= b.b1 * b.b_m_minus_1
+    b0, b1, b_m_minus_2, b_m_minus_1 = _scaled_boundary(s)
+    return b0 * b_m_minus_2 <= b1 * b_m_minus_1
 
 
 def induction_decompose(p: Polynomial) -> tuple[Fraction, Polynomial]:

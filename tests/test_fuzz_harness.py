@@ -361,3 +361,71 @@ def test_cli_fuzz_exits_one_on_violation(monkeypatch, capsys):
     report = json.loads(capsys.readouterr().out)["results"][0]
     assert code == 1
     assert len(report["violations"]) == 3
+
+
+# --- the worker pool and example rendering ---
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records its size, maps serially."""
+
+    sizes: list[int] = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        return False
+
+    def map(self, fn, iterable, chunksize=1):
+        return map(fn, iterable)
+
+
+@pytest.mark.parametrize("jobs, trials, cpus, size", [
+    (64, 10, 4, 4),      # capped by the CPUs
+    (64, 3, 8, 3),       # capped by the trials
+    (2, 10, 8, 2),       # as asked
+    (5, 1, 8, None),     # one trial: no pool
+    (5, 10, None, None),  # unknown CPU count counts as one: no pool
+    (1, 10, 8, None),
+])
+def test_pool_is_bounded_by_trials_and_cpus(monkeypatch, jobs, trials, cpus, size):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    spec = CampaignSpec(target="theorem1", trials=trials, seed=3, degree_range=(2, 8))
+    assert report_json(spec, jobs=jobs) == report_json(spec)
+    assert _RecordingPool.sizes == ([] if size is None else [size])
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_jobs_below_one_is_domain_error(monkeypatch, capsys, jobs):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    spec = CampaignSpec(target="lemma1", trials=5, seed=1)
+    with pytest.raises(DomainError, match="jobs"):
+        run_campaign(spec, jobs=jobs)
+    code = cli_main(["fuzz", "--target", "lemma1", "--trials", "5", "--jobs", str(jobs)])
+    assert code == 2
+    assert "jobs must be >= 1" in capsys.readouterr().err
+    assert _RecordingPool.sizes == []
+
+
+def test_separation_renders_only_the_kept_examples(monkeypatch):
+    rendered = []
+    render = fuzz_harness._render_seq
+    monkeypatch.setattr(fuzz_harness, "_render_seq",
+                        lambda seq: rendered.append(seq) or render(seq))
+    spec = CampaignSpec(target="separation", trials=400, seed=7, degree_range=(2, 6))
+    report = run_campaign(spec)
+    assert report.coverage["log-concave-not-spiral"] > 1
+    assert report.coverage["spiral-not-log-concave"] > 1
+    assert len(rendered) == 2
+    assert [render(seq) for seq in rendered] == [
+        example["sequence"] for example in report.examples_found.values()]

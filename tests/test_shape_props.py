@@ -334,10 +334,54 @@ def reference_ratio_monotone(a):
     return PropertyVerdict(prop, Status.HOLDS, None, "")
 
 
+def reference_nonneg_nondecreasing(a):
+    prop = "nonneg-nondecreasing"
+    for k, v in enumerate(a):
+        if v < 0:
+            return PropertyVerdict(prop, Status.FAILS, Witness((k,), (v,)),
+                                   f"negative entry {render_rational(v)} at index {k}")
+    for k in range(len(a) - 1):
+        if a[k] > a[k + 1]:
+            return PropertyVerdict(
+                prop, Status.FAILS, Witness((k, k + 1), (a[k], a[k + 1])),
+                f"descent {render_rational(a[k])} > {render_rational(a[k + 1])} "
+                f"at indices ({k}, {k + 1})")
+    return PropertyVerdict(prop, Status.HOLDS, None, "")
+
+
+def reference_unimodal(a):
+    prop = "unimodal"
+    descents = [k for k in range(len(a) - 1) if a[k] > a[k + 1]]
+    if descents:
+        d = descents[0]
+        for k in range(d + 1, len(a) - 1):
+            if a[k] < a[k + 1]:
+                return PropertyVerdict(
+                    prop, Status.FAILS,
+                    Witness((d, d + 1, k, k + 1), (a[d], a[d + 1], a[k], a[k + 1])),
+                    f"descent at ({d}, {d + 1}) then ascent at ({k}, {k + 1})")
+    return PropertyVerdict(prop, Status.HOLDS, None, "")
+
+
+def reference_no_internal_zeros(a):
+    prop = "no-internal-zeros"
+    nonzero = [i for i, v in enumerate(a) if v != 0]
+    internal = [i for i, v in enumerate(a) if v == 0 and nonzero and nonzero[0] < i < nonzero[-1]]
+    if internal:
+        lo, i, hi = nonzero[0], internal[0], nonzero[-1]
+        return PropertyVerdict(
+            prop, Status.FAILS, Witness((lo, i, hi), (a[lo], a[i], a[hi])),
+            f"zero at index {i} between nonzero entries at {lo} and {hi}")
+    return PropertyVerdict(prop, Status.HOLDS, None, "")
+
+
 @pytest.mark.parametrize("checker, reference", [
     (check_spiral, reference_spiral),
     (check_log_concave, reference_log_concave),
     (check_ratio_monotone, reference_ratio_monotone),
+    (check_unimodal, reference_unimodal),
+    (check_nonneg_nondecreasing, reference_nonneg_nondecreasing),
+    (check_no_internal_zeros, reference_no_internal_zeros),
 ])
 def test_integer_checkers_match_fraction_reference(checker, reference):
     rng = random.Random(4242)
@@ -359,4 +403,6 @@ def test_integer_checkers_match_fraction_reference(checker, reference):
             assert all(v is seq[i] for i, v in zip(verdict.witness.indices,
                                                     verdict.witness.values))
         statuses.add(verdict.status)
-    assert statuses == set(Status)
+    # Only the checkers with a positivity precondition answer NotApplicable.
+    needs_positive = checker in (check_spiral, check_log_concave, check_ratio_monotone)
+    assert statuses == set(Status) - (set() if needs_positive else {Status.NOT_APPLICABLE})

@@ -6,7 +6,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ratioshift.numeric_core import DomainError
-from ratioshift.poly_ops import Polynomial, ShiftAlgorithm, mul_by_x_plus_one, taylor_shift
+from ratioshift.poly_ops import (
+    BoundaryCoeffs,
+    Polynomial,
+    ShiftAlgorithm,
+    boundary_coeffs,
+    mul_by_x_plus_one,
+    taylor_shift,
+)
 from ratioshift.shape_props import check_ratio_monotone
 from ratioshift.theorem_engine import (
     HypothesisError,
@@ -199,3 +206,107 @@ def test_lemma2_randomized_on_one_shifts():
         b = taylor_shift(Polynomial(seq), 1)
         assert check_ratio_monotone(b.coeffs).holds  # generator sanity
         assert lemma2_preserved(b)
+
+
+# --- integer predicates against a Fraction reference ---
+# The predicates sum and compare the sequence scaled to ints; these
+# references sum the caller's Fractions directly, with the same guards.
+
+def reference_boundary_coeffs(a):
+    m = len(a) - 1
+    if m < 2:
+        raise DomainError(f"boundary coefficients need degree >= 2, got {m}")
+    return BoundaryCoeffs(sum(a, Fraction(0)), sum((k * v for k, v in enumerate(a)), Fraction(0)),
+                          a[m - 2] + (m - 1) * a[m - 1] + Fraction(m * (m - 1), 2) * a[m],
+                          a[m - 1] + m * a[m], a[m])
+
+
+def reference_nondecreasing(a):
+    return all(a[k] <= a[k + 1] for k in range(len(a) - 1))
+
+
+def reference_lemma3_gap(a):
+    m = len(a) - 1
+    if m < 2:
+        raise DomainError(f"need m >= 2, got m = {m}")
+    if a[0] <= 0:
+        raise DomainError("entries must be positive")
+    if not reference_nondecreasing(a):
+        raise DomainError("entries must be nondecreasing")
+    lhs = Fraction(m * (m + 1), 2) * a[m] * a[m] + a[m] * a[m - 1]
+    rhs = (sum(((m - 1 - k) * a[k] for k in range(m - 1)), Fraction(0)) * a[m - 1]
+           + sum(a, Fraction(0)) * a[m - 2])
+    return Lemma3Report(m, lhs, rhs)
+
+
+def reference_s1_sum(a):
+    m = len(a) - 1
+    return sum((Fraction(2 * k - m + 1, 2) * a[k] for k in range(m)), Fraction(0))
+
+
+def reference_s1_rearranged(a):
+    m = len(a) - 1
+    return sum((Fraction(m - 1 - 2 * k, 2) * (a[m - 1 - k] - a[k])
+                for k in range((m - 1) // 2 + 1)), Fraction(0))
+
+
+def reference_edge_inequality_holds(a):
+    m = len(a) - 1
+    if m < 2:
+        raise DomainError(f"need m >= 2, got m = {m}")
+    if any(v < 0 for v in a) or not reference_nondecreasing(a):
+        raise DomainError("entries must be nonnegative and nondecreasing")
+    if a[m] <= 0:
+        raise DomainError("leading coefficient a_m must be positive")
+    b = reference_boundary_coeffs(a)
+    return b.b0 * b.b_m_minus_2 <= b.b1 * b.b_m_minus_1
+
+
+def outcome(fn, arg):
+    """The value, or the DomainError message, that ``fn(arg)`` ends in."""
+    try:
+        return fn(arg)
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+BIG = 7 ** 5917  # about 5,000 decimal digits
+
+
+def predicate_inputs():
+    yield from [
+        (1, 2, 3), (1, 1, 1), (0, 0, 1), (0, 0, 0), (Fraction(1, 3), Fraction(1, 2), Fraction(5, 7)),
+        (3, 1, 2), (-1, 0, 1), (5,), (2, 9),                          # degree 2, 0, 1
+        (0, 0, 2, 2, 5), (3, 0, 0, 1), (1, 0, 2), (Fraction(7, 3),) * 6,  # zeros, ties
+        tuple(Fraction(1, d) for d in (13, 11, 7, 5, 3, 2)),           # coprime denominators
+        tuple(Fraction(1, d) for d in (2, 3, 5, 7, 11, 13)),
+        (Fraction(1, BIG), Fraction(BIG, 3), Fraction(BIG), Fraction(BIG + 1)),  # huge
+        (Fraction(BIG, 5), Fraction(-BIG, 3), Fraction(BIG + 1, BIG - 1), Fraction(3, BIG)),
+        (Fraction(BIG, 7),) * 3,
+    ]
+    rng = random.Random(8080)
+    for trial in range(600):
+        m = rng.randint(0, 14)
+        low = -3 if trial % 3 == 0 else 0
+        seq = [Fraction(rng.randint(low, 40), rng.randint(1, 12)) for _ in range(m + 1)]
+        yield tuple(sorted(seq) if trial % 2 == 0 else seq)
+
+
+def test_integer_predicates_match_fraction_reference():
+    hypotheses_held = 0
+    for seq in predicate_inputs():
+        a = tuple(Fraction(v) for v in seq)
+        if len(a) >= 2:
+            assert s1_sum(a) == reference_s1_sum(a)
+            assert s1_rearranged(a) == reference_s1_rearranged(a)
+            assert type(s1_sum(a)) is type(s1_rearranged(a)) is Fraction
+        b = outcome(lambda s: boundary_coeffs(Polynomial(s)), a)
+        assert b == outcome(reference_boundary_coeffs, a)
+        if isinstance(b, BoundaryCoeffs):
+            assert all(type(v) is Fraction for v in b)
+            assert b.b_m is a[-1]  # the caller's own Fraction
+        report = outcome(lemma3_gap, a)
+        assert report == outcome(reference_lemma3_gap, a)
+        assert outcome(edge_inequality_holds, a) == outcome(reference_edge_inequality_holds, a)
+        hypotheses_held += isinstance(report, Lemma3Report)
+    assert hypotheses_held >= 100  # the predicates ran, not just their guards
