@@ -1,9 +1,10 @@
 """Batch command-line front end.
 
 Exit codes are uniform across subcommands: 0 when every check holds, 1 when
-a mathematical property failed or was not applicable, 2 on usage or input
-errors. JSON reports carry exact values as canonical ``p/q`` strings (never
-JSON numbers); only the quartic-integral fields are decimal floats.
+a mathematical property failed or was not applicable or a float check could
+not be completed, 2 on usage or input errors. JSON reports carry exact
+values as canonical ``p/q`` strings (never JSON numbers); only the
+quartic-integral fields are decimal floats.
 
 Coefficient files are whitespace- or newline-separated rational tokens
 (``p``, ``p/q``, or an exact decimal); ``#`` starts a comment.
@@ -146,7 +147,14 @@ def _cmd_verify_integral(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     if args.m < 0:
         raise _UsageError(f"--m must be >= 0, got {args.m}")
-    check = verify_identity(args.x, args.m, args.tol)
+    try:
+        check = verify_identity(args.x, args.m, args.tol)
+    except (OverflowError, ZeroDivisionError) as exc:
+        # A float over- or underflowed on the way: the check could not be
+        # completed, like a quadrature that does not converge.
+        print(f"ratioshift: the float check could not be completed: "
+              f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 1
     doc = _report("verify-integral",
                   {"m": args.m, "x": args.x, "tol": args.tol},
                   [check.to_json_dict()],

@@ -16,22 +16,25 @@ The improper integral is folded onto [0, 1] through the symmetry t -> 1/u:
 whose integrand is smooth and bounded for x > -1 (the denominator is
 (u^2-1)^2 + 2(x+1)u^2 > 0 on (0, 1]), so there is no tail truncation at all.
 Quadrature is iterated composite Simpson with panel doubling and a
-Richardson error estimate, capped in refinement depth.
+Richardson error estimate, capped in refinement depth. It is one loop,
+``_simpson``, that streams each level's midpoints through the integrand and
+into ``math.fsum`` in index order; the folded integrand is one fused
+generator, so a point costs a generator step, not three Python calls.
 
 This is the only module that touches floating point, and only at its
-boundary: polynomial values are computed in exact rationals first and
-converted to float last.
+boundary: P_m(x) is evaluated by Horner's rule on integers (the
+coefficients cleared of their denominators, x read as the exact ratio its
+float denotes) and converted to float by one correctly rounded division.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 from .boros_moll import bm_polynomial
-from .numeric_core import DomainError
+from .numeric_core import DomainError, clear_denominators
 
 __all__ = [
     "IntegralCheck",
@@ -65,28 +68,46 @@ def integrand(t: float, x: float, m: int) -> float:
     return ((t * t + 2.0 * x) * t * t + 1.0) ** (-(m + 1))
 
 
+def _folded_values(us: Iterable[float], x: float, m: int) -> Iterator[float]:
+    """folded_integrand(u, x, m) for each u in ``us``, lazily and in order.
+
+    The expression is the same tree, operation for operation, so every value
+    is bit-identical: ``**`` converts an int exponent to float anyway, and
+    the product stays left-associative ((u^2 + 2x) u) u.
+    """
+    e, k, tx = float(4 * m + 2), float(m + 1), 2.0 * x
+    for u in us:
+        yield (1.0 + u ** e) / ((u * u + tx) * u * u + 1.0) ** k
+
+
 def folded_integrand(u: float, x: float, m: int) -> float:
     """Integrand after folding [1, inf) back onto [0, 1] via t -> 1/u."""
-    return (1.0 + u ** (4 * m + 2)) / ((u * u + 2.0 * x) * u * u + 1.0) ** (m + 1)
+    return next(_folded_values((u,), x, m))
 
 
-def simpson_refine(f: Callable[[float], float], a: float, b: float, tol: float,
-                   max_doublings: int = _MAX_DOUBLINGS) -> float:
+def _simpson(values: Callable[[Iterable[float]], Iterable[float]], a: float, b: float,
+             tol: float, max_doublings: int) -> float:
     """Composite Simpson with panel doubling until the Richardson estimate
     |S_2n - S_n| / 15 drops to ``tol`` relative to the value.
 
-    Function evaluations are reused across refinements by building Simpson
-    values from the trapezoid ladder, S_2n = (4 T_2n - T_n) / 3.
+    ``values`` maps an iterable of points to their integrand values in the
+    same order. Function evaluations are reused across refinements by
+    building Simpson values from the trapezoid ladder, S_2n = (4 T_2n - T_n) / 3.
+    Each level's midpoints stay lazy and ``math.fsum`` takes them in index
+    order: a level holds up to 2^21 points, and the order decides which
+    error a failing integrand raises first (fsum's intermediate overflow or
+    the integrand's own).
     """
     if not 0 < tol < math.inf:
         raise DomainError(f"tolerance must be finite and positive, got {tol}")
-    trap = 0.5 * (b - a) * (f(a) + f(b))
+    fa, fb = values((a, b))
+    trap = 0.5 * (b - a) * (fa + fb)
     simpson_prev = None
     last_err = math.inf
     panels = 1
     for _ in range(max_doublings):
         h = (b - a) / panels
-        midsum = math.fsum(f(a + (i + 0.5) * h) for i in range(panels))
+        midsum = math.fsum(values(a + (i + 0.5) * h for i in range(panels)))
         trap_next = 0.5 * (trap + h * midsum)
         simpson = (4.0 * trap_next - trap) / 3.0
         if simpson_prev is not None:
@@ -103,6 +124,13 @@ def simpson_refine(f: Callable[[float], float], a: float, b: float, tol: float,
     )
 
 
+def simpson_refine(f: Callable[[float], float], a: float, b: float, tol: float,
+                   max_doublings: int = _MAX_DOUBLINGS) -> float:
+    """Integrate the scalar ``f`` over [a, b] to relative tolerance ``tol``
+    by composite Simpson with panel doubling (see ``_simpson``)."""
+    return _simpson(lambda us: map(f, us), a, b, tol, max_doublings)
+
+
 def _check_domain(x: float, m: int) -> None:
     if not -1 < x < math.inf:
         raise DomainError(f"need finite x > -1, got x = {x}")
@@ -117,18 +145,26 @@ def quadrature_lhs(x: float, m: int, tol: float) -> float:
     """
     _check_domain(x, m)
     # Halve the requested tolerance so the estimate has headroom.
-    return simpson_refine(lambda u: folded_integrand(u, x, m), 0.0, 1.0, tol / 2.0)
+    return _simpson(lambda us: _folded_values(us, x, m), 0.0, 1.0, tol / 2.0, _MAX_DOUBLINGS)
 
 
 def closed_form_rhs(x: float, m: int) -> float:
     """pi / (2^(m+3/2) (x+1)^(m+1/2)) * P_m(x).
 
-    P_m is evaluated exactly at the dyadic rational the float x denotes;
-    only the final value is converted to float.
+    P_m is evaluated exactly at the dyadic rational p/q the float x denotes:
+    with L the lcm of the coefficients' denominators, Horner's rule on ints
+    gives L q^m P_m(p/q), and one int true division (correctly rounded, as
+    ``float(Fraction)`` is) gives the float.
     """
     _check_domain(x, m)
-    p_m = bm_polynomial(m)(Fraction(x))
-    return math.pi * float(p_m) / (2.0 ** (m + 1.5) * (x + 1.0) ** (m + 0.5))
+    coeffs, lcm = clear_denominators(bm_polynomial(m).coeffs)
+    p, q = x.as_integer_ratio()
+    acc, q_pow = 0, 1
+    for c in reversed(coeffs):
+        acc = acc * p + c * q_pow
+        q_pow *= q
+    p_m = acc / (lcm * q ** m)
+    return math.pi * p_m / (2.0 ** (m + 1.5) * (x + 1.0) ** (m + 0.5))
 
 
 @dataclass(frozen=True)

@@ -19,9 +19,11 @@ sequences only; on any nonpositive entry the checkers return NotApplicable
 rather than Fails, so campaigns can tell precondition violations apart from
 property violations. All inequalities are non-strict and every ratio
 comparison is decided by cross-multiplication, never division. Every one of
-these properties is invariant under positive scaling, so each checker scales
-the sequence once by the lcm of its denominators and compares plain ints;
-witnesses and details quote the caller's own Fractions.
+these properties is invariant under positive scaling, so each checker that
+compares entries scales the sequence once by the lcm of its denominators
+and compares plain ints (no-internal-zeros only tests entries against zero,
+on the Fractions themselves); witnesses and details quote the caller's own
+Fractions.
 
 Every Fails verdict carries a witness whose indices and values reproduce
 the violated inequality exactly; the witness layout per property is
@@ -255,12 +257,12 @@ def check_ratio_monotone(seq: Sequence[Fraction | int]) -> PropertyVerdict:
 def check_no_internal_zeros(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """Witness: (j, i, j') with a_i = 0 between nonzero a_j and a_{j'}."""
     prop = "no-internal-zeros"
-    a, s = _scaled(seq)
-    nonzero = [i for i, v in enumerate(s) if v != 0]
+    a = coeff_seq(seq)  # a zero test needs no scaling
+    nonzero = [i for i, v in enumerate(a) if v != 0]
     if nonzero:
         lo, hi = nonzero[0], nonzero[-1]
         for i in range(lo + 1, hi):
-            if s[i] == 0:
+            if a[i] == 0:
                 return _fails(prop, a, (lo, i, hi),
                               f"zero at index {i} between nonzero entries at {lo} and {hi}")
     return _holds(prop)

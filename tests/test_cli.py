@@ -243,6 +243,18 @@ def test_verify_integral_non_finite_x_is_domain_error(capsys, x):
     assert "need finite x > -1" in err
 
 
+@pytest.mark.parametrize("m, x, error", [
+    ("2000", "1.0", "OverflowError: "),  # from pow; its text is the C library's
+    ("54", "-0.999999", "OverflowError: intermediate overflow in fsum"),
+    ("57", "-0.999999", "ZeroDivisionError: float division by zero"),
+])
+def test_verify_integral_float_failure_exits_one(capsys, m, x, error):
+    code, out, err = run(capsys, "verify-integral", "--m", m, "--x", x)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"ratioshift: the float check could not be completed: {error}")
+    assert err.count("\n") == 1
+
+
 # --- fuzz ---
 
 def test_fuzz_clean_campaign_exit_zero(capsys):

@@ -41,6 +41,12 @@ def test_simpson_sine_over_full_period():
     assert abs(got - 2.0) < 1e-11
 
 
+def test_simpson_value_is_pinned():
+    # Recorded from the per-point implementation; no libm call in the integrand.
+    got = simpson_refine(lambda t: 1.0 / (1.0 + t * t), 0.0, 1.0, 1e-12)
+    assert got.hex() == "0x1.921fb54442804p-1"
+
+
 def test_simpson_requires_positive_tolerance():
     with pytest.raises(DomainError):
         simpson_refine(math.exp, 0.0, 1.0, 0.0)
@@ -62,6 +68,27 @@ def test_simpson_nonconvergence_raises_with_diagnostics():
 def test_integrand_values():
     assert integrand(0.0, 5.0, 3) == 1.0
     assert integrand(1.0, 1.0, 0) == 0.25
+
+
+def _outcome(f, *args):
+    """float.hex of f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args).hex()
+    except (OverflowError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+def _literal_folded(u, x, m):
+    return (1.0 + u ** (4 * m + 2)) / ((u * u + 2.0 * x) * u * u + 1.0) ** (m + 1)
+
+
+def test_folded_integrand_is_the_literal_formula_bit_for_bit():
+    # Near x = -1 with large m the denominator underflows to 0 at u = 1:
+    # the error must be the formula's own, too.
+    for u in [i / 16 for i in range(17)] + [1e-3, 0.999]:
+        for x in (-0.999999, -0.5, 0.0, 0.3, 1.0, 1e3):
+            for m in (0, 1, 7, 60):
+                assert _outcome(folded_integrand, u, x, m) == _outcome(_literal_folded, u, x, m)
 
 
 def test_fold_matches_tail_on_samples():
@@ -113,6 +140,46 @@ def test_verify_identity_non_dyadic_x():
     # 0.3 is not a dyadic rational; the closed form must use the float's
     # exact value, not a re-parse, for lhs and rhs to agree this tightly.
     assert verify_identity(0.3, 2, 1e-8).passed
+
+
+# lhs and rhs as float.hex, recorded from the implementation that called
+# folded_integrand once per point and evaluated P_m(x) in Fractions: the
+# streamed Simpson loop and the integer closed form reproduce every bit.
+# Near-grid points x + 1 = 10^-(k/5) of the benchmark, far x, m = 0 and 60,
+# and the tolerance miss near x = -1 that the benchmark's tests pin.
+_PINNED = [
+    (-0.9999984151068075, 49, "0x1.2e670fbb53acdp+901", "0x1.2e670fbc49589p+901", True),
+    (-0.999, 20, "0x1.628f68e545fc8p+181", "0x1.628f68e538e76p+181", True),
+    (-0.9, 3, "0x1.616f9d1dedf93p+7", "0x1.616f9d1dca294p+7", True),
+    (-0.36904265551980675, 60, "0x1.51db3e13ee6dep+10", "0x1.51db3e13ee6e7p+10", True),
+    (0.0, 0, "0x1.1c5831ade73f8p+0", "0x1.1c5831add62e4p+0", True),
+    (0.0, 60, "0x1.4cf86a48104cep-2", "0x1.4cf86a48104cep-2", True),
+    (0.3, 2, "0x1.1ea5a5b2f3460p-1", "0x1.1ea5a5b313d76p-1", True),
+    (1.0, 0, "0x1.921fb5442e805p-1", "0x1.921fb54442d16p-1", True),
+    (2.0, 3, "0x1.ee663288b1dfcp-3", "0x1.ee663288fd1d7p-3", True),
+    (0.01, 0, "0x1.1aeef0b3fdff3p+0", "0x1.1aeef0b3ed6eep+0", True),
+    (100.0, 60, "0x1.088b7cacb6924p-7", "0x1.088b7cacb6923p-7", True),
+    (1000.0, 7, "0x1.e22eeabb73165p-8", "0x1.e22eeabb73163p-8", True),
+    (-0.9999988933762161, 53, "0x1.f8163cb1404f5p+1001", "0x1.f8179df4d185ap+1001", False),
+]
+
+
+@pytest.mark.parametrize("x, m, lhs, rhs, passed", _PINNED)
+def test_float_results_are_pinned(x, m, lhs, rhs, passed):
+    check = verify_identity(x, m, 1e-8)
+    assert (check.lhs.hex(), check.rhs.hex(), check.passed) == (lhs, rhs, passed)
+
+
+@pytest.mark.parametrize("m, error, message", [
+    (54, OverflowError, "intermediate overflow in fsum"),
+    (57, ZeroDivisionError, "float division by zero"),
+])
+def test_known_float_failures_are_pinned(m, error, message):
+    # At x + 1 = 1e-6 the integrand passes 1e300 near u = 1: at m = 54 the
+    # midpoint sum overflows, at m = 57 the denominator at u = 1 underflows to 0.
+    with pytest.raises(error) as info:
+        verify_identity(-0.999999, m, 1e-8)
+    assert str(info.value) == message
 
 
 def test_verify_identity_json_shape():
