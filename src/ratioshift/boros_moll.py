@@ -10,18 +10,21 @@ a positive nondecreasing sequence. Consecutive coefficients satisfy
 
     c_k(m) / c_{k+1}(m) = (2m-2k-1)(k+1) / ((m-k)(m+k+1)) < 1.
 
-Everything in this module is exact: powers of two live in rational
-denominators and the power-basis expansion reuses the exact Taylor-shift
-machinery. No floating point anywhere.
+Everything in this module is exact. One integer row,
+2^(2m) c_k(m) = 2^k C(2m-2k, m-k) C(m+k, k) over the common denominator
+2^(2m), feeds both the sequence and the power-basis expansion, which reuses
+the integer Taylor shift; Fractions are built only where a caller reads
+them. No floating point anywhere.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
 from .numeric_core import DomainError, binomial
-from .poly_ops import Polynomial, taylor_shift
+from .poly_ops import Polynomial, _from_cleared, taylor_shift
 
 __all__ = [
     "BmRatioCheck",
@@ -62,13 +65,20 @@ def bm_ratio_identity(m: int, k: int) -> BmRatioCheck:
     return BmRatioCheck(lhs=lhs, rhs=rhs, equal=lhs == rhs, below_one=lhs < 1)
 
 
-def bm_shifted_seq(m: int) -> tuple[Fraction, ...]:
-    """(c_0(m), ..., c_m(m)): the coefficient sequence of P_m(x - 1)."""
+def _bm_row(m: int) -> tuple[list[int], int]:
+    """(2^(2m) c_0(m), ..., 2^(2m) c_m(m)) as ints, and 2^(2m)."""
     if m < 0:
         raise DomainError(f"need m >= 0, got {m}")
-    return tuple([bm_coefficient(m, k) for k in range(m + 1)])
+    return ([(1 << k) * comb(2 * m - 2 * k, m - k) * comb(m + k, k) for k in range(m + 1)],
+            1 << 2 * m)
+
+
+def bm_shifted_seq(m: int) -> tuple[Fraction, ...]:
+    """(c_0(m), ..., c_m(m)): the coefficient sequence of P_m(x - 1)."""
+    row, den = _bm_row(m)
+    return tuple([Fraction(v, den) for v in row])
 
 
 def bm_polynomial(m: int) -> Polynomial:
     """P_m in the power basis: shift the (x+1)-basis coefficients by one."""
-    return taylor_shift(Polynomial(bm_shifted_seq(m)), 1)
+    return taylor_shift(_from_cleared(*_bm_row(m)), 1)

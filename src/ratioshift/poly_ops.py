@@ -1,25 +1,28 @@
 """Polynomials in the power basis with exact Taylor shifts.
 
-A polynomial is a fixed-length tuple of Fractions a_0..a_m in ascending
-degree. Degree is positional (length - 1): transforms never trim trailing
-zeros implicitly, because the boundary-coefficient identities are stated in
-terms of positions m-1, m-2 relative to the representation length. Trimming
-is the explicit, opt-in :func:`normalize`.
+A polynomial is a fixed-length sequence of exact coefficients a_0..a_m in
+ascending degree, held as integer numerators over one positive common
+denominator; ``coeffs`` is the tuple of canonical Fractions, built on first
+read and kept (a polynomial built from Fractions keeps the caller's own).
+Degree is positional (length - 1): transforms never trim trailing zeros
+implicitly, because the boundary-coefficient identities are stated in terms
+of positions m-1, m-2 relative to the representation length. Trimming is
+the explicit, opt-in :func:`normalize`.
 
 Two independent Taylor-shift algorithms are provided and must agree exactly:
 the naive binomial expansion on Fractions (the oracle) and repeated
-synthetic division (the fast default). Synthetic division runs on plain
-integers: it clears the denominators once, shifts the integer polynomial,
-and divides back to canonical Fractions only when it returns. The boundary
-closed forms are summed the same way, on the cleared coefficients.
+synthetic division (the fast default). Synthetic division runs on the
+integer numerators and returns integers over a new common denominator, so
+no Fraction is built until a caller reads ``coeffs``. The boundary closed
+forms are summed on the numerators too.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .numeric_core import DomainError, as_rational, binomial, clear_denominators
 
@@ -41,11 +44,15 @@ class ShiftAlgorithm(enum.Enum):
     HORNER_SYNTHETIC = "horner"
 
 
-@dataclass(frozen=True)
 class Polynomial:
-    """Immutable power-basis polynomial; coeffs[k] multiplies x**k."""
+    """Immutable power-basis polynomial; coeffs[k] multiplies x**k.
 
-    coeffs: tuple[Fraction, ...]
+    It holds the form it was built from, Fractions or integer numerators
+    over a positive common denominator, and derives the other on first use.
+    Equality, hash, repr and pickles are those of the Fraction tuple.
+    """
+
+    __slots__ = ("_coeffs", "_ints", "_den")
 
     def __init__(self, coeffs: Iterable[Fraction | int]) -> None:
         # From a list, not a generator: tuple() grows a generator's result by
@@ -53,11 +60,26 @@ class Polynomial:
         entries = tuple([as_rational(c) for c in coeffs])
         if not entries:
             raise DomainError("a polynomial needs at least one coefficient")
-        object.__setattr__(self, "coeffs", entries)
+        _set(self, entries, None, 1)
+
+    @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The coefficients as canonical Fractions, built on first read."""
+        if self._coeffs is None:
+            den = self._den
+            object.__setattr__(self, "_coeffs", tuple([Fraction(n, den) for n in self._ints]))
+        return self._coeffs
+
+    def _cleared(self) -> tuple[tuple[int, ...], int]:
+        """(numerators, den): coefficient k is numerators[k] / den, den > 0."""
+        if self._ints is None:
+            ints, lcm = clear_denominators(self._coeffs)
+            _set(self, self._coeffs, tuple(ints), lcm)
+        return self._ints, self._den
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return len(self._ints if self._coeffs is None else self._coeffs) - 1
 
     def __call__(self, x: Fraction | int) -> Fraction:
         """Evaluate at an exact point by Horner's rule."""
@@ -67,6 +89,43 @@ class Polynomial:
             acc = acc * x + c
         return acc
 
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self.coeffs == other.coeffs
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"Polynomial(coeffs={self.coeffs!r})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> dict:
+        return {"coeffs": self.coeffs}
+
+    def __setstate__(self, state: dict) -> None:
+        _set(self, state["coeffs"], None, 1)
+
+
+def _set(p: Polynomial, coeffs: tuple[Fraction, ...] | None,
+         ints: tuple[int, ...] | None, den: int) -> None:
+    object.__setattr__(p, "_coeffs", coeffs)
+    object.__setattr__(p, "_ints", ints)
+    object.__setattr__(p, "_den", den)
+
+
+def _from_cleared(ints: list[int], den: int) -> Polynomial:
+    """The polynomial with coefficients ints[k] / den (den > 0), no Fraction built."""
+    p = object.__new__(Polynomial)
+    _set(p, None, tuple(ints), den)
+    return p
+
 
 def taylor_shift(p: Polynomial, c: Fraction | int,
                  algo: ShiftAlgorithm = ShiftAlgorithm.HORNER_SYNTHETIC) -> Polynomial:
@@ -75,7 +134,7 @@ def taylor_shift(p: Polynomial, c: Fraction | int,
     if algo is ShiftAlgorithm.NAIVE_BINOMIAL:
         return Polynomial(_shift_naive(p.coeffs, c))
     if algo is ShiftAlgorithm.HORNER_SYNTHETIC:
-        return Polynomial(_shift_horner(p.coeffs, c))
+        return _from_cleared(*_shift_horner(*p._cleared(), c))
     raise DomainError(f"unknown shift algorithm {algo!r}")
 
 
@@ -94,15 +153,16 @@ def _shift_naive(coeffs: tuple[Fraction, ...], c: Fraction) -> list[Fraction]:
     return out
 
 
-def _shift_horner(coeffs: tuple[Fraction, ...], c: Fraction) -> list[Fraction]:
-    """Repeated synthetic division on integers.
+def _shift_horner(ints: tuple[int, ...], den: int, c: Fraction) -> tuple[list[int], int]:
+    """Repeated synthetic division on integers; returns (numerators, den').
 
-    With L the lcm of the denominators, c = p/q and m = len - 1, the
-    polynomial Q(y) = L q^m P(y/q) has integer coefficients a_k L q^(m-k),
-    and Q(y + p) = L q^m P(y/q + c), so coefficient j of P(x + c) is
-    coefficient j of Q(y + p) divided by L q^(m-j).
+    The coefficients are a_k = ints[k] / den. With c = p/q and m = len - 1,
+    the polynomial Q(y) = den q^m P(y/q) has integer coefficients
+    ints[k] q^(m-k), and Q(y + p) = den q^m P(y/q + c), so coefficient j of
+    P(x + c) is out[j] / (den q^(m-j)) = out[j] q^j / (den q^m), with out[j]
+    coefficient j of Q(y + p).
     """
-    out, lcm = clear_denominators(coeffs)
+    out = list(ints)
     p, q = c.numerator, c.denominator
     n = len(out)
     if q != 1:
@@ -119,11 +179,13 @@ def _shift_horner(coeffs: tuple[Fraction, ...], c: Fraction) -> list[Fraction]:
         for i in range(n - 1):
             for j in range(n - 2, i - 1, -1):
                 out[j] += p * out[j + 1]
-    den = lcm
-    for j in range(n - 1, -1, -1):
-        out[j] = Fraction(out[j], den)
-        den *= q
-    return out
+    if q != 1:
+        weight = 1
+        for j in range(n):
+            out[j] *= weight
+            weight *= q
+        den *= q ** (n - 1)
+    return out, den
 
 
 def mul_by_x_plus_one(b: Polynomial) -> Polynomial:
@@ -153,12 +215,12 @@ def boundary_coeffs(p: Polynomial) -> BoundaryCoeffs:
     m = p.degree
     if m < 2:
         raise DomainError(f"boundary coefficients need degree >= 2, got {m}")
-    s, lcm = clear_denominators(p.coeffs)
-    return BoundaryCoeffs(*[Fraction(v, lcm) for v in _scaled_boundary(s)], b_m=p.coeffs[m])
+    s, den = p._cleared()
+    return BoundaryCoeffs(*[Fraction(v, den) for v in _scaled_boundary(s)], b_m=p.coeffs[m])
 
 
-def _scaled_boundary(s: list[int]) -> tuple[int, int, int, int]:
-    """L b_0, L b_1, L b_{m-2}, L b_{m-1} from the cleared coefficients L a_k."""
+def _scaled_boundary(s: Sequence[int]) -> tuple[int, int, int, int]:
+    """d b_0, d b_1, d b_{m-2}, d b_{m-1} from the cleared coefficients d a_k, d > 0."""
     m = len(s) - 1
     return (sum(s), sum([k * v for k, v in enumerate(s)]),
             s[m - 2] + (m - 1) * s[m - 1] + binomial(m, 2) * s[m], s[m - 1] + m * s[m])

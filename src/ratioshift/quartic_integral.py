@@ -7,7 +7,9 @@ For x > -1 and integer m >= 0,
 
 with P_m the degree-m Boros-Moll polynomial. The left side is evaluated
 numerically, the right side from the exact coefficients, and the two are
-compared at a stated relative tolerance.
+compared at a stated relative tolerance. The checks take
+-1 < x <= (largest float) / 2, where 2x is still finite, and raise
+DomainError for any other x.
 
 The improper integral is folded onto [0, 1] through the symmetry t -> 1/u:
 
@@ -16,25 +18,27 @@ The improper integral is folded onto [0, 1] through the symmetry t -> 1/u:
 whose integrand is smooth and bounded for x > -1 (the denominator is
 (u^2-1)^2 + 2(x+1)u^2 > 0 on (0, 1]), so there is no tail truncation at all.
 Quadrature is iterated composite Simpson with panel doubling and a
-Richardson error estimate, capped in refinement depth. It is one loop,
-``_simpson``, that streams each level's midpoints through the integrand and
-into ``math.fsum`` in index order; the folded integrand is one fused
-generator, so a point costs a generator step, not three Python calls.
+Richardson error estimate, trusted from 16 panels on and capped in
+refinement depth. It is one loop, ``_simpson``, that streams each level's
+midpoints through the integrand and into ``math.fsum`` in index order; the
+folded integrand is one fused generator, so a point costs a generator step,
+not three Python calls.
 
 This is the only module that touches floating point, and only at its
-boundary: P_m(x) is evaluated by Horner's rule on integers (the
-coefficients cleared of their denominators, x read as the exact ratio its
+boundary: P_m(x) is evaluated by Horner's rule on integers (P_m's integer
+numerators over their common denominator, x read as the exact ratio its
 float denotes) and converted to float by one correctly rounded division.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
 from .boros_moll import bm_polynomial
-from .numeric_core import DomainError, clear_denominators
+from .numeric_core import DomainError
 
 __all__ = [
     "IntegralCheck",
@@ -48,6 +52,11 @@ __all__ = [
 ]
 
 _MAX_DOUBLINGS = 22
+# The integrand forms 2x, which overflows past half the largest float.
+_X_MAX = sys.float_info.max / 2
+# Coarser Simpson values can agree by chance, as S_4 and S_8 do at
+# x = 0.1533627156190939, m = 8, so convergence is accepted from 16 panels on.
+_MIN_PANELS = 16
 
 
 class QuadratureError(RuntimeError):
@@ -88,7 +97,8 @@ def folded_integrand(u: float, x: float, m: int) -> float:
 def _simpson(values: Callable[[Iterable[float]], Iterable[float]], a: float, b: float,
              tol: float, max_doublings: int) -> float:
     """Composite Simpson with panel doubling until the Richardson estimate
-    |S_2n - S_n| / 15 drops to ``tol`` relative to the value.
+    |S_2n - S_n| / 15 drops to ``tol`` relative to the value; S_2n must have
+    at least ``_MIN_PANELS`` panels (2 ``_MIN_PANELS`` subintervals).
 
     ``values`` maps an iterable of points to their integrand values in the
     same order. Function evaluations are reused across refinements by
@@ -113,7 +123,7 @@ def _simpson(values: Callable[[Iterable[float]], Iterable[float]], a: float, b: 
         if simpson_prev is not None:
             last_err = abs(simpson - simpson_prev) / 15.0
             scale = max(abs(simpson), 1e-300)
-            if last_err <= tol * scale:
+            if last_err <= tol * scale and panels >= _MIN_PANELS:
                 return simpson
         trap, simpson_prev, panels = trap_next, simpson, panels * 2
     raise QuadratureError(
@@ -132,8 +142,8 @@ def simpson_refine(f: Callable[[float], float], a: float, b: float, tol: float,
 
 
 def _check_domain(x: float, m: int) -> None:
-    if not -1 < x < math.inf:
-        raise DomainError(f"need finite x > -1, got x = {x}")
+    if not -1 < x <= _X_MAX:
+        raise DomainError(f"need finite x > -1 with 2x finite (x <= {_X_MAX!r}), got x = {x}")
     if m < 0:
         raise DomainError(f"need m >= 0, got m = {m}")
 
@@ -152,18 +162,19 @@ def closed_form_rhs(x: float, m: int) -> float:
     """pi / (2^(m+3/2) (x+1)^(m+1/2)) * P_m(x).
 
     P_m is evaluated exactly at the dyadic rational p/q the float x denotes:
-    with L the lcm of the coefficients' denominators, Horner's rule on ints
-    gives L q^m P_m(p/q), and one int true division (correctly rounded, as
-    ``float(Fraction)`` is) gives the float.
+    with d the common denominator of P_m's integer numerators, Horner's rule
+    on ints gives d q^m P_m(p/q), and one int true division (correctly
+    rounded for any positive denominator, as ``float(Fraction)`` is) gives
+    the float.
     """
     _check_domain(x, m)
-    coeffs, lcm = clear_denominators(bm_polynomial(m).coeffs)
+    coeffs, den = bm_polynomial(m)._cleared()
     p, q = x.as_integer_ratio()
     acc, q_pow = 0, 1
     for c in reversed(coeffs):
         acc = acc * p + c * q_pow
         q_pow *= q
-    p_m = acc / (lcm * q ** m)
+    p_m = acc / (den * q ** m)
     return math.pi * p_m / (2.0 ** (m + 1.5) * (x + 1.0) ** (m + 0.5))
 
 

@@ -92,3 +92,27 @@ def test_domain_guards():
         bm_shifted_seq(-1)
     with pytest.raises(DomainError):
         bm_ratio_identity(3, 3)
+
+
+def moll_row(m):
+    """4^m times the power-basis coefficients of P_m, from Moll's formula
+    d_l(m) = 2^(-2m) sum_{k=l}^{m} 2^k C(2m-2k, m-k) C(m+k, k) C(k, l)."""
+    a = [2 ** k * math.comb(2 * m - 2 * k, m - k) * math.comb(m + k, k) for k in range(m + 1)]
+    return [sum(a[k] * math.comb(k, l) for k in range(l, m + 1)) for l in range(m + 1)]
+
+
+@pytest.mark.parametrize("ms", [range(0, 201), [1000]], ids=["0-200", "1000"])
+def test_polynomial_matches_moll_integer_formula(ms):
+    for m in ms:
+        coeffs = bm_polynomial(m).coeffs
+        assert coeffs == tuple(Fraction(d, 4 ** m) for d in moll_row(m))
+        assert all(type(c) is Fraction for c in coeffs)
+
+
+@pytest.mark.parametrize("ms", [range(0, 201), [1000]], ids=["0-200", "1000"])
+def test_shifted_seq_matches_coefficient_formula(ms):
+    # bm_coefficient is the per-entry formula the sequence was built from.
+    for m in ms:
+        seq = bm_shifted_seq(m)
+        assert seq == tuple(bm_coefficient(m, k) for k in range(m + 1))
+        assert all(type(c) is Fraction for c in seq)

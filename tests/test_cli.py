@@ -243,6 +243,14 @@ def test_verify_integral_non_finite_x_is_domain_error(capsys, x):
     assert "need finite x > -1" in err
 
 
+def test_verify_integral_x_past_half_the_largest_float_is_domain_error(capsys):
+    # 2x overflows there; the quadrature used to run on nan and exit 1.
+    code, out, err = run(capsys, "verify-integral", "--m", "3", "--x", "1e308")
+    assert (code, out) == (2, "")
+    assert "2x finite" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("m, x, error", [
     ("2000", "1.0", "OverflowError: "),  # from pow; its text is the C library's
     ("54", "-0.999999", "OverflowError: intermediate overflow in fsum"),

@@ -5,7 +5,9 @@ evaluation: q = shift(p, c) must satisfy q(t) = p(t + c) at arbitrary exact
 points, which is an oracle independent of either coefficient recurrence.
 """
 
+import pickle
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -204,3 +206,73 @@ BIG = 7 ** 5917  # about 5,000 decimal digits, past the int/str conversion limit
 ])
 def test_horner_matches_oracle_on_edge_cases(coeffs, c):
     assert_matches_oracle(coeffs, c)
+
+
+# --- the cleared form: integer numerators over one common denominator ---
+
+SHIFTS = (Fraction(1), Fraction(0), Fraction(-7, 3), Fraction(3, 2), Fraction(5, 7))
+CLEARED_INPUTS = [
+    (Fraction(5, 3),),                                           # degree 0
+    (0, 0, 0, 0),                                                # zero polynomial
+    (Fraction(1, 2), 0, 0, Fraction(-4, 9), 0, 3),               # interior zeros
+    (BIG, Fraction(-BIG, 3), Fraction(BIG + 1, BIG - 1), 1, Fraction(1, BIG)),
+    (Fraction(BIG, 5), 0, 2, Fraction(3, BIG)),                  # huge numerators
+]
+
+
+@pytest.mark.parametrize("c", SHIFTS)
+@pytest.mark.parametrize("coeffs", CLEARED_INPUTS)
+def test_cleared_shift_matches_oracle(coeffs, c):
+    assert_matches_oracle(coeffs, c)
+
+
+@pytest.mark.parametrize("c", SHIFTS)
+def test_shifted_polynomial_equals_one_built_from_its_fractions(c):
+    p = Polynomial((Fraction(1, 2), 0, Fraction(-4, 9), 3, 7))
+    rebuilt = taylor_shift(p, c, ShiftAlgorithm.NAIVE_BINOMIAL)  # built from Fractions
+    assert hash(taylor_shift(p, c)) == hash(rebuilt)  # before its Fractions are read
+    shifted = taylor_shift(p, c)
+    assert shifted == rebuilt and rebuilt == shifted
+    assert hash(shifted) == hash((rebuilt.coeffs,))  # as for a frozen dataclass
+    assert repr(shifted) == repr(rebuilt)
+    assert shifted.degree == rebuilt.degree == 4
+    assert shifted != Polynomial(list(rebuilt.coeffs) + [0])
+
+
+def test_shifted_polynomial_pickles_like_one_built_from_fractions():
+    shifted = taylor_shift(Polynomial((Fraction(1, 3), 2, Fraction(-5, 7))), Fraction(3, 2))
+    rebuilt = Polynomial(shifted.coeffs)
+    # The state a frozen dataclass pickled: its field dict.
+    assert taylor_shift(rebuilt, 0).__reduce_ex__(2)[2] == {"coeffs": rebuilt.coeffs}
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        data = pickle.dumps(taylor_shift(rebuilt, 0), protocol)
+        assert data == pickle.dumps(rebuilt, protocol)
+        back = pickle.loads(data)
+        assert back == rebuilt and back.coeffs == rebuilt.coeffs
+        assert taylor_shift(back, 1) == taylor_shift(rebuilt, 1)
+
+
+def test_polynomial_is_immutable():
+    for p in (Polynomial((1, 2)), taylor_shift(Polynomial((1, 2)), Fraction(1, 3))):
+        # FrozenInstanceError is an AttributeError.
+        with pytest.raises(FrozenInstanceError):
+            p.coeffs = (Fraction(0),)
+        with pytest.raises(FrozenInstanceError):
+            p.other = 1
+        with pytest.raises(FrozenInstanceError):
+            del p.coeffs
+        assert p.coeffs in ((Fraction(1), Fraction(2)), (Fraction(5, 3), Fraction(2)))
+
+
+def test_coeffs_are_built_once():
+    p = taylor_shift(Polynomial((Fraction(1, 2), 3, Fraction(2, 7))), Fraction(5, 7))
+    assert all(p.coeffs[i] is p.coeffs[i] for i in range(3))
+    assert p.coeffs is p.coeffs
+
+
+def test_polynomial_keeps_the_callers_fractions():
+    values = [Fraction(1, 2), Fraction(3), Fraction(-4, 9)]
+    p = Polynomial(values)
+    taylor_shift(p, 1)
+    boundary_coeffs(p)
+    assert all(a is b for a, b in zip(p.coeffs, values))

@@ -10,6 +10,7 @@ so the quadrature is validated before it is trusted against the closed form.
 """
 
 import math
+import sys
 
 import pytest
 
@@ -170,6 +171,15 @@ def test_float_results_are_pinned(x, m, lhs, rhs, passed):
     assert (check.lhs.hex(), check.rhs.hex(), check.passed) == (lhs, rhs, passed)
 
 
+def test_estimate_needs_sixteen_panels():
+    # S_4 and S_8 agree to 4e-11 here by chance; stopping at 8 panels gave
+    # lhs 0x1.a6f940143ff4fp-2 and rel_err 2.9e-7.
+    check = verify_identity(0.1533627156190939, 8, 1e-8)
+    assert (check.lhs.hex(), check.rhs.hex(), check.passed) == (
+        "0x1.a6f94817e1518p-2", "0x1.a6f94817eadd7p-2", True)
+    assert check.rel_err < 1e-11
+
+
 @pytest.mark.parametrize("m, error, message", [
     (54, OverflowError, "intermediate overflow in fsum"),
     (57, ZeroDivisionError, "float division by zero"),
@@ -202,6 +212,27 @@ def test_domain_guards():
 def test_non_finite_inputs_are_domain_errors(x, tol):
     with pytest.raises(DomainError):
         verify_identity(x, 3, tol)
+
+
+X_MAX = sys.float_info.max / 2  # the largest x whose 2x is finite
+
+
+@pytest.mark.parametrize("check", [
+    lambda x: quadrature_lhs(x, 3, 1e-8),
+    lambda x: closed_form_rhs(x, 3),
+    lambda x: verify_identity(x, 3, 1e-8),
+], ids=["quadrature_lhs", "closed_form_rhs", "verify_identity"])
+@pytest.mark.parametrize("x", [1e308, math.nextafter(X_MAX, math.inf), sys.float_info.max])
+def test_x_past_half_the_largest_float_is_a_domain_error(check, x):
+    with pytest.raises(DomainError, match="2x finite"):
+        check(x)
+
+
+def test_x_at_half_the_largest_float_is_in_the_domain():
+    # Accepted; only the float evaluation itself can fail there.
+    assert closed_form_rhs(X_MAX, 0) > 0
+    with pytest.raises(OverflowError):
+        closed_form_rhs(X_MAX, 3)
 
 
 def test_integrand_decays_on_tail():
