@@ -254,10 +254,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_glue_c_values(list(argv if argv is not None else sys.argv[1:])))
     try:
         return args.func(args)
-    except _UsageError as exc:
-        print(f"ratioshift: error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, ParseError) as exc:
+    except (_UsageError, DomainError, ParseError) as exc:
         print(f"ratioshift: error: {exc}", file=sys.stderr)
         return 2
     except QuadratureError as exc:

@@ -165,16 +165,17 @@ def closed_form_rhs(x: float, m: int) -> float:
     with d the common denominator of P_m's integer numerators, Horner's rule
     on ints gives d q^m P_m(p/q), and one int true division (correctly
     rounded for any positive denominator, as ``float(Fraction)`` is) gives
-    the float.
+    the float. q is a power of two, 2^e, so its powers are left shifts.
     """
     _check_domain(x, m)
     coeffs, den = bm_polynomial(m)._cleared()
     p, q = x.as_integer_ratio()
-    acc, q_pow = 0, 1
+    e = q.bit_length() - 1
+    acc, shift = 0, 0
     for c in reversed(coeffs):
-        acc = acc * p + c * q_pow
-        q_pow *= q
-    p_m = acc / (den * q ** m)
+        acc = acc * p + (c << shift)
+        shift += e
+    p_m = acc / (den << e * m)
     return math.pi * p_m / (2.0 ** (m + 1.5) * (x + 1.0) ** (m + 0.5))
 
 

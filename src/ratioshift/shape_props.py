@@ -19,11 +19,12 @@ sequences only; on any nonpositive entry the checkers return NotApplicable
 rather than Fails, so campaigns can tell precondition violations apart from
 property violations. All inequalities are non-strict and every ratio
 comparison is decided by cross-multiplication, never division. Every one of
-these properties is invariant under positive scaling, so each checker that
-compares entries scales the sequence once by the lcm of its denominators
-and compares plain ints (no-internal-zeros only tests entries against zero,
-on the Fractions themselves); witnesses and details quote the caller's own
-Fractions.
+these properties is invariant under positive scaling, so each comparing
+check builds one view (``_scaled``: the sequence times the lcm L of its
+denominators, as ints, and L) and decides on ints; ``lattice_verdicts``
+builds one view for all four of its checks. No-internal-zeros tests the
+Fractions against zero. Witnesses quote the caller's own Fractions; the
+log-concave detail is an int over L^2.
 
 Every Fails verdict carries a witness whose indices and values reproduce
 the violated inequality exactly; the witness layout per property is
@@ -121,11 +122,11 @@ def _fails(prop: str, a: CoeffSeq, indices: tuple[int, ...], detail: str) -> Pro
                            Witness(indices, tuple([a[i] for i in indices])), detail)
 
 
-def _scaled(seq: Sequence[Fraction | int]) -> tuple[CoeffSeq, list[int]]:
-    """The sequence as Fractions, for witnesses, and times the lcm of its
-    denominators, as ints, for every comparison."""
+def _scaled(seq: Sequence[Fraction | int]) -> tuple[CoeffSeq, list[int], int]:
+    """The caller's Fractions, for witnesses; the sequence times the lcm of
+    its denominators, as ints, for every comparison; and that lcm."""
     a = coeff_seq(seq)
-    return a, clear_denominators(a)[0]
+    return (a, *clear_denominators(a))
 
 
 def _not_applicable_nonpositive(prop: str, a: CoeffSeq,
@@ -154,7 +155,7 @@ def _nonneg_nondecreasing_witness(s: list[int]) -> tuple[int, ...] | None:
 def check_nonneg_nondecreasing(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """Witness: (k,) with value a_k < 0, or (k, k+1) with a_k > a_{k+1}."""
     prop = "nonneg-nondecreasing"
-    a, s = _scaled(seq)
+    a, s, _ = _scaled(seq)
     w = _nonneg_nondecreasing_witness(s)
     if w is None:
         return _holds(prop)
@@ -166,8 +167,11 @@ def check_nonneg_nondecreasing(seq: Sequence[Fraction | int]) -> PropertyVerdict
 
 def check_unimodal(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """Witness: (d, d+1, j, j+1), a strict descent followed by a strict ascent."""
+    return _unimodal(*_scaled(seq))
+
+
+def _unimodal(a: CoeffSeq, s: list[int], lcm: int) -> PropertyVerdict:
     prop = "unimodal"
-    a, s = _scaled(seq)
     descent = None
     for k in range(len(s) - 1):
         if descent is None:
@@ -189,8 +193,11 @@ def spiral_chain_indices(m: int) -> list[int]:
 
 def check_spiral(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """Witness: (i, j), adjacent chain positions with a_i > a_j."""
+    return _spiral(*_scaled(seq))
+
+
+def _spiral(a: CoeffSeq, s: list[int], lcm: int) -> PropertyVerdict:
     prop = "spiral"
-    a, s = _scaled(seq)
     na = _not_applicable_nonpositive(prop, a, s)
     if na:
         return na
@@ -204,14 +211,17 @@ def check_spiral(seq: Sequence[Fraction | int]) -> PropertyVerdict:
 
 def check_log_concave(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """Witness: (k-1, k, k+1) where a_k^2 - a_{k+1} a_{k-1} < 0."""
+    return _log_concave(*_scaled(seq))
+
+
+def _log_concave(a: CoeffSeq, s: list[int], lcm: int) -> PropertyVerdict:
     prop = "log-concave"
-    a, s = _scaled(seq)
     na = _not_applicable_nonpositive(prop, a, s)
     if na:
         return na
     for k in range(1, len(a) - 1):
         if s[k] * s[k] < s[k + 1] * s[k - 1]:
-            disc = a[k] * a[k] - a[k + 1] * a[k - 1]
+            disc = Fraction(s[k] * s[k] - s[k + 1] * s[k - 1], lcm * lcm)
             return _fails(prop, a, (k - 1, k, k + 1),
                           f"discriminant at k={k} is {render_rational(disc)} < 0")
     return _holds(prop)
@@ -236,8 +246,11 @@ def check_ratio_monotone(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     a_{n0}/a_{d0} > a_{n1}/a_{d1}; for a final-ratio violation: (n, d)
     with a_n > a_d. The detail names the chain.
     """
+    return _ratio_monotone(*_scaled(seq))
+
+
+def _ratio_monotone(a: CoeffSeq, s: list[int], lcm: int) -> PropertyVerdict:
     prop = "ratio-monotone"
-    a, s = _scaled(seq)
     na = _not_applicable_nonpositive(prop, a, s)
     if na:
         return na
@@ -279,13 +292,13 @@ _IMPLICATIONS = (
 
 
 def lattice_verdicts(seq: Sequence[Fraction | int]) -> dict[str, PropertyVerdict]:
-    """The verdicts of the four checkers the implication lattice relates."""
-    a = coeff_seq(seq)
+    """The four verdicts the implication lattice relates, from one view."""
+    view = _scaled(seq)
     return {
-        "ratio-monotone": check_ratio_monotone(a),
-        "spiral": check_spiral(a),
-        "log-concave": check_log_concave(a),
-        "unimodal": check_unimodal(a),
+        "ratio-monotone": _ratio_monotone(*view),
+        "spiral": _spiral(*view),
+        "log-concave": _log_concave(*view),
+        "unimodal": _unimodal(*view),
     }
 
 

@@ -18,10 +18,10 @@ turns ratio monotone under the shift x -> x + 1:
 * ``induction_decompose``: P(x+1) = a_0 + (x+1) Q(x+1) with Q the tail
   of P.
 
-The sequence predicates clear denominators once per call
-(``numeric_core.clear_denominators``), sum and compare plain ints, and build
-one Fraction per returned value; their nondecreasing hypotheses are decided
-by the code behind ``shape_props.check_nonneg_nondecreasing``.
+Each sequence predicate builds one view of its input per call
+(``shape_props._scaled``), sums and compares plain ints, and builds one
+Fraction per returned value; their nondecreasing hypotheses are decided by
+the code behind ``shape_props.check_nonneg_nondecreasing``.
 
 Hypothesis violations raise (``HypothesisError`` or ``DomainError``) while a
 false conclusion is returned as data, so a randomized campaign can prove it
@@ -36,9 +36,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .numeric_core import DomainError, as_rational, clear_denominators, ratio_leq
+from .numeric_core import DomainError, as_rational, ratio_leq
 from .poly_ops import Polynomial, ShiftAlgorithm, _scaled_boundary, mul_by_x_plus_one, taylor_shift
-from .shape_props import _nonneg_nondecreasing_witness, check_ratio_monotone, coeff_seq
+from .shape_props import _nonneg_nondecreasing_witness, _scaled, check_ratio_monotone
 
 __all__ = [
     "HypothesisError",
@@ -84,17 +84,23 @@ class Lemma3Report:
         return self.lhs - self.rhs
 
 
+def _scaled_seq(seq: Sequence[Fraction | int], min_m: int) -> tuple[list[int], int, int]:
+    """(s, lcm, m): the sequence times the lcm of its denominators as ints,
+    that lcm, and the degree m; DomainError unless m >= ``min_m``."""
+    _, s, lcm = _scaled(seq)
+    m = len(s) - 1
+    if m < min_m:
+        raise DomainError(f"need m >= {min_m}, got m = {m}")
+    return s, lcm, m
+
+
 def lemma3_gap(seq: Sequence[Fraction | int]) -> Lemma3Report:
     """Exact lhs, rhs, and gap of the inequality; gap >= 0 is the contract.
 
     Requires m >= 2 (the right side references a_{m-2}) and a positive
     nondecreasing sequence.
     """
-    a = coeff_seq(seq)
-    m = len(a) - 1
-    if m < 2:
-        raise DomainError(f"need m >= 2, got m = {m}")
-    s, lcm = clear_denominators(a)
+    s, lcm, m = _scaled_seq(seq, 2)
     if s[0] <= 0:
         raise DomainError("entries must be positive")
     if _nonneg_nondecreasing_witness(s):
@@ -107,11 +113,7 @@ def lemma3_gap(seq: Sequence[Fraction | int]) -> Lemma3Report:
 
 def s1_sum(seq: Sequence[Fraction | int]) -> Fraction:
     """sum_{k=0}^{m-1} (2k - m + 1)/2 * a_k, exactly (m >= 1)."""
-    a = coeff_seq(seq)
-    m = len(a) - 1
-    if m < 1:
-        raise DomainError(f"need m >= 1, got m = {m}")
-    s, lcm = clear_denominators(a)
+    s, lcm, m = _scaled_seq(seq, 1)
     return Fraction(sum([(2 * k - m + 1) * s[k] for k in range(m)]), 2 * lcm)
 
 
@@ -123,11 +125,7 @@ def s1_rearranged(seq: Sequence[Fraction | int]) -> Fraction:
     when the sequence is nondecreasing, which is what makes the sum's sign
     evident.
     """
-    a = coeff_seq(seq)
-    m = len(a) - 1
-    if m < 1:
-        raise DomainError(f"need m >= 1, got m = {m}")
-    s, lcm = clear_denominators(a)
+    s, lcm, m = _scaled_seq(seq, 1)
     return Fraction(sum([(m - 1 - 2 * k) * (s[m - 1 - k] - s[k])
                          for k in range((m - 1) // 2 + 1)]), 2 * lcm)
 
@@ -140,11 +138,7 @@ def edge_inequality_holds(seq: Sequence[Fraction | int]) -> bool:
     a_m > 0 (which makes all four boundary values positive). Expected true
     under the hypothesis.
     """
-    a = coeff_seq(seq)
-    m = len(a) - 1
-    if m < 2:
-        raise DomainError(f"need m >= 2, got m = {m}")
-    s, _ = clear_denominators(a)
+    s, _, m = _scaled_seq(seq, 2)
     if _nonneg_nondecreasing_witness(s):
         raise DomainError("entries must be nonnegative and nondecreasing")
     if s[m] <= 0:

@@ -23,6 +23,7 @@ from ratioshift.shape_props import (
     check_spiral,
     check_unimodal,
     coeff_seq,
+    lattice_verdicts,
     ratio_chain_indices,
     spiral_chain_indices,
 )
@@ -382,6 +383,15 @@ def reference_no_internal_zeros(a):
     (check_unimodal, reference_unimodal),
     (check_nonneg_nondecreasing, reference_nonneg_nondecreasing),
     (check_no_internal_zeros, reference_no_internal_zeros),
+    # lattice_verdicts decides its four properties on one shared view.
+    pytest.param(lambda seq: lattice_verdicts(seq)["spiral"], reference_spiral,
+                 id="lattice_verdicts-reference_spiral"),
+    pytest.param(lambda seq: lattice_verdicts(seq)["log-concave"], reference_log_concave,
+                 id="lattice_verdicts-reference_log_concave"),
+    pytest.param(lambda seq: lattice_verdicts(seq)["ratio-monotone"], reference_ratio_monotone,
+                 id="lattice_verdicts-reference_ratio_monotone"),
+    pytest.param(lambda seq: lattice_verdicts(seq)["unimodal"], reference_unimodal,
+                 id="lattice_verdicts-reference_unimodal"),
 ])
 def test_integer_checkers_match_fraction_reference(checker, reference):
     rng = random.Random(4242)
@@ -404,5 +414,6 @@ def test_integer_checkers_match_fraction_reference(checker, reference):
                                                     verdict.witness.values))
         statuses.add(verdict.status)
     # Only the checkers with a positivity precondition answer NotApplicable.
-    needs_positive = checker in (check_spiral, check_log_concave, check_ratio_monotone)
+    needs_positive = reference in (reference_spiral, reference_log_concave,
+                                   reference_ratio_monotone)
     assert statuses == set(Status) - (set() if needs_positive else {Status.NOT_APPLICABLE})
