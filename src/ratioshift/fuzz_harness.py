@@ -20,7 +20,9 @@ records:
   exploratory: failures are reported as findings, not violations);
 * ``separation``: random positive sequences, searching for a log-concave
   sequence that is not spiral and a spiral sequence that is not log-concave,
-  while auditing the implication lattice on every input.
+  while auditing the implication lattice on every input. A trial draws ints
+  over one common denominator and decides on the four statuses alone; only
+  a violation or an example the report keeps is rendered as Fractions.
 
 Every violation (or finding) has one shape: ``trial``, ``input`` (the drawn
 sequence), ``verdicts`` (the failing verdicts as
@@ -39,19 +41,21 @@ entries are rationals with numerator and denominator bounded by
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, NamedTuple
 
 from .numeric_core import DomainError, as_rational, clear_denominators, render_rational
-from .poly_ops import Polynomial, taylor_shift
+from .poly_ops import Polynomial, _from_cleared, taylor_shift
 from .shape_props import (
     PropertyVerdict,
     Status,
+    _lattice_statuses,
     audit_implications,  # noqa: F401  bench/layers.py wraps these two names here
     audit_verdicts,
     check_log_concave,
@@ -191,10 +195,14 @@ def gen_nondecreasing_seq(seed: int, trial: int, degree: int, bound: int,
 
 
 def _gen_positive_seq(seed: int, trial: int, degree: int, bound: int,
-                      integer_only: bool) -> tuple[Fraction, ...]:
-    """Unsorted i.i.d. positive draws, for the separation search."""
-    rng = _trial_rng(seed, trial, "positive-seq")
-    return tuple([_draw(rng, 1, bound, integer_only) for _ in range(degree + 1)])
+                      integer_only: bool) -> Polynomial:
+    """Unsorted i.i.d. positive draws (those of ``_draw``), for the separation
+    search, as ints s over L, the lcm of the drawn denominators: entry i is s[i]/L."""
+    randint = _trial_rng(seed, trial, "positive-seq").randint
+    draws = [(randint(1, bound), 1 if integer_only else randint(1, bound))
+             for _ in range(degree + 1)]
+    lcm = math.lcm(*[den for _, den in draws])
+    return _from_cleared([num * (lcm // den) for num, den in draws], lcm)
 
 
 def _pick_degree(spec: CampaignSpec, trial: int) -> int:
@@ -202,8 +210,9 @@ def _pick_degree(spec: CampaignSpec, trial: int) -> int:
     return _trial_rng(spec.seed, trial, "degree").randint(lo, hi)
 
 
-def _render_seq(seq: tuple[Fraction, ...]) -> list[str]:
-    return [render_rational(v) for v in seq]
+def _render_seq(seq: tuple[Fraction, ...] | Polynomial) -> list[str]:
+    # A cleared draw builds its Fractions here, on first read.
+    return [render_rational(v) for v in (seq if isinstance(seq, tuple) else seq.coeffs)]
 
 
 def _draw_nondecreasing(spec: CampaignSpec, trial: int) -> tuple[Fraction, ...]:
@@ -217,7 +226,7 @@ def _draw_positive_nondecreasing(spec: CampaignSpec, trial: int) -> tuple[Fracti
                                  positive=True)
 
 
-def _draw_positive(spec: CampaignSpec, trial: int) -> tuple[Fraction, ...]:
+def _draw_positive(spec: CampaignSpec, trial: int) -> Polynomial:
     return _gen_positive_seq(spec.seed, trial, _pick_degree(spec, trial),
                              spec.magnitude_bound, spec.integer_only)
 
@@ -268,11 +277,20 @@ def _check_corollary(seq, shifted) -> dict[str, PropertyVerdict]:
             "no-internal-zeros": check_no_internal_zeros(shifted.coeffs)}
 
 
+@lru_cache(maxsize=None)
+def _status_only(prop: str, status: Status) -> PropertyVerdict:
+    """A shared verdict with no witness or detail, for a reader of its status."""
+    return PropertyVerdict(prop, status, None, "")
+
+
 def _check_lattice(seq, shifted) -> dict[str, PropertyVerdict]:
-    verdicts = lattice_verdicts(seq)
+    # Statuses only: run_campaign builds the full verdict of a kept example.
+    verdicts = {prop: _status_only(prop, status)
+                for prop, status in _lattice_statuses(seq._cleared()[0]).items()}
     inconsistent = [name for name, ok in audit_verdicts(verdicts) if not ok]
-    verdicts["implications"] = _verdict("implications", not inconsistent,
-                                        f"implication audit inconsistent: {inconsistent}")
+    verdicts["implications"] = (
+        _verdict("implications", False, f"implication audit inconsistent: {inconsistent}")
+        if inconsistent else _status_only("implications", Status.HOLDS))
     return verdicts
 
 
@@ -281,12 +299,12 @@ class _Target(NamedTuple):
 
     ``must_hold`` names the verdicts whose failure is a violation (a finding
     on exploratory runs); a trial of degree below ``min_degree`` is vacuous.
-    Each example kind is (kind, property that holds, property that fails);
-    its payload quotes the failing verdict under that property's name, with
-    underscores for hyphens.
+    Each example kind is (kind, property that holds, property that fails),
+    both lattice properties of a cleared draw; its payload quotes the failing
+    verdict under that property's name, with underscores for hyphens.
     """
 
-    draw: Callable[[CampaignSpec, int], tuple[Fraction, ...]]
+    draw: Callable[[CampaignSpec, int], tuple[Fraction, ...] | Polynomial]
     shift_c: Callable[[CampaignSpec], Fraction | int] | None
     check: Callable[..., dict[str, PropertyVerdict]]
     must_hold: tuple[str, ...]
@@ -316,9 +334,8 @@ class _TrialOutcome:
     trial: int
     exercised: bool
     payload: dict | None = None
-    # Example kind -> (input, failing verdict), rendered only if the report keeps it.
-    examples: dict[str, tuple[tuple[Fraction, ...], PropertyVerdict]] = field(
-        default_factory=dict)
+    # Example kind -> cleared input; its verdict is built only if the report keeps it.
+    examples: dict[str, Polynomial] = field(default_factory=dict)
 
 
 def _run_trial(spec: CampaignSpec, trial: int) -> _TrialOutcome:
@@ -327,7 +344,8 @@ def _run_trial(spec: CampaignSpec, trial: int) -> _TrialOutcome:
     shifted = None
     if target.shift_c is not None:
         shifted = taylor_shift(Polynomial(seq), target.shift_c(spec))
-    out = _TrialOutcome(trial, exercised=len(seq) - 1 >= target.min_degree)
+    degree = len(seq) - 1 if isinstance(seq, tuple) else seq.degree
+    out = _TrialOutcome(trial, exercised=degree >= target.min_degree)
     try:
         verdicts = target.check(seq, shifted)
         failed = [verdicts[prop] for prop in target.must_hold if not verdicts[prop].holds]
@@ -346,7 +364,7 @@ def _run_trial(spec: CampaignSpec, trial: int) -> _TrialOutcome:
         return out
     for kind, holds, fails in target.examples:
         if verdicts[holds].status is Status.HOLDS and verdicts[fails].status is Status.FAILS:
-            out.examples[kind] = (seq, verdicts[fails])
+            out.examples[kind] = seq
     return out
 
 
@@ -381,7 +399,8 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1) -> CampaignReport:
         coverage[kind] = len(hits)
         examples_found[kind] = None
         if hits:
-            seq, verdict = hits[0].examples[kind]
+            seq = hits[0].examples[kind]
+            verdict = lattice_verdicts(seq.coeffs)[fails]
             examples_found[kind] = {"trial": hits[0].trial, "sequence": _render_seq(seq),
                                     fails.replace("-", "_"): verdict.to_json_dict()}
     return CampaignReport(

@@ -22,9 +22,11 @@ comparison is decided by cross-multiplication, never division. Every one of
 these properties is invariant under positive scaling, so each comparing
 check builds one view (``_scaled``: the sequence times the lcm L of its
 denominators, as ints, and L) and decides on ints; ``lattice_verdicts``
-builds one view for all four of its checks. No-internal-zeros tests the
-Fractions against zero. Witnesses quote the caller's own Fractions; the
-log-concave detail is an int over L^2.
+builds one view for all four of its checks. Each of those four has an
+int-only finder that returns a witness's indices or None, and
+``_lattice_statuses`` reads the four statuses off a cleared sequence with
+no Fraction built, which is all a separation trial needs. No-internal-zeros
+tests the Fractions against zero. Witnesses quote the caller's own Fractions.
 
 Every Fails verdict carries a witness whose indices and values reproduce
 the violated inequality exactly; the witness layout per property is
@@ -35,6 +37,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -129,14 +132,11 @@ def _scaled(seq: Sequence[Fraction | int]) -> tuple[CoeffSeq, list[int], int]:
     return (a, *clear_denominators(a))
 
 
-def _not_applicable_nonpositive(prop: str, a: CoeffSeq,
-                                s: list[int]) -> PropertyVerdict | None:
-    """NotApplicable verdict if the positivity precondition fails, else None."""
-    for i, v in enumerate(s):
-        if v <= 0:
-            return PropertyVerdict(prop, Status.NOT_APPLICABLE, Witness((i,), (a[i],)),
-                                   f"nonpositive entry {render_rational(a[i])} at index {i}")
-    return None
+def _not_applicable_nonpositive(prop: str, a: CoeffSeq, s: list[int]) -> PropertyVerdict:
+    """The NotApplicable verdict of a sequence found not positive (min(s) <= 0)."""
+    i = next(i for i, v in enumerate(s) if v <= 0)
+    return PropertyVerdict(prop, Status.NOT_APPLICABLE, Witness((i,), (a[i],)),
+                           f"nonpositive entry {render_rational(a[i])} at index {i}")
 
 
 def _nonneg_nondecreasing_witness(s: list[int]) -> tuple[int, ...] | None:
@@ -167,20 +167,18 @@ def check_nonneg_nondecreasing(seq: Sequence[Fraction | int]) -> PropertyVerdict
 
 def check_unimodal(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """Witness: (d, d+1, j, j+1), a strict descent followed by a strict ascent."""
-    return _unimodal(*_scaled(seq))
+    return _lattice_verdict("unimodal", _scaled(seq))
 
 
-def _unimodal(a: CoeffSeq, s: list[int], lcm: int) -> PropertyVerdict:
-    prop = "unimodal"
+def _unimodal_w(s: list[int]) -> tuple[int, ...] | None:
     descent = None
     for k in range(len(s) - 1):
         if descent is None:
             if s[k] > s[k + 1]:
                 descent = k
         elif s[k] < s[k + 1]:
-            return _fails(prop, a, (descent, descent + 1, k, k + 1),
-                          f"descent at ({descent}, {descent + 1}) then ascent at ({k}, {k + 1})")
-    return _holds(prop)
+            return (descent, descent + 1, k, k + 1)
+    return None
 
 
 def spiral_chain_indices(m: int) -> list[int]:
@@ -191,40 +189,34 @@ def spiral_chain_indices(m: int) -> list[int]:
     return order
 
 
+@lru_cache
+def _spiral_links(m: int) -> tuple[tuple[int, int], ...]:
+    order = spiral_chain_indices(m)
+    return tuple(zip(order, order[1:]))
+
+
 def check_spiral(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """Witness: (i, j), adjacent chain positions with a_i > a_j."""
-    return _spiral(*_scaled(seq))
+    return _lattice_verdict("spiral", _scaled(seq))
 
 
-def _spiral(a: CoeffSeq, s: list[int], lcm: int) -> PropertyVerdict:
-    prop = "spiral"
-    na = _not_applicable_nonpositive(prop, a, s)
-    if na:
-        return na
-    order = spiral_chain_indices(len(a) - 1)
-    for prev, nxt in zip(order, order[1:]):
-        if s[prev] > s[nxt]:
-            return _fails(prop, a, (prev, nxt), f"chain link a_{prev} <= a_{nxt} violated: "
-                          f"{render_rational(a[prev])} > {render_rational(a[nxt])}")
-    return _holds(prop)
+def _spiral_w(s: list[int]) -> tuple[int, ...] | None:
+    for link in _spiral_links(len(s) - 1):
+        if s[link[0]] > s[link[1]]:
+            return link
+    return None
 
 
 def check_log_concave(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """Witness: (k-1, k, k+1) where a_k^2 - a_{k+1} a_{k-1} < 0."""
-    return _log_concave(*_scaled(seq))
+    return _lattice_verdict("log-concave", _scaled(seq))
 
 
-def _log_concave(a: CoeffSeq, s: list[int], lcm: int) -> PropertyVerdict:
-    prop = "log-concave"
-    na = _not_applicable_nonpositive(prop, a, s)
-    if na:
-        return na
-    for k in range(1, len(a) - 1):
+def _log_concave_w(s: list[int]) -> tuple[int, ...] | None:
+    for k in range(1, len(s) - 1):
         if s[k] * s[k] < s[k + 1] * s[k - 1]:
-            disc = Fraction(s[k] * s[k] - s[k + 1] * s[k - 1], lcm * lcm)
-            return _fails(prop, a, (k - 1, k, k + 1),
-                          f"discriminant at k={k} is {render_rational(disc)} < 0")
-    return _holds(prop)
+            return (k - 1, k, k + 1)
+    return None
 
 
 def ratio_chain_indices(m: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -239,6 +231,13 @@ def ratio_chain_indices(m: int) -> tuple[list[tuple[int, int]], list[tuple[int, 
     return chain_a, chain_b
 
 
+@lru_cache
+def _ratio_links(m: int) -> tuple[tuple[tuple[tuple[int, ...], ...], tuple[int, int]], ...]:
+    """Per nonempty chain: its links (n0, d0, n1, d1), then its final pair (n, d)."""
+    return tuple((tuple(p + q for p, q in zip(pairs, pairs[1:])), pairs[-1])
+                 for pairs in ratio_chain_indices(m) if pairs)
+
+
 def check_ratio_monotone(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """Both outside-in ratio chains nondecreasing with final ratio <= 1.
 
@@ -246,25 +245,27 @@ def check_ratio_monotone(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     a_{n0}/a_{d0} > a_{n1}/a_{d1}; for a final-ratio violation: (n, d)
     with a_n > a_d. The detail names the chain.
     """
-    return _ratio_monotone(*_scaled(seq))
+    return _lattice_verdict("ratio-monotone", _scaled(seq))
 
 
-def _ratio_monotone(a: CoeffSeq, s: list[int], lcm: int) -> PropertyVerdict:
-    prop = "ratio-monotone"
-    na = _not_applicable_nonpositive(prop, a, s)
-    if na:
-        return na
-    for name, pairs in zip("AB", ratio_chain_indices(len(a) - 1)):
-        for (n0, d0), (n1, d1) in zip(pairs, pairs[1:]):
+def _ratio_monotone_w(s: list[int]) -> tuple[int, ...] | None:
+    for links, final in _ratio_links(len(s) - 1):
+        for link in links:
+            n0, d0, n1, d1 = link
             # Cross-multiplied: past the precondition every entry is positive.
             if s[n0] * s[d1] > s[n1] * s[d0]:
-                return _fails(prop, a, (n0, d0, n1, d1),
-                              f"chain {name}: a_{n0}/a_{d0} > a_{n1}/a_{d1}")
-        if pairs:
-            n, d = pairs[-1]
-            if s[n] > s[d]:
-                return _fails(prop, a, (n, d), f"chain {name}: final ratio a_{n}/a_{d} > 1")
-    return _holds(prop)
+                return link
+        if s[final[0]] > s[final[1]]:
+            return final
+    return None
+
+
+def _ratio_detail(a: CoeffSeq, w: tuple[int, ...]) -> str:
+    # Chain A's ratios a_{m-i}/a_i have the larger index on top, chain B's the smaller.
+    name = "A" if w[0] > w[1] else "B"
+    if len(w) == 2:
+        return f"chain {name}: final ratio a_{w[0]}/a_{w[1]} > 1"
+    return f"chain {name}: a_{w[0]}/a_{w[1]} > a_{w[2]}/a_{w[3]}"
 
 
 def check_no_internal_zeros(seq: Sequence[Fraction | int]) -> PropertyVerdict:
@@ -281,25 +282,54 @@ def check_no_internal_zeros(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     return _holds(prop)
 
 
-# Implication lattice restated at checker level. An antecedent that Holds
-# with a consequent that Fails signals a checker bug, never a math failure.
-_IMPLICATIONS = (
+# The four properties the implication lattice relates, in verdict order:
+# each one's int-only finder (a witness's indices, or None), whether it
+# needs positive entries, and the detail of its Fails verdict.
+_LATTICE = {
+    "ratio-monotone": (_ratio_monotone_w, True, _ratio_detail),
+    "spiral": (_spiral_w, True, lambda a, w: (
+        f"chain link a_{w[0]} <= a_{w[1]} violated: "
+        f"{render_rational(a[w[0]])} > {render_rational(a[w[1]])}")),
+    "log-concave": (_log_concave_w, True, lambda a, w: (
+        f"discriminant at k={w[1]} is {render_rational(a[w[1]] ** 2 - a[w[2]] * a[w[0]])} < 0")),
+    "unimodal": (_unimodal_w, False, lambda a, w: (
+        f"descent at ({w[0]}, {w[1]}) then ascent at ({w[2]}, {w[3]})")),
+}
+
+
+def _lattice_verdict(prop: str, view: tuple[CoeffSeq, list[int], int]) -> PropertyVerdict:
+    """One lattice property's verdict on a ``_scaled`` view: its finder
+    decides, and only a Fails verdict builds a witness and detail."""
+    a, s, _ = view
+    find, positive_only, detail = _LATTICE[prop]
+    if positive_only and min(s) <= 0:
+        return _not_applicable_nonpositive(prop, a, s)
+    w = find(s)
+    return _holds(prop) if w is None else _fails(prop, a, w, detail(a, w))
+
+
+def _lattice_statuses(s: list[int]) -> dict[str, Status]:
+    """The four lattice statuses of a cleared sequence; builds no Fraction or witness."""
+    positive = min(s) > 0
+    return {prop: Status.NOT_APPLICABLE if positive_only and not positive
+            else Status.HOLDS if find(s) is None else Status.FAILS
+            for prop, (find, positive_only, _) in _LATTICE.items()}
+
+
+# Implication lattice restated at checker level, each with its name. An antecedent
+# that Holds with a consequent that Fails signals a checker bug, never a math failure.
+_IMPLICATIONS = tuple((f"{a}=>{c}", a, c) for a, c in (
     ("ratio-monotone", "log-concave"),
     ("ratio-monotone", "spiral"),
     ("log-concave", "unimodal"),
     ("spiral", "unimodal"),
-)
+))
 
 
 def lattice_verdicts(seq: Sequence[Fraction | int]) -> dict[str, PropertyVerdict]:
     """The four verdicts the implication lattice relates, from one view."""
     view = _scaled(seq)
-    return {
-        "ratio-monotone": _ratio_monotone(*view),
-        "spiral": _spiral(*view),
-        "log-concave": _log_concave(*view),
-        "unimodal": _unimodal(*view),
-    }
+    return {prop: _lattice_verdict(prop, view) for prop in _LATTICE}
 
 
 def audit_verdicts(verdicts: dict[str, PropertyVerdict]) -> list[tuple[str, bool]]:
@@ -308,12 +338,13 @@ def audit_verdicts(verdicts: dict[str, PropertyVerdict]) -> list[tuple[str, bool
     Returns (implication name, consistent) per implication; an implication is
     inconsistent only when its antecedent Holds while its consequent Fails.
     NotApplicable antecedents make the implication vacuously consistent.
+    Only the verdicts' statuses are read.
     """
     results = []
-    for antecedent, consequent in _IMPLICATIONS:
+    for name, antecedent, consequent in _IMPLICATIONS:
         inconsistent = (verdicts[antecedent].status is Status.HOLDS
                         and verdicts[consequent].status is Status.FAILS)
-        results.append((f"{antecedent}=>{consequent}", not inconsistent))
+        results.append((name, not inconsistent))
     return results
 
 

@@ -165,6 +165,10 @@ def test_parallel_run_reports_identically():
     spec = CampaignSpec(target="theorem1", trials=150, seed=33,
                         degree_range=(2, 12))
     assert report_json(spec, jobs=1) == report_json(spec, jobs=3)
+    # Separation outcomes carry their examples as cleared draws to the parent.
+    spec = CampaignSpec(target="separation", trials=150, seed=33, degree_range=(2, 6),
+                        magnitude_bound=100)
+    assert report_json(spec, jobs=1) == report_json(spec, jobs=3)
 
 
 def test_different_seeds_differ():
@@ -214,8 +218,20 @@ def test_report_json_is_serializable_and_shaped():
     (CampaignSpec(target="corollary", trials=60, seed=2024, degree_range=(0, 3),
                   shift_c=Fraction(3, 2)),
      "c3a7e479306feab5b277811d477e8c4bb2dc7ab965d78e508a82e014ae1948f8"),
+    # These three before separation trials decided on the cleared draw.
+    (CampaignSpec(target="separation", trials=300, seed=2029, degree_range=(2, 6),
+                  magnitude_bound=100, integer_only=True),
+     "b3b8b27bd618928b8acf487560cb135c3c0176b1f55bc59ba41d08fb1f575934"),
+    # Degrees 0 and 1 have empty chains; bound 3 draws ties and both example kinds.
+    (CampaignSpec(target="separation", trials=300, seed=2029, degree_range=(0, 3),
+                  magnitude_bound=3),
+     "46b727110b9128110e628f9400e11e68eb1b7e89b2ce4cc22ca05cad50219690"),
+    (CampaignSpec(target="separation", trials=300, seed=2029, degree_range=(2, 9),
+                  magnitude_bound=10 ** 6),
+     "711b66f3d177d7589d5208fa0cad11abe2b98ffae18d200cdc14373ea478516a"),
 ], ids=["theorem1", "corollary-3/2", "corollary-1/2", "separation", "lemma1", "lemma2",
-        "lemma3", "theorem1-degree-0-integer", "corollary-3/2-degree-0"])
+        "lemma3", "theorem1-degree-0-integer", "corollary-3/2-degree-0",
+        "separation-integer", "separation-degree-0-bound-3", "separation-degree-9"])
 def test_report_bytes_pinned(spec, digest):
     assert hashlib.sha256(report_json(spec).encode()).hexdigest() == digest
 

@@ -10,11 +10,12 @@ from fractions import Fraction
 
 import pytest
 
-from ratioshift.numeric_core import render_rational
+from ratioshift.numeric_core import clear_denominators, render_rational
 from ratioshift.shape_props import (
     PropertyVerdict,
     Status,
     Witness,
+    _lattice_statuses,
     audit_implications,
     check_log_concave,
     check_no_internal_zeros,
@@ -376,6 +377,21 @@ def reference_no_internal_zeros(a):
     return PropertyVerdict(prop, Status.HOLDS, None, "")
 
 
+def _reference_inputs():
+    rng = random.Random(4242)
+    for trial in range(1500):
+        m = rng.randint(0, 9)
+        low = -3 if trial % 3 == 0 else 1  # a third may hold zero or negative entries
+        seq = tuple(Fraction(rng.randint(low, 40), rng.randint(1, 12)) for _ in range(m + 1))
+        if trial % 5 == 0:
+            seq = tuple(sorted(seq))  # sorted runs reach Holds and late witnesses
+        elif trial % 7 == 0:
+            # Geometric runs make the inequalities tight (equal products).
+            ratio = Fraction(rng.randint(1, 4), rng.randint(1, 4))
+            seq = tuple(seq[0] * ratio ** k for k in range(m + 1))
+        yield seq
+
+
 @pytest.mark.parametrize("checker, reference", [
     (check_spiral, reference_spiral),
     (check_log_concave, reference_log_concave),
@@ -394,18 +410,8 @@ def reference_no_internal_zeros(a):
                  id="lattice_verdicts-reference_unimodal"),
 ])
 def test_integer_checkers_match_fraction_reference(checker, reference):
-    rng = random.Random(4242)
     statuses = set()
-    for trial in range(1500):
-        m = rng.randint(0, 9)
-        low = -3 if trial % 3 == 0 else 1  # a third may hold zero or negative entries
-        seq = tuple(Fraction(rng.randint(low, 40), rng.randint(1, 12)) for _ in range(m + 1))
-        if trial % 5 == 0:
-            seq = tuple(sorted(seq))  # sorted runs reach Holds and late witnesses
-        elif trial % 7 == 0:
-            # Geometric runs make the inequalities tight (equal products).
-            ratio = Fraction(rng.randint(1, 4), rng.randint(1, 4))
-            seq = tuple(seq[0] * ratio ** k for k in range(m + 1))
+    for seq in _reference_inputs():
         verdict = checker(seq)
         assert verdict == reference(seq)
         if verdict.witness is not None:
@@ -417,3 +423,18 @@ def test_integer_checkers_match_fraction_reference(checker, reference):
     needs_positive = reference in (reference_spiral, reference_log_concave,
                                    reference_ratio_monotone)
     assert statuses == set(Status) - (set() if needs_positive else {Status.NOT_APPLICABLE})
+
+
+def test_lattice_statuses_match_fraction_reference():
+    # The status path that separation trials decide on builds no verdict.
+    references = {"ratio-monotone": reference_ratio_monotone, "spiral": reference_spiral,
+                  "log-concave": reference_log_concave, "unimodal": reference_unimodal}
+    seen = {prop: set() for prop in references}
+    for seq in _reference_inputs():
+        statuses = _lattice_statuses(clear_denominators(seq)[0])
+        assert list(statuses) == list(lattice_verdicts(seq)) == list(references)
+        assert statuses == {prop: ref(seq).status for prop, ref in references.items()}
+        for prop, status in statuses.items():
+            seen[prop].add(status)
+    assert seen == {prop: set(Status) - ({Status.NOT_APPLICABLE} if prop == "unimodal" else set())
+                    for prop in references}
