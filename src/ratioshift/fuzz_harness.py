@@ -33,10 +33,16 @@ vacuous. A trial with a violation records no examples.
 
 Determinism: all per-trial randomness derives from sha256(seed, trial,
 label), so a report is identical regardless of execution parallelism, and
-every violation reproduces from (seed, trial index) alone. Nondecreasing
-inputs are generated by sorting i.i.d. draws (unbiased over multisets);
-entries are rationals with numerator and denominator bounded by
-``magnitude_bound``, or integers in integer-only mode.
+every violation reproduces from (seed, trial index) alone. Every value is
+drawn by ``_randints``, which runs CPython's own randint rule on the trial's
+``random.Random``: for n values, take k = n.bit_length() bits from
+``getrandbits`` and redraw while the result is >= n. That rule is the same
+on CPython 3.10 to 3.13, so the stream and every report are those of
+``rng.randint`` calls, in one Python frame per batch of draws instead of
+three per value. Nondecreasing inputs are generated by sorting i.i.d.
+draws (unbiased over multisets); entries are rationals with numerator and
+denominator bounded by ``magnitude_bound``, or integers in integer-only
+mode.
 """
 
 from __future__ import annotations
@@ -47,10 +53,10 @@ import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, NamedTuple
 
-from .numeric_core import DomainError, as_rational, clear_denominators, render_rational
+from .numeric_core import DomainError, as_rational, render_rational
 from .poly_ops import Polynomial, _from_cleared, taylor_shift
 from .shape_props import (
     PropertyVerdict,
@@ -84,6 +90,14 @@ __all__ = [
     "run_campaign",
 ]
 
+
+def _require(name: str, value, kind: type = int) -> None:
+    # Exact types: the draws take ints alone, and a bool, an int to Python,
+    # would render in a report as true or false.
+    if type(value) is not kind:
+        raise DomainError(f"{name} must be {kind.__name__}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class CampaignSpec:
     """Identity of a campaign; two runs with equal specs report identically."""
@@ -100,9 +114,19 @@ class CampaignSpec:
     def __post_init__(self) -> None:
         if self.target not in TARGETS:
             raise DomainError(f"unknown target {self.target!r}, expected one of {TARGETS}")
+        try:
+            lo, hi = self.degree_range
+        except (TypeError, ValueError):
+            raise DomainError(f"degree range must be a pair, got {self.degree_range!r}") from None
+        for name, value, kind in (
+                ("trials", self.trials, int), ("seed", self.seed, int),
+                ("magnitude bound", self.magnitude_bound, int),
+                ("degree range start", lo, int), ("degree range end", hi, int),
+                ("integer_only", self.integer_only, bool),
+                ("allow_c_below_one", self.allow_c_below_one, bool)):
+            _require(name, value, kind)
         if self.trials < 1:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
-        lo, hi = self.degree_range
         if not 0 <= lo <= hi:
             raise DomainError(f"invalid degree range {self.degree_range}")
         if self.target == "lemma3" and lo < 2:
@@ -163,10 +187,28 @@ def _trial_rng(seed: int, trial: int, label: str) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-def _draw(rng: random.Random, low_num: int, bound: int, integer_only: bool) -> Fraction:
-    num = rng.randint(low_num, bound)
-    den = 1 if integer_only else rng.randint(1, bound)
-    return Fraction(num, den)
+def _randints(rng: random.Random, rounds: int, *ranges: tuple[int, int]) -> list[int]:
+    """``rounds`` rounds of one ``rng.randint(low, high)`` per range, flat: the
+    same values and generator state, by randint's own rule (module docstring)."""
+    getrandbits = rng.getrandbits
+    out = []
+    for low, high in ranges * rounds:
+        n = high - low + 1
+        r = getrandbits(n.bit_length())
+        while r >= n:
+            r = getrandbits(n.bit_length())
+        out.append(low + r)
+    return out
+
+
+def _draw_ratios(rng: random.Random, count: int, low: int, bound: int,
+                 integer_only: bool) -> tuple[list[int], list[int]]:
+    """``count`` draws num/den, num in [low, bound] and den in [1, bound] (den 1
+    in integer-only mode), as numerators and denominators."""
+    if integer_only:
+        return _randints(rng, count, (low, bound)), [1] * count
+    flat = _randints(rng, count, (low, bound), (1, bound))
+    return flat[::2], flat[1::2]
 
 
 def gen_nondecreasing_seq(seed: int, trial: int, degree: int, bound: int,
@@ -178,36 +220,40 @@ def gen_nondecreasing_seq(seed: int, trial: int, degree: int, bound: int,
     ``positive``), denominators in [1, bound]. If the maximum lands on zero
     the whole sequence is zero, so the last entry is re-drawn positive.
     """
+    _require("degree", degree)
+    _require("bound", bound)
     if degree < 0:
         raise DomainError(f"degree must be >= 0, got {degree}")
     if bound < 1:
         raise DomainError(f"bound must be >= 1, got {bound}")
     rng = _trial_rng(seed, trial, "seq")
-    low = 1 if positive else 0
-    draws = [_draw(rng, low, bound, integer_only) for _ in range(degree + 1)]
-    # Sorting integer keys is faster than comparing Fractions; equal keys are
-    # equal Fractions, so the order is the same.
-    keys, _ = clear_denominators(draws)
-    draws = [draws[i] for i in sorted(range(len(draws)), key=keys.__getitem__)]
-    if draws[-1] == 0:
-        draws[-1] = _draw(rng, 1, bound, integer_only)
+    nums, dens = _draw_ratios(rng, degree + 1, 1 if positive else 0, bound, integer_only)
+    # Sorting integer keys over a common denominator orders the draws as their
+    # Fractions would; equal keys are equal Fractions, so the order is the same.
+    lcm = math.lcm(*dens)
+    keys = [num * (lcm // den) for num, den in zip(nums, dens)]
+    order = sorted(range(degree + 1), key=keys.__getitem__)
+    draws = [Fraction(nums[i], dens[i]) for i in order]
+    if keys[order[-1]] == 0:
+        (num,), (den,) = _draw_ratios(rng, 1, 1, bound, integer_only)
+        draws[-1] = Fraction(num, den)
     return tuple(draws)
 
 
 def _gen_positive_seq(seed: int, trial: int, degree: int, bound: int,
                       integer_only: bool) -> Polynomial:
-    """Unsorted i.i.d. positive draws (those of ``_draw``), for the separation
-    search, as ints s over L, the lcm of the drawn denominators: entry i is s[i]/L."""
-    randint = _trial_rng(seed, trial, "positive-seq").randint
-    draws = [(randint(1, bound), 1 if integer_only else randint(1, bound))
-             for _ in range(degree + 1)]
-    lcm = math.lcm(*[den for _, den in draws])
-    return _from_cleared([num * (lcm // den) for num, den in draws], lcm)
+    """Unsorted i.i.d. positive draws (those of ``_draw_ratios``), for the
+    separation search, as ints s over L, the lcm of the drawn denominators:
+    entry i is s[i]/L."""
+    nums, dens = _draw_ratios(_trial_rng(seed, trial, "positive-seq"), degree + 1, 1, bound,
+                              integer_only)
+    lcm = math.lcm(*dens)
+    return _from_cleared([num * (lcm // den) for num, den in zip(nums, dens)], lcm)
 
 
 def _pick_degree(spec: CampaignSpec, trial: int) -> int:
-    lo, hi = spec.degree_range
-    return _trial_rng(spec.seed, trial, "degree").randint(lo, hi)
+    (degree,) = _randints(_trial_rng(spec.seed, trial, "degree"), 1, spec.degree_range)
+    return degree
 
 
 def _render_seq(seq: tuple[Fraction, ...] | Polynomial) -> list[str]:
@@ -233,10 +279,10 @@ def _draw_positive(spec: CampaignSpec, trial: int) -> Polynomial:
 
 def _draw_sextuple(spec: CampaignSpec, trial: int) -> tuple[Fraction, ...]:
     """Positive (a, b, c, d, e, f) with a/b <= c/d <= e/f, for lemma1."""
-    rng = _trial_rng(spec.seed, trial, "lemma1")
-    bound = spec.magnitude_bound
-    b, d, f = [_draw(rng, 1, bound, spec.integer_only) for _ in range(3)]
-    r1, r2, r3 = sorted([_draw(rng, 1, bound, spec.integer_only) for _ in range(3)])
+    nums, dens = _draw_ratios(_trial_rng(spec.seed, trial, "lemma1"), 6, 1,
+                              spec.magnitude_bound, spec.integer_only)
+    b, d, f, *ratios = map(Fraction, nums, dens)
+    r1, r2, r3 = sorted(ratios)
     return (r1 * b, b, r2 * d, d, r3 * f, f)
 
 
@@ -277,20 +323,21 @@ def _check_corollary(seq, shifted) -> dict[str, PropertyVerdict]:
             "no-internal-zeros": check_no_internal_zeros(shifted.coeffs)}
 
 
-@lru_cache(maxsize=None)
-def _status_only(prop: str, status: Status) -> PropertyVerdict:
-    """A shared verdict with no witness or detail, for a reader of its status."""
-    return PropertyVerdict(prop, status, None, "")
+# Shared verdicts with no witness or detail, for a reader of their status, by
+# property and status.
+_STATUS_ONLY = {prop: {status: PropertyVerdict(prop, status, None, "") for status in Status}
+                for prop in ("ratio-monotone", "log-concave", "spiral", "unimodal")}
+_IMPLICATIONS_HOLD = PropertyVerdict("implications", Status.HOLDS, None, "")
 
 
 def _check_lattice(seq, shifted) -> dict[str, PropertyVerdict]:
     # Statuses only: run_campaign builds the full verdict of a kept example.
-    verdicts = {prop: _status_only(prop, status)
+    verdicts = {prop: _STATUS_ONLY[prop][status]
                 for prop, status in _lattice_statuses(seq._cleared()[0]).items()}
     inconsistent = [name for name, ok in audit_verdicts(verdicts) if not ok]
     verdicts["implications"] = (
         _verdict("implications", False, f"implication audit inconsistent: {inconsistent}")
-        if inconsistent else _status_only("implications", Status.HOLDS))
+        if inconsistent else _IMPLICATIONS_HOLD)
     return verdicts
 
 
@@ -381,7 +428,9 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1) -> CampaignReport:
     start = time.perf_counter()
     trials = range(spec.trials)
     # The pool starts all its workers on the first submit, needed or not.
-    workers = min(jobs, spec.trials, os.cpu_count() or 1)
+    workers = min(jobs, spec.trials)
+    if workers > 1:  # only then is the CPU count worth asking for
+        workers = min(workers, os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor
 

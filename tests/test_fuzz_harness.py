@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -14,6 +15,7 @@ from ratioshift.cli import main as cli_main
 from ratioshift.fuzz_harness import (
     TARGETS,
     CampaignSpec,
+    _randints,
     _trial_rng,
     gen_nondecreasing_seq,
     run_campaign,
@@ -68,6 +70,94 @@ def test_gen_nondecreasing_seq_guards():
         gen_nondecreasing_seq(1, 0, -1, 10)
     with pytest.raises(DomainError):
         gen_nondecreasing_seq(1, 0, 3, 0)
+    with pytest.raises(DomainError):
+        gen_nondecreasing_seq(1, 0, 3, 10.0)
+    with pytest.raises(DomainError):
+        gen_nondecreasing_seq(1, 0, 3.0, 10)
+
+
+# --- the draw primitive ---
+# Every pinned report depends on _randints yielding randint's exact stream.
+
+_WIDTHS = [1, 2, 3, 4, 5, 7, 8, 9, 2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32,
+           2 ** 32 + 1, 2 ** 33, 2 ** 64 + 1, 10 ** 6, 10 ** 18]
+
+
+@pytest.mark.parametrize("width", _WIDTHS)
+@pytest.mark.parametrize("low", [0, 1, -5])
+def test_randints_is_randint_stream(width, low):
+    high = low + width - 1
+    for seed in range(200):
+        drawn = random.Random(seed)
+        reference = random.Random(seed)
+        assert _randints(drawn, 7, (low, high)) == [reference.randint(low, high)
+                                                     for _ in range(7)]
+        assert drawn.getstate() == reference.getstate()
+
+
+@pytest.mark.parametrize("low", [0, 1])
+@pytest.mark.parametrize("bound", [1, 2, 3, 4, 7, 8, 100, 127, 128, 10 ** 6, 10 ** 18])
+def test_randints_interleaves_numerator_and_denominator_ranges(low, bound):
+    for seed in range(200):
+        drawn = random.Random(seed)
+        reference = random.Random(seed)
+        expected = []
+        for _ in range(9):
+            expected += [reference.randint(low, bound), reference.randint(1, bound)]
+        assert _randints(drawn, 9, (low, bound), (1, bound)) == expected
+        assert drawn.getstate() == reference.getstate()
+
+
+# A clean campaign's report hashes only its spec and coverage counts, so the
+# pins above guard the degree draws but not the drawn values. These rebuild
+# each input from randint calls, the way the draws were first written.
+
+def _randint_ratio(rng, low, bound, integer_only):
+    return Fraction(rng.randint(low, bound), 1 if integer_only else rng.randint(1, bound))
+
+
+@pytest.mark.parametrize("integer_only", [False, True])
+@pytest.mark.parametrize("positive", [False, True])
+@pytest.mark.parametrize("bound", [1, 2, 3, 100, 10 ** 6])
+def test_gen_nondecreasing_seq_matches_randint_reference(bound, positive, integer_only):
+    for trial in range(150):
+        degree = trial % 9
+        rng = _trial_rng(13, trial, "seq")
+        draws = sorted(_randint_ratio(rng, 1 if positive else 0, bound, integer_only)
+                       for _ in range(degree + 1))
+        if draws[-1] == 0:
+            draws[-1] = _randint_ratio(rng, 1, bound, integer_only)
+        assert gen_nondecreasing_seq(13, trial, degree, bound, integer_only=integer_only,
+                                     positive=positive) == tuple(draws)
+
+
+@pytest.mark.parametrize("integer_only", [False, True])
+@pytest.mark.parametrize("bound", [1, 3, 100, 10 ** 6])
+def test_positive_and_lemma1_draws_match_randint_reference(bound, integer_only):
+    spec = CampaignSpec(target="lemma1", trials=1, seed=13, magnitude_bound=bound,
+                        integer_only=integer_only)
+    for trial in range(150):
+        rng = _trial_rng(13, trial, "positive-seq")
+        expected = [_randint_ratio(rng, 1, bound, integer_only) for _ in range(trial % 9 + 1)]
+        drawn = fuzz_harness._gen_positive_seq(13, trial, trial % 9, bound, integer_only)
+        assert list(drawn.coeffs) == expected
+        rng = _trial_rng(13, trial, "lemma1")
+        b, d, f = [_randint_ratio(rng, 1, bound, integer_only) for _ in range(3)]
+        r1, r2, r3 = sorted(_randint_ratio(rng, 1, bound, integer_only) for _ in range(3))
+        assert fuzz_harness._draw_sextuple(spec, trial) == (r1 * b, b, r2 * d, d, r3 * f, f)
+
+
+def test_campaigns_draw_without_randint(monkeypatch):
+    def refuse(self, a, b):
+        raise AssertionError("a campaign drew through randint")
+
+    monkeypatch.setattr(random.Random, "randint", refuse)
+    for target in TARGETS:
+        for integer_only in (False, True):
+            spec = CampaignSpec(target=target, trials=12, seed=5, degree_range=(2, 7),
+                                magnitude_bound=9, integer_only=integer_only)
+            assert run_campaign(spec).trials_run == 12
+    assert isinstance(_trial_rng(5, 0, "seq"), random.Random)
 
 
 # --- campaign spec validation ---
@@ -86,6 +176,18 @@ def test_spec_rejects_bad_parameters():
         CampaignSpec(target="lemma3", trials=10, seed=1, degree_range=(1, 5))
     with pytest.raises(DomainError):
         CampaignSpec(target="lemma1", trials=10, seed=1, magnitude_bound=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("trials", 2.5), ("trials", 10.0), ("trials", True), ("trials", "10"),
+    ("seed", 1.0), ("seed", None), ("magnitude_bound", 100.0), ("magnitude_bound", "9"),
+    ("degree_range", (2.0, 5.0)), ("degree_range", (2, 5.0)), ("degree_range", (2, 5, 7)),
+    ("degree_range", (3,)), ("degree_range", 4), ("degree_range", None),
+    ("integer_only", "no"), ("integer_only", 1), ("allow_c_below_one", 0),
+])
+def test_spec_rejects_mistyped_parameters(field, value):
+    with pytest.raises(DomainError):
+        CampaignSpec(**{"target": "theorem1", "trials": 10, "seed": 1, field: value})
 
 
 def test_spec_corollary_small_shift_needs_flag():
@@ -229,9 +331,20 @@ def test_report_json_is_serializable_and_shaped():
     (CampaignSpec(target="separation", trials=300, seed=2029, degree_range=(2, 9),
                   magnitude_bound=10 ** 6),
      "711b66f3d177d7589d5208fa0cad11abe2b98ffae18d200cdc14373ea478516a"),
+    # These three before the draws left randint for getrandbits.
+    (CampaignSpec(target="lemma1", trials=60, seed=2024, integer_only=True),
+     "49d640b91f27876909423be0700baae293582078f395f17ff77c3ba803efcdb5"),
+    (CampaignSpec(target="lemma3", trials=60, seed=2024, degree_range=(2, 12),
+                  integer_only=True),
+     "526ce8f6220e6c78da040c2c7944aa5f3d27697969702df8e2831de10c7b7c6a"),
+    # Entries 0 or 1: 13 of the 60 inputs draw all zeros and redraw their last entry.
+    (CampaignSpec(target="theorem1", trials=60, seed=2024, degree_range=(0, 2),
+                  magnitude_bound=1),
+     "12c03959569df08dca7ab8f78d2336206ba26cbe182e0be759f9bbd96053d866"),
 ], ids=["theorem1", "corollary-3/2", "corollary-1/2", "separation", "lemma1", "lemma2",
         "lemma3", "theorem1-degree-0-integer", "corollary-3/2-degree-0",
-        "separation-integer", "separation-degree-0-bound-3", "separation-degree-9"])
+        "separation-integer", "separation-degree-0-bound-3", "separation-degree-9",
+        "lemma1-integer", "lemma3-integer", "theorem1-bound-1"])
 def test_report_bytes_pinned(spec, digest):
     assert hashlib.sha256(report_json(spec).encode()).hexdigest() == digest
 
@@ -416,6 +529,16 @@ def test_pool_is_bounded_by_trials_and_cpus(monkeypatch, jobs, trials, cpus, siz
     spec = CampaignSpec(target="theorem1", trials=trials, seed=3, degree_range=(2, 8))
     assert report_json(spec, jobs=jobs) == report_json(spec)
     assert _RecordingPool.sizes == ([] if size is None else [size])
+
+
+@pytest.mark.parametrize("jobs, trials", [(1, 10), (5, 1)])
+def test_serial_run_leaves_cpu_count_unasked(monkeypatch, jobs, trials):
+    def refuse():
+        raise AssertionError("a serial run asked for the CPU count")
+
+    monkeypatch.setattr(os, "cpu_count", refuse)
+    spec = CampaignSpec(target="lemma1", trials=trials, seed=3)
+    assert run_campaign(spec, jobs=jobs).trials_run == trials
 
 
 @pytest.mark.parametrize("jobs", [0, -1])
