@@ -25,30 +25,9 @@ from .fuzz_harness import TARGETS, CampaignSpec, run_campaign
 from .numeric_core import DomainError, ParseError, parse_rational, render_rational
 from .poly_ops import Polynomial, ShiftAlgorithm, taylor_shift
 from .quartic_integral import QuadratureError, verify_identity
-from .shape_props import (
-    check_log_concave,
-    check_no_internal_zeros,
-    check_nonneg_nondecreasing,
-    check_ratio_monotone,
-    check_spiral,
-    check_unimodal,
-)
+from .shape_props import CHECKERS
 
 __all__ = ["entry", "main"]
-
-_CHECKERS = {
-    "nonneg-nondecreasing": check_nonneg_nondecreasing,
-    "unimodal": check_unimodal,
-    "spiral": check_spiral,
-    "log-concave": check_log_concave,
-    "ratio-monotone": check_ratio_monotone,
-    "no-internal-zeros": check_no_internal_zeros,
-}
-
-_ALGOS = {
-    "naive": ShiftAlgorithm.NAIVE_BINOMIAL,
-    "horner": ShiftAlgorithm.HORNER_SYNTHETIC,
-}
 
 
 class _UsageError(Exception):
@@ -94,7 +73,7 @@ def _cmd_shift(args: argparse.Namespace) -> int:
         c = parse_rational(args.c)
     except (ParseError, DomainError) as exc:
         raise _UsageError(f"--c: {exc}") from exc
-    shifted = taylor_shift(Polynomial(coeffs), c, _ALGOS[args.algo])
+    shifted = taylor_shift(Polynomial(coeffs), c, ShiftAlgorithm(args.algo))
     # Render every coefficient before printing any, so a coefficient too long
     # to render (DomainError, exit 2) leaves stdout empty.
     print("\n".join([render_rational(value) for value in shifted.coeffs]))
@@ -105,15 +84,15 @@ def _cmd_check(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     names = [p.strip() for p in args.props.split(",") if p.strip()]
     if "all" in names:
-        names = list(_CHECKERS)
-    unknown = [n for n in names if n not in _CHECKERS]
+        names = list(CHECKERS)
+    unknown = [n for n in names if n not in CHECKERS]
     if unknown:
         raise _UsageError(
-            f"unknown properties {unknown}; choose from {list(_CHECKERS)} or 'all'")
+            f"unknown properties {unknown}; choose from {list(CHECKERS)} or 'all'")
     if not names:
         raise _UsageError("no properties requested")
     coeffs = _read_coefficients(args.file)
-    verdicts = [_CHECKERS[name](coeffs) for name in names]
+    verdicts = [CHECKERS[name](coeffs) for name in names]
     doc = _report(
         "check",
         {"file": args.file,
@@ -195,13 +174,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("shift", help="Taylor-shift a coefficient file by a rational c")
     p.add_argument("file", help="coefficient file, ascending degree")
     p.add_argument("--c", required=True, help="shift constant (rational text)")
-    p.add_argument("--algo", choices=sorted(_ALGOS), default="horner")
+    p.add_argument("--algo", choices=[a.value for a in ShiftAlgorithm],
+                   default=ShiftAlgorithm.HORNER_SYNTHETIC.value)
     p.set_defaults(func=_cmd_shift)
 
     p = sub.add_parser("check", help="run shape-property checkers on a coefficient file")
     p.add_argument("file", help="coefficient file, ascending degree")
     p.add_argument("--props", required=True,
-                   help=f"comma list from {list(_CHECKERS)} or 'all'")
+                   help=f"comma list from {list(CHECKERS)} or 'all'")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("boros-moll", help="emit a Boros-Moll coefficient row")

@@ -21,8 +21,10 @@ records:
 * ``separation``: random positive sequences, searching for a log-concave
   sequence that is not spiral and a spiral sequence that is not log-concave,
   while auditing the implication lattice on every input. A trial draws ints
-  over one common denominator and decides on the four statuses alone; only
-  a violation or an example the report keeps is rendered as Fractions.
+  over one common denominator, reads the four lattice statuses off them
+  (``shape_props._lattice_statuses``) and audits and picks examples on those
+  statuses alone; only a violation or an example the report keeps is
+  rendered as Fractions, with its verdict.
 
 Every violation (or finding) has one shape: ``trial``, ``input`` (the drawn
 sequence), ``verdicts`` (the failing verdicts as
@@ -63,7 +65,7 @@ from .shape_props import (
     Status,
     _lattice_statuses,
     audit_implications,  # noqa: F401  bench/layers.py wraps these two names here
-    audit_verdicts,
+    audit_statuses,
     check_log_concave,
     check_no_internal_zeros,
     check_ratio_monotone,
@@ -294,7 +296,8 @@ def _verdict(prop: str, holds: bool, detail: str) -> PropertyVerdict:
 
 
 # Each check maps (input, shifted polynomial or None) to the verdicts the
-# trial computed, by property name.
+# trial computed, by property name; the lattice check maps its four
+# properties to their statuses alone.
 
 def _check_theorem1(seq, shifted) -> dict[str, PropertyVerdict]:
     return {"ratio-monotone": check_ratio_monotone(shifted.coeffs)}
@@ -323,22 +326,17 @@ def _check_corollary(seq, shifted) -> dict[str, PropertyVerdict]:
             "no-internal-zeros": check_no_internal_zeros(shifted.coeffs)}
 
 
-# Shared verdicts with no witness or detail, for a reader of their status, by
-# property and status.
-_STATUS_ONLY = {prop: {status: PropertyVerdict(prop, status, None, "") for status in Status}
-                for prop in ("ratio-monotone", "log-concave", "spiral", "unimodal")}
 _IMPLICATIONS_HOLD = PropertyVerdict("implications", Status.HOLDS, None, "")
 
 
-def _check_lattice(seq, shifted) -> dict[str, PropertyVerdict]:
+def _check_lattice(seq, shifted) -> dict[str, PropertyVerdict | Status]:
     # Statuses only: run_campaign builds the full verdict of a kept example.
-    verdicts = {prop: _STATUS_ONLY[prop][status]
-                for prop, status in _lattice_statuses(seq._cleared()[0]).items()}
-    inconsistent = [name for name, ok in audit_verdicts(verdicts) if not ok]
-    verdicts["implications"] = (
+    checked = _lattice_statuses(seq._cleared()[0])
+    inconsistent = [name for name, ok in audit_statuses(checked) if not ok]
+    checked["implications"] = (
         _verdict("implications", False, f"implication audit inconsistent: {inconsistent}")
         if inconsistent else _IMPLICATIONS_HOLD)
-    return verdicts
+    return checked
 
 
 class _Target(NamedTuple):
@@ -347,13 +345,14 @@ class _Target(NamedTuple):
     ``must_hold`` names the verdicts whose failure is a violation (a finding
     on exploratory runs); a trial of degree below ``min_degree`` is vacuous.
     Each example kind is (kind, property that holds, property that fails),
-    both lattice properties of a cleared draw; its payload quotes the failing
-    verdict under that property's name, with underscores for hyphens.
+    both lattice properties whose statuses the check returns; its payload
+    quotes the failing verdict under that property's name, with underscores
+    for hyphens.
     """
 
     draw: Callable[[CampaignSpec, int], tuple[Fraction, ...] | Polynomial]
     shift_c: Callable[[CampaignSpec], Fraction | int] | None
-    check: Callable[..., dict[str, PropertyVerdict]]
+    check: Callable[..., dict[str, PropertyVerdict | Status]]
     must_hold: tuple[str, ...]
     min_degree: int = 0
     examples: tuple[tuple[str, str, str], ...] = ()
@@ -410,7 +409,7 @@ def _run_trial(spec: CampaignSpec, trial: int) -> _TrialOutcome:
             out.payload["shifted"] = _render_seq(shifted.coeffs)
         return out
     for kind, holds, fails in target.examples:
-        if verdicts[holds].status is Status.HOLDS and verdicts[fails].status is Status.FAILS:
+        if verdicts[holds] is Status.HOLDS and verdicts[fails] is Status.FAILS:
             out.examples[kind] = seq
     return out
 

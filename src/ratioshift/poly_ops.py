@@ -189,12 +189,10 @@ def _shift_horner(ints: tuple[int, ...], den: int, c: Fraction) -> tuple[list[in
 
 
 def mul_by_x_plus_one(b: Polynomial) -> Polynomial:
-    """Multiply by (x + 1): result coefficient k is a_{k-1} + a_k."""
-    a = b.coeffs
-    return Polynomial(
-        (a[k] if k == 0 else a[k - 1] if k == len(a) else a[k - 1] + a[k])
-        for k in range(len(a) + 1)
-    )
+    """Multiply by (x + 1): result coefficient k is a_{k-1} + a_k, summed on
+    the cleared numerators over b's common denominator."""
+    s, den = b._cleared()
+    return _from_cleared([lo + hi for lo, hi in zip((0, *s), (*s, 0))], den)
 
 
 class BoundaryCoeffs(NamedTuple):

@@ -18,15 +18,17 @@ Spiral, log-concave, and ratio-monotone are defined for strictly positive
 sequences only; on any nonpositive entry the checkers return NotApplicable
 rather than Fails, so campaigns can tell precondition violations apart from
 property violations. All inequalities are non-strict and every ratio
-comparison is decided by cross-multiplication, never division. Every one of
-these properties is invariant under positive scaling, so each comparing
-check builds one view (``_scaled``: the sequence times the lcm L of its
-denominators, as ints, and L) and decides on ints; ``lattice_verdicts``
-builds one view for all four of its checks. Each of those four has an
-int-only finder that returns a witness's indices or None, and
-``_lattice_statuses`` reads the four statuses off a cleared sequence with
-no Fraction built, which is all a separation trial needs. No-internal-zeros
-tests the Fractions against zero. Witnesses quote the caller's own Fractions.
+comparison is decided by cross-multiplication, never division.
+
+Every property here is invariant under positive scaling, so each is decided
+on ints: the sequence times the lcm of its denominators (``_scaled``), zero
+tests included. One table, ``_PROPS``, holds each property's int-only
+finder, whether it needs positive entries, and its Fails detail. Every
+checker is one call of ``_verdict``, which builds a witness only when the
+property does not hold; ``_lattice_statuses`` reads statuses with no
+Fraction or witness built, which is all the lattice audit,
+``lemma2_preserved`` and a separation trial need. Witnesses quote the
+caller's own Fractions.
 
 Every Fails verdict carries a witness whose indices and values reproduce
 the violated inequality exactly; the witness layout per property is
@@ -44,12 +46,13 @@ from typing import Iterable, Sequence
 from .numeric_core import as_rational, clear_denominators, render_rational
 
 __all__ = [
+    "CHECKERS",
     "CoeffSeq",
     "PropertyVerdict",
     "Status",
     "Witness",
     "audit_implications",
-    "audit_verdicts",
+    "audit_statuses",
     "check_log_concave",
     "check_no_internal_zeros",
     "check_nonneg_nondecreasing",
@@ -115,16 +118,6 @@ class PropertyVerdict:
         }
 
 
-def _holds(prop: str) -> PropertyVerdict:
-    return PropertyVerdict(prop, Status.HOLDS, None, "")
-
-
-def _fails(prop: str, a: CoeffSeq, indices: tuple[int, ...], detail: str) -> PropertyVerdict:
-    """A Fails verdict whose witness quotes the caller's own entries at ``indices``."""
-    return PropertyVerdict(prop, Status.FAILS,
-                           Witness(indices, tuple([a[i] for i in indices])), detail)
-
-
 def _scaled(seq: Sequence[Fraction | int]) -> tuple[CoeffSeq, list[int], int]:
     """The caller's Fractions, for witnesses; the sequence times the lcm of
     its denominators, as ints, for every comparison; and that lcm."""
@@ -132,14 +125,7 @@ def _scaled(seq: Sequence[Fraction | int]) -> tuple[CoeffSeq, list[int], int]:
     return (a, *clear_denominators(a))
 
 
-def _not_applicable_nonpositive(prop: str, a: CoeffSeq, s: list[int]) -> PropertyVerdict:
-    """The NotApplicable verdict of a sequence found not positive (min(s) <= 0)."""
-    i = next(i for i, v in enumerate(s) if v <= 0)
-    return PropertyVerdict(prop, Status.NOT_APPLICABLE, Witness((i,), (a[i],)),
-                           f"nonpositive entry {render_rational(a[i])} at index {i}")
-
-
-def _nonneg_nondecreasing_witness(s: list[int]) -> tuple[int, ...] | None:
+def _nonneg_nondecreasing_witness(s: Sequence[int]) -> tuple[int, ...] | None:
     """Indices (k,) of the first negative entry, else (k, k+1) of the first
     descent, else None. The lemma predicates check their hypotheses with it:
     they need the decision, not a rendered verdict."""
@@ -154,23 +140,21 @@ def _nonneg_nondecreasing_witness(s: list[int]) -> tuple[int, ...] | None:
 
 def check_nonneg_nondecreasing(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """Witness: (k,) with value a_k < 0, or (k, k+1) with a_k > a_{k+1}."""
-    prop = "nonneg-nondecreasing"
-    a, s, _ = _scaled(seq)
-    w = _nonneg_nondecreasing_witness(s)
-    if w is None:
-        return _holds(prop)
+    return _verdict("nonneg-nondecreasing", _scaled(seq))
+
+
+def _nonneg_nondecreasing_detail(a: CoeffSeq, w: tuple[int, ...]) -> str:
     if len(w) == 1:
-        return _fails(prop, a, w, f"negative entry {render_rational(a[w[0]])} at index {w[0]}")
-    return _fails(prop, a, w, f"descent {render_rational(a[w[0]])} > "
-                  f"{render_rational(a[w[1]])} at indices {w}")
+        return f"negative entry {render_rational(a[w[0]])} at index {w[0]}"
+    return f"descent {render_rational(a[w[0]])} > {render_rational(a[w[1]])} at indices {w}"
 
 
 def check_unimodal(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """Witness: (d, d+1, j, j+1), a strict descent followed by a strict ascent."""
-    return _lattice_verdict("unimodal", _scaled(seq))
+    return _verdict("unimodal", _scaled(seq))
 
 
-def _unimodal_w(s: list[int]) -> tuple[int, ...] | None:
+def _unimodal_w(s: Sequence[int]) -> tuple[int, ...] | None:
     descent = None
     for k in range(len(s) - 1):
         if descent is None:
@@ -197,10 +181,10 @@ def _spiral_links(m: int) -> tuple[tuple[int, int], ...]:
 
 def check_spiral(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """Witness: (i, j), adjacent chain positions with a_i > a_j."""
-    return _lattice_verdict("spiral", _scaled(seq))
+    return _verdict("spiral", _scaled(seq))
 
 
-def _spiral_w(s: list[int]) -> tuple[int, ...] | None:
+def _spiral_w(s: Sequence[int]) -> tuple[int, ...] | None:
     for link in _spiral_links(len(s) - 1):
         if s[link[0]] > s[link[1]]:
             return link
@@ -209,10 +193,10 @@ def _spiral_w(s: list[int]) -> tuple[int, ...] | None:
 
 def check_log_concave(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """Witness: (k-1, k, k+1) where a_k^2 - a_{k+1} a_{k-1} < 0."""
-    return _lattice_verdict("log-concave", _scaled(seq))
+    return _verdict("log-concave", _scaled(seq))
 
 
-def _log_concave_w(s: list[int]) -> tuple[int, ...] | None:
+def _log_concave_w(s: Sequence[int]) -> tuple[int, ...] | None:
     for k in range(1, len(s) - 1):
         if s[k] * s[k] < s[k + 1] * s[k - 1]:
             return (k - 1, k, k + 1)
@@ -245,10 +229,10 @@ def check_ratio_monotone(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     a_{n0}/a_{d0} > a_{n1}/a_{d1}; for a final-ratio violation: (n, d)
     with a_n > a_d. The detail names the chain.
     """
-    return _lattice_verdict("ratio-monotone", _scaled(seq))
+    return _verdict("ratio-monotone", _scaled(seq))
 
 
-def _ratio_monotone_w(s: list[int]) -> tuple[int, ...] | None:
+def _ratio_monotone_w(s: Sequence[int]) -> tuple[int, ...] | None:
     for links, final in _ratio_links(len(s) - 1):
         for link in links:
             n0, d0, n1, d1 = link
@@ -270,50 +254,76 @@ def _ratio_detail(a: CoeffSeq, w: tuple[int, ...]) -> str:
 
 def check_no_internal_zeros(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """Witness: (j, i, j') with a_i = 0 between nonzero a_j and a_{j'}."""
-    prop = "no-internal-zeros"
-    a = coeff_seq(seq)  # a zero test needs no scaling
-    nonzero = [i for i, v in enumerate(a) if v != 0]
+    return _verdict("no-internal-zeros", _scaled(seq))
+
+
+def _no_internal_zeros_w(s: Sequence[int]) -> tuple[int, ...] | None:
+    nonzero = [i for i, v in enumerate(s) if v != 0]
     if nonzero:
         lo, hi = nonzero[0], nonzero[-1]
         for i in range(lo + 1, hi):
-            if a[i] == 0:
-                return _fails(prop, a, (lo, i, hi),
-                              f"zero at index {i} between nonzero entries at {lo} and {hi}")
-    return _holds(prop)
+            if s[i] == 0:
+                return (lo, i, hi)
+    return None
 
 
-# The four properties the implication lattice relates, in verdict order:
-# each one's int-only finder (a witness's indices, or None), whether it
-# needs positive entries, and the detail of its Fails verdict.
-_LATTICE = {
-    "ratio-monotone": (_ratio_monotone_w, True, _ratio_detail),
+# One row per property, in the order of CHECKERS: its int-only finder (a
+# witness's indices, or None), whether it needs positive entries, and the
+# detail of its Fails verdict.
+_PROPS = {
+    "nonneg-nondecreasing": (_nonneg_nondecreasing_witness, False, _nonneg_nondecreasing_detail),
+    "unimodal": (_unimodal_w, False, lambda a, w: (
+        f"descent at ({w[0]}, {w[1]}) then ascent at ({w[2]}, {w[3]})")),
     "spiral": (_spiral_w, True, lambda a, w: (
         f"chain link a_{w[0]} <= a_{w[1]} violated: "
         f"{render_rational(a[w[0]])} > {render_rational(a[w[1]])}")),
     "log-concave": (_log_concave_w, True, lambda a, w: (
         f"discriminant at k={w[1]} is {render_rational(a[w[1]] ** 2 - a[w[2]] * a[w[0]])} < 0")),
-    "unimodal": (_unimodal_w, False, lambda a, w: (
-        f"descent at ({w[0]}, {w[1]}) then ascent at ({w[2]}, {w[3]})")),
+    "ratio-monotone": (_ratio_monotone_w, True, _ratio_detail),
+    "no-internal-zeros": (_no_internal_zeros_w, False, lambda a, w: (
+        f"zero at index {w[1]} between nonzero entries at {w[0]} and {w[2]}")),
 }
 
+# Each property's checker, in the table's order (that of ``check --props all``).
+CHECKERS = {
+    "nonneg-nondecreasing": check_nonneg_nondecreasing,
+    "unimodal": check_unimodal,
+    "spiral": check_spiral,
+    "log-concave": check_log_concave,
+    "ratio-monotone": check_ratio_monotone,
+    "no-internal-zeros": check_no_internal_zeros,
+}
 
-def _lattice_verdict(prop: str, view: tuple[CoeffSeq, list[int], int]) -> PropertyVerdict:
-    """One lattice property's verdict on a ``_scaled`` view: its finder
-    decides, and only a Fails verdict builds a witness and detail."""
+# The four properties the implication lattice relates, in verdict order.
+_LATTICE = ("ratio-monotone", "spiral", "log-concave", "unimodal")
+
+
+def _verdict(prop: str, view: tuple[CoeffSeq, list[int], int]) -> PropertyVerdict:
+    """One property's verdict on a ``_scaled`` view: its finder decides, and
+    only a verdict other than Holds builds a witness, quoting the caller's
+    own entries, and a detail."""
     a, s, _ = view
-    find, positive_only, detail = _LATTICE[prop]
+    find, positive_only, detail = _PROPS[prop]
     if positive_only and min(s) <= 0:
-        return _not_applicable_nonpositive(prop, a, s)
+        i = next(i for i, v in enumerate(s) if v <= 0)
+        return PropertyVerdict(prop, Status.NOT_APPLICABLE, Witness((i,), (a[i],)),
+                               f"nonpositive entry {render_rational(a[i])} at index {i}")
     w = find(s)
-    return _holds(prop) if w is None else _fails(prop, a, w, detail(a, w))
+    if w is None:
+        return PropertyVerdict(prop, Status.HOLDS, None, "")
+    return PropertyVerdict(prop, Status.FAILS, Witness(w, tuple([a[i] for i in w])), detail(a, w))
 
 
-def _lattice_statuses(s: list[int]) -> dict[str, Status]:
-    """The four lattice statuses of a cleared sequence; builds no Fraction or witness."""
+def _lattice_statuses(s: Sequence[int], props: tuple[str, ...] = _LATTICE) -> dict[str, Status]:
+    """The statuses of ``props``, by default the four lattice properties, on a
+    cleared sequence, in that order; builds no Fraction or witness."""
     positive = min(s) > 0
-    return {prop: Status.NOT_APPLICABLE if positive_only and not positive
-            else Status.HOLDS if find(s) is None else Status.FAILS
-            for prop, (find, positive_only, _) in _LATTICE.items()}
+    statuses = {}
+    for prop in props:
+        find, positive_only, _ = _PROPS[prop]
+        statuses[prop] = (Status.NOT_APPLICABLE if positive_only and not positive
+                          else Status.HOLDS if find(s) is None else Status.FAILS)
+    return statuses
 
 
 # Implication lattice restated at checker level, each with its name. An antecedent
@@ -329,25 +339,21 @@ _IMPLICATIONS = tuple((f"{a}=>{c}", a, c) for a, c in (
 def lattice_verdicts(seq: Sequence[Fraction | int]) -> dict[str, PropertyVerdict]:
     """The four verdicts the implication lattice relates, from one view."""
     view = _scaled(seq)
-    return {prop: _lattice_verdict(prop, view) for prop in _LATTICE}
+    return {prop: _verdict(prop, view) for prop in _LATTICE}
 
 
-def audit_verdicts(verdicts: dict[str, PropertyVerdict]) -> list[tuple[str, bool]]:
-    """Evaluate the implication lattice on the verdicts of one sequence.
+def audit_statuses(statuses: dict[str, Status]) -> list[tuple[str, bool]]:
+    """Evaluate the implication lattice on the four statuses of one sequence.
 
     Returns (implication name, consistent) per implication; an implication is
     inconsistent only when its antecedent Holds while its consequent Fails.
     NotApplicable antecedents make the implication vacuously consistent.
-    Only the verdicts' statuses are read.
     """
-    results = []
-    for name, antecedent, consequent in _IMPLICATIONS:
-        inconsistent = (verdicts[antecedent].status is Status.HOLDS
-                        and verdicts[consequent].status is Status.FAILS)
-        results.append((name, not inconsistent))
-    return results
+    return [(name, not (statuses[a] is Status.HOLDS and statuses[c] is Status.FAILS))
+            for name, a, c in _IMPLICATIONS]
 
 
 def audit_implications(seq: Sequence[Fraction | int]) -> list[tuple[str, bool]]:
-    """Evaluate the implication lattice on one sequence (see audit_verdicts)."""
-    return audit_verdicts(lattice_verdicts(seq))
+    """Evaluate the implication lattice on one sequence (see audit_statuses);
+    builds no verdict."""
+    return audit_statuses(_lattice_statuses(_scaled(seq)[1]))

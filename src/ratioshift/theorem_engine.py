@@ -21,7 +21,9 @@ turns ratio monotone under the shift x -> x + 1:
 Each sequence predicate builds one view of its input per call
 (``shape_props._scaled``), sums and compares plain ints, and builds one
 Fraction per returned value; their nondecreasing hypotheses are decided by
-the code behind ``shape_props.check_nonneg_nondecreasing``.
+the code behind ``shape_props.check_nonneg_nondecreasing``. ``lemma2_preserved``
+reads the ratio-monotone status off the cleared numerators of B and of
+(x + 1) B, and builds no Fraction.
 
 Hypothesis violations raise (``HypothesisError`` or ``DomainError``) while a
 false conclusion is returned as data, so a randomized campaign can prove it
@@ -38,7 +40,7 @@ from typing import Sequence
 
 from .numeric_core import DomainError, as_rational, ratio_leq
 from .poly_ops import Polynomial, ShiftAlgorithm, _scaled_boundary, mul_by_x_plus_one, taylor_shift
-from .shape_props import _nonneg_nondecreasing_witness, _scaled, check_ratio_monotone
+from .shape_props import Status, _lattice_statuses, _nonneg_nondecreasing_witness, _scaled
 
 __all__ = [
     "HypothesisError",
@@ -174,6 +176,10 @@ def lemma2_preserved(b: Polynomial) -> bool:
     Raises HypothesisError if B itself is not ratio monotone. Expected true
     under the hypothesis.
     """
-    if not check_ratio_monotone(b.coeffs).holds:
+    if _ratio_monotone_status(b) is not Status.HOLDS:
         raise HypothesisError("input polynomial is not ratio monotone")
-    return check_ratio_monotone(mul_by_x_plus_one(b).coeffs).holds
+    return _ratio_monotone_status(mul_by_x_plus_one(b)) is Status.HOLDS
+
+
+def _ratio_monotone_status(p: Polynomial) -> Status:
+    return _lattice_statuses(p._cleared()[0], ("ratio-monotone",))["ratio-monotone"]

@@ -130,9 +130,9 @@ def test_check_all_holds_exit_zero(poly_file, capsys):
     doc = json.loads(out)
     assert doc["command"] == "check"
     assert doc["inputs"]["coefficients"] == ["2", "2", "2"]
-    assert {r["property"] for r in doc["results"]} == {
+    assert [r["property"] for r in doc["results"]] == [
         "nonneg-nondecreasing", "unimodal", "spiral", "log-concave",
-        "ratio-monotone", "no-internal-zeros"}
+        "ratio-monotone", "no-internal-zeros"]
     assert all(r["status"] == "holds" for r in doc["results"])
 
 

@@ -468,8 +468,8 @@ def test_corollary_failures_route_by_exploratory(monkeypatch, c, allow, field):
 
 
 def test_separation_inconsistent_audit_records_no_examples(monkeypatch):
-    monkeypatch.setattr(fuzz_harness, "audit_verdicts",
-                        lambda verdicts: [("spiral=>unimodal", False)])
+    monkeypatch.setattr(fuzz_harness, "audit_statuses",
+                        lambda statuses: [("spiral=>unimodal", False)])
     spec = CampaignSpec(target="separation", trials=40, seed=7, degree_range=(2, 6))
     report = run_campaign(spec)
     assert len(report.violations) == 40

@@ -5,18 +5,23 @@ each witness against the original sequence, so a checker cannot pass these
 tests by pointing at indices that do not actually violate anything.
 """
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
 from ratioshift.numeric_core import clear_denominators, render_rational
+from ratioshift.poly_ops import Polynomial
 from ratioshift.shape_props import (
+    CHECKERS,
     PropertyVerdict,
     Status,
     Witness,
     _lattice_statuses,
+    _PROPS,
     audit_implications,
+    audit_statuses,
     check_log_concave,
     check_no_internal_zeros,
     check_nonneg_nondecreasing,
@@ -28,6 +33,7 @@ from ratioshift.shape_props import (
     ratio_chain_indices,
     spiral_chain_indices,
 )
+from ratioshift.theorem_engine import HypothesisError, lemma2_preserved
 
 
 def assert_witness_sound(verdict, seq):
@@ -259,6 +265,35 @@ def test_audit_implications_consistent_on_separating_examples():
         assert all(ok for _, ok in audit_implications(seq))
 
 
+def test_audit_statuses_flags_exactly_the_broken_implications():
+    # Statuses no sequence has, so a checker bug would show as these.
+    lattice = ("ratio-monotone", "spiral", "log-concave", "unimodal")
+    pairs = [("ratio-monotone", "log-concave"), ("ratio-monotone", "spiral"),
+             ("log-concave", "unimodal"), ("spiral", "unimodal")]
+    for combo in itertools.product(Status, repeat=4):
+        statuses = dict(zip(lattice, combo))
+        assert audit_statuses(statuses) == [
+            (f"{a}=>{c}", not (statuses[a] is Status.HOLDS and statuses[c] is Status.FAILS))
+            for a, c in pairs]
+
+
+# --- the property table ---
+
+def test_checkers_follow_the_table():
+    assert list(CHECKERS) == list(_PROPS) == [
+        "nonneg-nondecreasing", "unimodal", "spiral", "log-concave", "ratio-monotone",
+        "no-internal-zeros"]
+    for prop, checker in CHECKERS.items():
+        assert checker((1, 2)).prop == prop
+
+
+@pytest.mark.parametrize("entry", [*CHECKERS.values(), lattice_verdicts, audit_implications],
+                         ids=[*CHECKERS, "lattice_verdicts", "audit_implications"])
+def test_empty_sequence_is_a_value_error(entry):
+    with pytest.raises(ValueError, match="at least one entry"):
+        entry(())
+
+
 # --- JSON forms ---
 
 def test_verdict_json_dict():
@@ -426,15 +461,39 @@ def test_integer_checkers_match_fraction_reference(checker, reference):
 
 
 def test_lattice_statuses_match_fraction_reference():
-    # The status path that separation trials decide on builds no verdict.
-    references = {"ratio-monotone": reference_ratio_monotone, "spiral": reference_spiral,
-                  "log-concave": reference_log_concave, "unimodal": reference_unimodal}
+    # The status path that the lattice audit, lemma2_preserved and separation
+    # trials decide on builds no verdict; it reads every row of the table.
+    references = {"nonneg-nondecreasing": reference_nonneg_nondecreasing,
+                  "unimodal": reference_unimodal, "spiral": reference_spiral,
+                  "log-concave": reference_log_concave,
+                  "ratio-monotone": reference_ratio_monotone,
+                  "no-internal-zeros": reference_no_internal_zeros}
+    lattice = ["ratio-monotone", "spiral", "log-concave", "unimodal"]
     seen = {prop: set() for prop in references}
+    lemma2_outcomes = set()
     for seq in _reference_inputs():
-        statuses = _lattice_statuses(clear_denominators(seq)[0])
-        assert list(statuses) == list(lattice_verdicts(seq)) == list(references)
-        assert statuses == {prop: ref(seq).status for prop, ref in references.items()}
-        for prop, status in statuses.items():
+        s = clear_denominators(seq)[0]
+        expected = {prop: ref(seq).status for prop, ref in references.items()}
+        assert _lattice_statuses(s, tuple(references)) == expected
+        statuses = _lattice_statuses(s)
+        assert list(statuses) == list(lattice_verdicts(seq)) == lattice
+        assert statuses == {prop: expected[prop] for prop in lattice}
+        assert audit_implications(seq) == audit_statuses(statuses)
+        assert all(ok for _, ok in audit_implications(seq))
+        # lemma2_preserved: a hypothesis error unless ratio monotone, else the
+        # reference verdict of (x + 1) times the sequence.
+        try:
+            outcome = lemma2_preserved(Polynomial(seq))
+        except HypothesisError:
+            outcome = None
+        product = tuple(lo + hi for lo, hi in zip((0, *seq), (*seq, 0)))
+        assert outcome == (reference_ratio_monotone(product).holds
+                           if expected["ratio-monotone"] is Status.HOLDS else None)
+        lemma2_outcomes.add(outcome)
+        for prop, status in expected.items():
             seen[prop].add(status)
-    assert seen == {prop: set(Status) - ({Status.NOT_APPLICABLE} if prop == "unimodal" else set())
+    needs_positive = ("spiral", "log-concave", "ratio-monotone")
+    assert seen == {prop: set(Status) - (set() if prop in needs_positive
+                                         else {Status.NOT_APPLICABLE})
                     for prop in references}
+    assert lemma2_outcomes == {None, True}

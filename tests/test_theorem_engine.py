@@ -195,6 +195,15 @@ def test_lemma2_rejects_non_ratio_monotone_input():
         lemma2_preserved(Polynomial((1, 2)))  # final ratio 2 > 1
 
 
+def test_lemma2_decides_on_the_product(monkeypatch):
+    # Lemma 2 makes every valid product ratio monotone, so only a forced
+    # product can show that the conclusion is read off it, not off B.
+    from ratioshift import theorem_engine
+
+    monkeypatch.setattr(theorem_engine, "mul_by_x_plus_one", lambda b: Polynomial((1, 2)))
+    assert not lemma2_preserved(Polynomial((2, 1)))
+
+
 def test_lemma2_randomized_on_one_shifts():
     rng = random.Random(555)
     for _ in range(250):
