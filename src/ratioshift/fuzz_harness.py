@@ -2,9 +2,10 @@
 
 Campaign targets are rows of one table (``_TARGETS``, whose keys are
 ``TARGETS``), all run by one trial runner. A row names how a trial draws its
-input, the constant it shifts the input by (if any), the verdicts that must
-hold, the degree below which a trial is vacuous, and the example kinds it
-records:
+input (always a ``Polynomial``, cleared once when drawn), whether it shifts
+the input by the spec's ``shift_c`` (which a spec refuses to set for any
+target but corollary), the verdicts that must hold, the degree below which a
+trial is vacuous, and the example kinds it records:
 
 * ``theorem1``: shift a random nonnegative nondecreasing sequence by one,
   the result must be ratio monotone (vacuous below degree 1);
@@ -136,6 +137,10 @@ class CampaignSpec:
         if self.magnitude_bound < 1:
             raise DomainError(f"magnitude bound must be >= 1, got {self.magnitude_bound}")
         object.__setattr__(self, "shift_c", as_rational(self.shift_c))
+        if self.target != "corollary" and (self.shift_c != 1 or self.allow_c_below_one):
+            raise DomainError(
+                f"{self.target} campaigns shift by 1 if at all; shift_c and "
+                "allow_c_below_one are for corollary campaigns")
         if (self.target == "corollary" and self.shift_c < 1
                 and not self.allow_c_below_one):
             raise DomainError(
@@ -222,8 +227,8 @@ def gen_nondecreasing_seq(seed: int, trial: int, degree: int, bound: int,
     ``positive``), denominators in [1, bound]. If the maximum lands on zero
     the whole sequence is zero, so the last entry is re-drawn positive.
     """
-    _require("degree", degree)
-    _require("bound", bound)
+    for name, value in (("seed", seed), ("trial", trial), ("degree", degree), ("bound", bound)):
+        _require(name, value)
     if degree < 0:
         raise DomainError(f"degree must be >= 0, got {degree}")
     if bound < 1:
@@ -258,20 +263,15 @@ def _pick_degree(spec: CampaignSpec, trial: int) -> int:
     return degree
 
 
-def _render_seq(seq: tuple[Fraction, ...] | Polynomial) -> list[str]:
+def _render_seq(p: Polynomial) -> list[str]:
     # A cleared draw builds its Fractions here, on first read.
-    return [render_rational(v) for v in (seq if isinstance(seq, tuple) else seq.coeffs)]
+    return [render_rational(v) for v in p.coeffs]
 
 
-def _draw_nondecreasing(spec: CampaignSpec, trial: int) -> tuple[Fraction, ...]:
-    return gen_nondecreasing_seq(spec.seed, trial, _pick_degree(spec, trial),
-                                 spec.magnitude_bound, integer_only=spec.integer_only)
-
-
-def _draw_positive_nondecreasing(spec: CampaignSpec, trial: int) -> tuple[Fraction, ...]:
-    return gen_nondecreasing_seq(spec.seed, trial, _pick_degree(spec, trial),
-                                 spec.magnitude_bound, integer_only=spec.integer_only,
-                                 positive=True)
+def _draw_nondecreasing(spec: CampaignSpec, trial: int, positive: bool = False) -> Polynomial:
+    return Polynomial(gen_nondecreasing_seq(spec.seed, trial, _pick_degree(spec, trial),
+                                            spec.magnitude_bound,
+                                            integer_only=spec.integer_only, positive=positive))
 
 
 def _draw_positive(spec: CampaignSpec, trial: int) -> Polynomial:
@@ -279,13 +279,13 @@ def _draw_positive(spec: CampaignSpec, trial: int) -> Polynomial:
                              spec.magnitude_bound, spec.integer_only)
 
 
-def _draw_sextuple(spec: CampaignSpec, trial: int) -> tuple[Fraction, ...]:
+def _draw_sextuple(spec: CampaignSpec, trial: int) -> Polynomial:
     """Positive (a, b, c, d, e, f) with a/b <= c/d <= e/f, for lemma1."""
     nums, dens = _draw_ratios(_trial_rng(spec.seed, trial, "lemma1"), 6, 1,
                               spec.magnitude_bound, spec.integer_only)
     b, d, f, *ratios = map(Fraction, nums, dens)
     r1, r2, r3 = sorted(ratios)
-    return (r1 * b, b, r2 * d, d, r3 * f, f)
+    return Polynomial((r1 * b, b, r2 * d, d, r3 * f, f))
 
 
 def _verdict(prop: str, holds: bool, detail: str) -> PropertyVerdict:
@@ -295,16 +295,16 @@ def _verdict(prop: str, holds: bool, detail: str) -> PropertyVerdict:
     return PropertyVerdict(prop, Status.FAILS, None, detail)
 
 
-# Each check maps (input, shifted polynomial or None) to the verdicts the
-# trial computed, by property name; the lattice check maps its four
-# properties to their statuses alone.
+# Each check maps (drawn polynomial, shifted polynomial or None) to the
+# verdicts the trial computed, by property name; the lattice check maps its
+# four properties to their statuses alone.
 
 def _check_theorem1(seq, shifted) -> dict[str, PropertyVerdict]:
     return {"ratio-monotone": check_ratio_monotone(shifted.coeffs)}
 
 
 def _check_lemma1(seq, shifted) -> dict[str, PropertyVerdict]:
-    return {"lemma1": _verdict("lemma1", lemma1_holds(*seq),
+    return {"lemma1": _verdict("lemma1", lemma1_holds(*seq.coeffs),
                                "mediant conclusion (a+c)/(b+d) <= (e+c)/(f+d) is false")}
 
 
@@ -314,7 +314,7 @@ def _check_lemma2(seq, shifted) -> dict[str, PropertyVerdict]:
 
 
 def _check_lemma3(seq, shifted) -> dict[str, PropertyVerdict]:
-    r = lemma3_gap(seq)
+    r = lemma3_gap(seq.coeffs)
     if r.gap >= 0:
         return {"lemma3": _verdict("lemma3", True, "")}
     return {"lemma3": _verdict("lemma3", False, f"gap {render_rational(r.gap)} < 0: "
@@ -340,7 +340,8 @@ def _check_lattice(seq, shifted) -> dict[str, PropertyVerdict | Status]:
 
 
 class _Target(NamedTuple):
-    """One campaign target: draw an input, maybe shift it, check it.
+    """One campaign target: draw an input, maybe shift it by the spec's
+    ``shift_c`` (1 for every target but corollary), check it.
 
     ``must_hold`` names the verdicts whose failure is a violation (a finding
     on exploratory runs); a trial of degree below ``min_degree`` is vacuous.
@@ -350,8 +351,8 @@ class _Target(NamedTuple):
     for hyphens.
     """
 
-    draw: Callable[[CampaignSpec, int], tuple[Fraction, ...] | Polynomial]
-    shift_c: Callable[[CampaignSpec], Fraction | int] | None
+    draw: Callable[[CampaignSpec, int], Polynomial]
+    shifts: bool
     check: Callable[..., dict[str, PropertyVerdict | Status]]
     must_hold: tuple[str, ...]
     min_degree: int = 0
@@ -359,14 +360,15 @@ class _Target(NamedTuple):
 
 
 _TARGETS = {
-    "theorem1": _Target(_draw_nondecreasing, lambda spec: 1, _check_theorem1,
-                        ("ratio-monotone",), min_degree=1),
-    "lemma1": _Target(_draw_sextuple, None, _check_lemma1, ("lemma1",)),
-    "lemma2": _Target(_draw_nondecreasing, lambda spec: 1, _check_lemma2, ("lemma2",)),
-    "lemma3": _Target(_draw_positive_nondecreasing, None, _check_lemma3, ("lemma3",)),
-    "corollary": _Target(_draw_nondecreasing, lambda spec: spec.shift_c, _check_corollary,
+    "theorem1": _Target(_draw_nondecreasing, True, _check_theorem1, ("ratio-monotone",),
+                        min_degree=1),
+    "lemma1": _Target(_draw_sextuple, False, _check_lemma1, ("lemma1",)),
+    "lemma2": _Target(_draw_nondecreasing, True, _check_lemma2, ("lemma2",)),
+    "lemma3": _Target(partial(_draw_nondecreasing, positive=True), False, _check_lemma3,
+                      ("lemma3",)),
+    "corollary": _Target(_draw_nondecreasing, True, _check_corollary,
                          ("log-concave", "no-internal-zeros"), min_degree=2),
-    "separation": _Target(_draw_positive, None, _check_lattice, ("implications",), examples=(
+    "separation": _Target(_draw_positive, False, _check_lattice, ("implications",), examples=(
         ("log-concave-not-spiral", "log-concave", "spiral"),
         ("spiral-not-log-concave", "spiral", "log-concave"),
     )),
@@ -387,11 +389,8 @@ class _TrialOutcome:
 def _run_trial(spec: CampaignSpec, trial: int) -> _TrialOutcome:
     target = _TARGETS[spec.target]
     seq = target.draw(spec, trial)
-    shifted = None
-    if target.shift_c is not None:
-        shifted = taylor_shift(Polynomial(seq), target.shift_c(spec))
-    degree = len(seq) - 1 if isinstance(seq, tuple) else seq.degree
-    out = _TrialOutcome(trial, exercised=degree >= target.min_degree)
+    shifted = taylor_shift(seq, spec.shift_c) if target.shifts else None
+    out = _TrialOutcome(trial, exercised=seq.degree >= target.min_degree)
     try:
         verdicts = target.check(seq, shifted)
         failed = [verdicts[prop] for prop in target.must_hold if not verdicts[prop].holds]
@@ -405,8 +404,8 @@ def _run_trial(spec: CampaignSpec, trial: int) -> _TrialOutcome:
         out.payload = {"trial": trial, "input": _render_seq(seq),
                        "verdicts": [v.to_json_dict() for v in failed]}
         if shifted is not None:
-            out.payload["shift_c"] = render_rational(target.shift_c(spec))
-            out.payload["shifted"] = _render_seq(shifted.coeffs)
+            out.payload["shift_c"] = render_rational(spec.shift_c)
+            out.payload["shifted"] = _render_seq(shifted)
         return out
     for kind, holds, fails in target.examples:
         if verdicts[holds] is Status.HOLDS and verdicts[fails] is Status.FAILS:
@@ -422,6 +421,7 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1) -> CampaignReport:
     derives its randomness from (seed, trial) alone and results are
     assembled in trial order, the report does not depend on ``jobs``.
     """
+    _require("jobs", jobs)
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     start = time.perf_counter()

@@ -137,11 +137,14 @@ def render_rational(value: Fraction | int) -> str:
 
 
 def as_rational(value: Fraction | int) -> Fraction:
-    """Coerce an exact scalar to Fraction, rejecting floats.
+    """Coerce an exact scalar to Fraction, rejecting floats and text.
 
     Floats are refused everywhere exact values are expected; converting one
     silently would smuggle a binary approximation into exact arithmetic.
-    A Fraction is immutable, so it is returned as is.
+    Text is refused too: Fraction's own grammar takes exponents, so a short
+    string such as "1e10000000" would build a huge int; ``parse_rational``
+    is the bounded text path. A Fraction is immutable, so it is returned as
+    is.
     """
     if type(value) is Fraction:
         return value
@@ -150,4 +153,6 @@ def as_rational(value: Fraction | int) -> Fraction:
             f"refusing to treat float {value!r} as an exact rational; "
             "convert explicitly via Fraction if the dyadic value is intended"
         )
+    if isinstance(value, str):
+        raise TypeError(f"refusing to parse text {value!r} here; use parse_rational")
     return Fraction(value)

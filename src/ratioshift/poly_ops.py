@@ -1,9 +1,12 @@
 """Polynomials in the power basis with exact Taylor shifts.
 
 A polynomial is a fixed-length sequence of exact coefficients a_0..a_m in
-ascending degree, held as integer numerators over one positive common
-denominator; ``coeffs`` is the tuple of canonical Fractions, built on first
-read and kept (a polynomial built from Fractions keeps the caller's own).
+ascending degree, always held in one form: integer numerators over one
+positive common denominator. The constructor is the one place a sequence is
+coerced to exact rationals and cleared; every checker and predicate that
+takes a sequence builds a ``Polynomial`` from it. ``coeffs`` is a read cache
+of canonical Fractions: the caller's own when built from Fractions, else
+built on first read and kept.
 Degree is positional (length - 1): transforms never trim trailing zeros
 implicitly, because the boundary-coefficient identities are stated in terms
 of positions m-1, m-2 relative to the representation length. Trimming is
@@ -47,8 +50,8 @@ class ShiftAlgorithm(enum.Enum):
 class Polynomial:
     """Immutable power-basis polynomial; coeffs[k] multiplies x**k.
 
-    It holds the form it was built from, Fractions or integer numerators
-    over a positive common denominator, and derives the other on first use.
+    It holds integer numerators over a positive common denominator, and
+    caches the Fractions it was built from, or builds them on first read.
     Equality, hash, repr and pickles are those of the Fraction tuple.
     """
 
@@ -59,12 +62,14 @@ class Polynomial:
         # reallocation, which fragments the heap on long runs.
         entries = tuple([as_rational(c) for c in coeffs])
         if not entries:
-            raise DomainError("a polynomial needs at least one coefficient")
-        _set(self, entries, None, 1)
+            raise DomainError("a coefficient sequence needs at least one entry")
+        ints, den = clear_denominators(entries)
+        _set(self, tuple(ints), den, entries)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as canonical Fractions, built on first read."""
+        """The coefficients as canonical Fractions: the caller's own, or built
+        from the numerators on first read."""
         if self._coeffs is None:
             den = self._den
             object.__setattr__(self, "_coeffs", tuple([Fraction(n, den) for n in self._ints]))
@@ -72,14 +77,11 @@ class Polynomial:
 
     def _cleared(self) -> tuple[tuple[int, ...], int]:
         """(numerators, den): coefficient k is numerators[k] / den, den > 0."""
-        if self._ints is None:
-            ints, lcm = clear_denominators(self._coeffs)
-            _set(self, self._coeffs, tuple(ints), lcm)
         return self._ints, self._den
 
     @property
     def degree(self) -> int:
-        return len(self._ints if self._coeffs is None else self._coeffs) - 1
+        return len(self._ints) - 1
 
     def __call__(self, x: Fraction | int) -> Fraction:
         """Evaluate at an exact point by Horner's rule."""
@@ -110,20 +112,20 @@ class Polynomial:
         return {"coeffs": self.coeffs}
 
     def __setstate__(self, state: dict) -> None:
-        _set(self, state["coeffs"], None, 1)
+        self.__init__(state["coeffs"])
 
 
-def _set(p: Polynomial, coeffs: tuple[Fraction, ...] | None,
-         ints: tuple[int, ...] | None, den: int) -> None:
-    object.__setattr__(p, "_coeffs", coeffs)
+def _set(p: Polynomial, ints: tuple[int, ...], den: int,
+         cache: tuple[Fraction, ...] | None) -> None:
     object.__setattr__(p, "_ints", ints)
     object.__setattr__(p, "_den", den)
+    object.__setattr__(p, "_coeffs", cache)
 
 
 def _from_cleared(ints: list[int], den: int) -> Polynomial:
     """The polynomial with coefficients ints[k] / den (den > 0), no Fraction built."""
     p = object.__new__(Polynomial)
-    _set(p, None, tuple(ints), den)
+    _set(p, tuple(ints), den, None)
     return p
 
 

@@ -21,10 +21,11 @@ property violations. All inequalities are non-strict and every ratio
 comparison is decided by cross-multiplication, never division.
 
 Every property here is invariant under positive scaling, so each is decided
-on ints: the sequence times the lcm of its denominators (``_scaled``), zero
-tests included. One table, ``_PROPS``, holds each property's int-only
-finder, whether it needs positive entries, and its Fails detail. Every
-checker is one call of ``_verdict``, which builds a witness only when the
+on ints: the cleared numerators of a ``Polynomial`` built from the sequence
+(the one place a sequence is coerced and cleared), zero tests included. One
+table, ``_PROPS``, holds each property's int-only finder, whether it needs
+positive entries, and its Fails detail. Every checker is one call of
+``_verdict`` on that polynomial, which builds a witness only when the
 property does not hold; ``_lattice_statuses`` reads statuses with no
 Fraction or witness built, which is all the lattice audit,
 ``lemma2_preserved`` and a separation trial need. Witnesses quote the
@@ -41,9 +42,10 @@ import enum
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Sequence
 
-from .numeric_core import as_rational, clear_denominators, render_rational
+from .numeric_core import render_rational
+from .poly_ops import Polynomial
 
 __all__ = [
     "CHECKERS",
@@ -59,21 +61,12 @@ __all__ = [
     "check_ratio_monotone",
     "check_spiral",
     "check_unimodal",
-    "coeff_seq",
     "lattice_verdicts",
     "ratio_chain_indices",
     "spiral_chain_indices",
 ]
 
 CoeffSeq = tuple[Fraction, ...]
-
-
-def coeff_seq(values: Iterable[Fraction | int]) -> CoeffSeq:
-    """Coerce to a tuple of exact rationals; at least one entry required."""
-    seq = tuple([as_rational(v) for v in values])  # a list: see Polynomial
-    if not seq:
-        raise ValueError("a coefficient sequence needs at least one entry")
-    return seq
 
 
 class Status(enum.Enum):
@@ -118,13 +111,6 @@ class PropertyVerdict:
         }
 
 
-def _scaled(seq: Sequence[Fraction | int]) -> tuple[CoeffSeq, list[int], int]:
-    """The caller's Fractions, for witnesses; the sequence times the lcm of
-    its denominators, as ints, for every comparison; and that lcm."""
-    a = coeff_seq(seq)
-    return (a, *clear_denominators(a))
-
-
 def _nonneg_nondecreasing_witness(s: Sequence[int]) -> tuple[int, ...] | None:
     """Indices (k,) of the first negative entry, else (k, k+1) of the first
     descent, else None. The lemma predicates check their hypotheses with it:
@@ -140,7 +126,7 @@ def _nonneg_nondecreasing_witness(s: Sequence[int]) -> tuple[int, ...] | None:
 
 def check_nonneg_nondecreasing(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """Witness: (k,) with value a_k < 0, or (k, k+1) with a_k > a_{k+1}."""
-    return _verdict("nonneg-nondecreasing", _scaled(seq))
+    return _verdict("nonneg-nondecreasing", Polynomial(seq))
 
 
 def _nonneg_nondecreasing_detail(a: CoeffSeq, w: tuple[int, ...]) -> str:
@@ -151,7 +137,7 @@ def _nonneg_nondecreasing_detail(a: CoeffSeq, w: tuple[int, ...]) -> str:
 
 def check_unimodal(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """Witness: (d, d+1, j, j+1), a strict descent followed by a strict ascent."""
-    return _verdict("unimodal", _scaled(seq))
+    return _verdict("unimodal", Polynomial(seq))
 
 
 def _unimodal_w(s: Sequence[int]) -> tuple[int, ...] | None:
@@ -181,7 +167,7 @@ def _spiral_links(m: int) -> tuple[tuple[int, int], ...]:
 
 def check_spiral(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """Witness: (i, j), adjacent chain positions with a_i > a_j."""
-    return _verdict("spiral", _scaled(seq))
+    return _verdict("spiral", Polynomial(seq))
 
 
 def _spiral_w(s: Sequence[int]) -> tuple[int, ...] | None:
@@ -193,7 +179,7 @@ def _spiral_w(s: Sequence[int]) -> tuple[int, ...] | None:
 
 def check_log_concave(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """Witness: (k-1, k, k+1) where a_k^2 - a_{k+1} a_{k-1} < 0."""
-    return _verdict("log-concave", _scaled(seq))
+    return _verdict("log-concave", Polynomial(seq))
 
 
 def _log_concave_w(s: Sequence[int]) -> tuple[int, ...] | None:
@@ -229,7 +215,7 @@ def check_ratio_monotone(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     a_{n0}/a_{d0} > a_{n1}/a_{d1}; for a final-ratio violation: (n, d)
     with a_n > a_d. The detail names the chain.
     """
-    return _verdict("ratio-monotone", _scaled(seq))
+    return _verdict("ratio-monotone", Polynomial(seq))
 
 
 def _ratio_monotone_w(s: Sequence[int]) -> tuple[int, ...] | None:
@@ -254,7 +240,7 @@ def _ratio_detail(a: CoeffSeq, w: tuple[int, ...]) -> str:
 
 def check_no_internal_zeros(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     """Witness: (j, i, j') with a_i = 0 between nonzero a_j and a_{j'}."""
-    return _verdict("no-internal-zeros", _scaled(seq))
+    return _verdict("no-internal-zeros", Polynomial(seq))
 
 
 def _no_internal_zeros_w(s: Sequence[int]) -> tuple[int, ...] | None:
@@ -298,19 +284,21 @@ CHECKERS = {
 _LATTICE = ("ratio-monotone", "spiral", "log-concave", "unimodal")
 
 
-def _verdict(prop: str, view: tuple[CoeffSeq, list[int], int]) -> PropertyVerdict:
-    """One property's verdict on a ``_scaled`` view: its finder decides, and
-    only a verdict other than Holds builds a witness, quoting the caller's
-    own entries, and a detail."""
-    a, s, _ = view
+def _verdict(prop: str, p: Polynomial) -> PropertyVerdict:
+    """One property's verdict on p: its finder decides on the cleared
+    numerators, and only a verdict other than Holds builds a witness,
+    quoting ``p.coeffs`` (the caller's own entries), and a detail."""
+    s = p._cleared()[0]
     find, positive_only, detail = _PROPS[prop]
     if positive_only and min(s) <= 0:
         i = next(i for i, v in enumerate(s) if v <= 0)
+        a = p.coeffs
         return PropertyVerdict(prop, Status.NOT_APPLICABLE, Witness((i,), (a[i],)),
                                f"nonpositive entry {render_rational(a[i])} at index {i}")
     w = find(s)
     if w is None:
         return PropertyVerdict(prop, Status.HOLDS, None, "")
+    a = p.coeffs
     return PropertyVerdict(prop, Status.FAILS, Witness(w, tuple([a[i] for i in w])), detail(a, w))
 
 
@@ -337,9 +325,9 @@ _IMPLICATIONS = tuple((f"{a}=>{c}", a, c) for a, c in (
 
 
 def lattice_verdicts(seq: Sequence[Fraction | int]) -> dict[str, PropertyVerdict]:
-    """The four verdicts the implication lattice relates, from one view."""
-    view = _scaled(seq)
-    return {prop: _verdict(prop, view) for prop in _LATTICE}
+    """The four verdicts the implication lattice relates, from one clearing."""
+    p = Polynomial(seq)
+    return {prop: _verdict(prop, p) for prop in _LATTICE}
 
 
 def audit_statuses(statuses: dict[str, Status]) -> list[tuple[str, bool]]:
@@ -356,4 +344,4 @@ def audit_statuses(statuses: dict[str, Status]) -> list[tuple[str, bool]]:
 def audit_implications(seq: Sequence[Fraction | int]) -> list[tuple[str, bool]]:
     """Evaluate the implication lattice on one sequence (see audit_statuses);
     builds no verdict."""
-    return audit_statuses(_lattice_statuses(_scaled(seq)[1]))
+    return audit_statuses(_lattice_statuses(Polynomial(seq)._cleared()[0]))

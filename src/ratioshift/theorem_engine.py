@@ -18,12 +18,13 @@ turns ratio monotone under the shift x -> x + 1:
 * ``induction_decompose``: P(x+1) = a_0 + (x+1) Q(x+1) with Q the tail
   of P.
 
-Each sequence predicate builds one view of its input per call
-(``shape_props._scaled``), sums and compares plain ints, and builds one
-Fraction per returned value; their nondecreasing hypotheses are decided by
-the code behind ``shape_props.check_nonneg_nondecreasing``. ``lemma2_preserved``
-reads the ratio-monotone status off the cleared numerators of B and of
-(x + 1) B, and builds no Fraction.
+Each sequence predicate builds one ``Polynomial`` of its input per call, the
+one place a sequence is coerced and cleared, sums and compares its cleared
+numerators as plain ints, and builds one Fraction per returned value; their
+nondecreasing hypotheses are decided by the code behind
+``shape_props.check_nonneg_nondecreasing``. ``lemma2_preserved`` reads the
+ratio-monotone status off the cleared numerators of B and of (x + 1) B, and
+builds no Fraction.
 
 Hypothesis violations raise (``HypothesisError`` or ``DomainError``) while a
 false conclusion is returned as data, so a randomized campaign can prove it
@@ -40,7 +41,7 @@ from typing import Sequence
 
 from .numeric_core import DomainError, as_rational, ratio_leq
 from .poly_ops import Polynomial, ShiftAlgorithm, _scaled_boundary, mul_by_x_plus_one, taylor_shift
-from .shape_props import Status, _lattice_statuses, _nonneg_nondecreasing_witness, _scaled
+from .shape_props import Status, _lattice_statuses, _nonneg_nondecreasing_witness
 
 __all__ = [
     "HypothesisError",
@@ -86,11 +87,12 @@ class Lemma3Report:
         return self.lhs - self.rhs
 
 
-def _scaled_seq(seq: Sequence[Fraction | int], min_m: int) -> tuple[list[int], int, int]:
+def _scaled_seq(seq: Sequence[Fraction | int], min_m: int) -> tuple[tuple[int, ...], int, int]:
     """(s, lcm, m): the sequence times the lcm of its denominators as ints,
     that lcm, and the degree m; DomainError unless m >= ``min_m``."""
-    _, s, lcm = _scaled(seq)
-    m = len(s) - 1
+    p = Polynomial(seq)
+    s, lcm = p._cleared()
+    m = p.degree
     if m < min_m:
         raise DomainError(f"need m >= {min_m}, got m = {m}")
     return s, lcm, m

@@ -297,6 +297,19 @@ def test_fuzz_corollary_small_c_needs_flag(capsys):
     assert json.loads(out)["results"][0]["violations"] == []
 
 
+def test_fuzz_refuses_c_outside_corollary(capsys):
+    # theorem1 trials shift by 1; a report must not name a c it never used.
+    code, out, err = run(capsys, "fuzz", "--target", "theorem1", "--trials", "10",
+                         "--seed", "1", "--c", "3/2")
+    assert code == 2
+    assert out == ""
+    assert "corollary" in err
+    code, out, _ = run(capsys, "fuzz", "--target", "separation", "--trials", "10",
+                       "--seed", "1", "--c", "1/2", "--allow-c-below-one")
+    assert code == 2
+    assert out == ""
+
+
 def test_fuzz_lemma3_degree_guard(capsys):
     code, _, err = run(capsys, "fuzz", "--target", "lemma3", "--trials", "10",
                        "--seed", "1", "--degree-min", "1")

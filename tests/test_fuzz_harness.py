@@ -74,6 +74,10 @@ def test_gen_nondecreasing_seq_guards():
         gen_nondecreasing_seq(1, 0, 3, 10.0)
     with pytest.raises(DomainError):
         gen_nondecreasing_seq(1, 0, 3.0, 10)
+    # A float or text seed would draw silently, the float another sequence.
+    for seed, trial in ((1.0, 0), ("1", 0), (True, 0), (1, 0.0), (1, "0")):
+        with pytest.raises(DomainError, match="seed|trial"):
+            gen_nondecreasing_seq(seed, trial, 3, 10)
 
 
 # --- the draw primitive ---
@@ -144,7 +148,8 @@ def test_positive_and_lemma1_draws_match_randint_reference(bound, integer_only):
         rng = _trial_rng(13, trial, "lemma1")
         b, d, f = [_randint_ratio(rng, 1, bound, integer_only) for _ in range(3)]
         r1, r2, r3 = sorted(_randint_ratio(rng, 1, bound, integer_only) for _ in range(3))
-        assert fuzz_harness._draw_sextuple(spec, trial) == (r1 * b, b, r2 * d, d, r3 * f, f)
+        assert fuzz_harness._draw_sextuple(spec, trial).coeffs == (
+            r1 * b, b, r2 * d, d, r3 * f, f)
 
 
 def test_campaigns_draw_without_randint(monkeypatch):
@@ -196,6 +201,19 @@ def test_spec_corollary_small_shift_needs_flag():
     spec = CampaignSpec(target="corollary", trials=10, seed=1,
                         shift_c=Fraction(1, 2), allow_c_below_one=True)
     assert spec.exploratory
+
+
+@pytest.mark.parametrize("target", [t for t in TARGETS if t != "corollary"])
+@pytest.mark.parametrize("fields", [{"shift_c": Fraction(3, 2)}, {"shift_c": 2},
+                                    {"shift_c": Fraction(1, 2), "allow_c_below_one": True},
+                                    {"allow_c_below_one": True}])
+def test_spec_refuses_shift_fields_outside_corollary(target, fields):
+    # Only corollary trials shift by the spec's c; any other target would
+    # report a c it never used.
+    with pytest.raises(DomainError, match="corollary"):
+        CampaignSpec(target=target, trials=10, seed=1, degree_range=(2, 4), **fields)
+    assert CampaignSpec(target=target, trials=10, seed=1, degree_range=(2, 4),
+                        shift_c=Fraction(1)).shift_c == 1
 
 
 def test_spec_rejects_float_shift():
@@ -553,6 +571,18 @@ def test_jobs_below_one_is_domain_error(monkeypatch, capsys, jobs):
     code = cli_main(["fuzz", "--target", "lemma1", "--trials", "5", "--jobs", str(jobs)])
     assert code == 2
     assert "jobs must be >= 1" in capsys.readouterr().err
+    assert _RecordingPool.sizes == []
+
+
+@pytest.mark.parametrize("jobs", [2.0, "2", True, None])
+def test_jobs_not_an_int_is_domain_error(monkeypatch, jobs):
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    spec = CampaignSpec(target="lemma1", trials=5, seed=1)
+    with pytest.raises(DomainError, match="jobs must be int"):
+        run_campaign(spec, jobs=jobs)
     assert _RecordingPool.sizes == []
 
 

@@ -156,6 +156,13 @@ def test_as_rational_rejects_float():
         as_rational(0.5)
 
 
+def test_as_rational_rejects_text():
+    # Fraction("1e10000000") would build a 33-million-bit int first.
+    for text in ("1", "1/2", "1e10000000"):
+        with pytest.raises(TypeError, match="parse_rational"):
+            as_rational(text)
+
+
 def test_clear_denominators():
     values = (Fraction(1, 2), Fraction(-2, 3), Fraction(0), Fraction(5, 4))
     assert clear_denominators(values) == ([6, -8, 0, 15], 12)

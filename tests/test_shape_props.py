@@ -28,17 +28,22 @@ from ratioshift.shape_props import (
     check_ratio_monotone,
     check_spiral,
     check_unimodal,
-    coeff_seq,
     lattice_verdicts,
     ratio_chain_indices,
     spiral_chain_indices,
 )
-from ratioshift.theorem_engine import HypothesisError, lemma2_preserved
+from ratioshift.theorem_engine import (
+    HypothesisError,
+    edge_inequality_holds,
+    lemma2_preserved,
+    lemma3_gap,
+    s1_sum,
+)
 
 
 def assert_witness_sound(verdict, seq):
     """Check the witness points at real entries that really violate."""
-    a = coeff_seq(seq)
+    a = Polynomial(seq).coeffs
     w = verdict.witness
     assert w is not None
     assert w.values == tuple(a[i] for i in w.indices)
@@ -287,11 +292,22 @@ def test_checkers_follow_the_table():
         assert checker((1, 2)).prop == prop
 
 
-@pytest.mark.parametrize("entry", [*CHECKERS.values(), lattice_verdicts, audit_implications],
-                         ids=[*CHECKERS, "lattice_verdicts", "audit_implications"])
+@pytest.mark.parametrize("entry", [*CHECKERS.values(), lattice_verdicts, audit_implications,
+                                   Polynomial, lemma3_gap, s1_sum, edge_inequality_holds],
+                         ids=[*CHECKERS, "lattice_verdicts", "audit_implications",
+                              "Polynomial", "lemma3_gap", "s1_sum", "edge_inequality_holds"])
 def test_empty_sequence_is_a_value_error(entry):
-    with pytest.raises(ValueError, match="at least one entry"):
+    # One message, from Polynomial, the one place a sequence is coerced.
+    with pytest.raises(ValueError, match="^a coefficient sequence needs at least one entry$"):
         entry(())
+
+
+@pytest.mark.parametrize("entry", [Polynomial, check_spiral, lemma3_gap])
+def test_text_entries_are_a_type_error(entry):
+    # Fraction's own grammar would spend seconds building this int.
+    for seq in (["1e10000000"], ["1", "2", "3"], (1, "2/3", 4)):
+        with pytest.raises(TypeError, match="parse_rational"):
+            entry(seq)
 
 
 # --- JSON forms ---
