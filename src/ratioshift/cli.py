@@ -91,12 +91,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
             f"unknown properties {unknown}; choose from {list(CHECKERS)} or 'all'")
     if not names:
         raise _UsageError("no properties requested")
-    coeffs = _read_coefficients(args.file)
-    verdicts = [CHECKERS[name](coeffs) for name in names]
+    poly = Polynomial(_read_coefficients(args.file))  # cleared once, for every checker
+    verdicts = [CHECKERS[name](poly) for name in names]
     doc = _report(
         "check",
         {"file": args.file,
-         "coefficients": [render_rational(v) for v in coeffs],
+         "coefficients": [render_rational(v) for v in poly.coeffs],
          "props": names},
         [v.to_json_dict() for v in verdicts],
         started,

@@ -2,10 +2,11 @@
 
 Campaign targets are rows of one table (``_TARGETS``, whose keys are
 ``TARGETS``), all run by one trial runner. A row names how a trial draws its
-input (always a ``Polynomial``, cleared once when drawn), whether it shifts
-the input by the spec's ``shift_c`` (which a spec refuses to set for any
-target but corollary), the verdicts that must hold, the degree below which a
-trial is vacuous, and the example kinds it records:
+input (always a ``Polynomial``, cleared once when drawn; checks take it and
+its shift as they are, and only theorem1 clears its shift again, through
+``coeffs``), whether it shifts the input by the spec's ``shift_c`` (refused
+for any target but corollary), the verdicts that must hold, the degree below
+which a trial is vacuous, and the example kinds it records:
 
 * ``theorem1``: shift a random nonnegative nondecreasing sequence by one,
   the result must be ratio monotone (vacuous below degree 1);
@@ -132,6 +133,7 @@ class CampaignSpec:
             raise DomainError(f"trials must be >= 1, got {self.trials}")
         if not 0 <= lo <= hi:
             raise DomainError(f"invalid degree range {self.degree_range}")
+        object.__setattr__(self, "degree_range", (lo, hi))  # a list would be unhashable
         if self.target == "lemma3" and lo < 2:
             raise DomainError("lemma3 campaigns need degree >= 2 (the gap references a_{m-2})")
         if self.magnitude_bound < 1:
@@ -300,11 +302,13 @@ def _verdict(prop: str, holds: bool, detail: str) -> PropertyVerdict:
 # four properties to their statuses alone.
 
 def _check_theorem1(seq, shifted) -> dict[str, PropertyVerdict]:
+    # .coeffs clears again: faster trials would grow bench peak_rss_mb (ROADMAP item 1).
     return {"ratio-monotone": check_ratio_monotone(shifted.coeffs)}
 
 
 def _check_lemma1(seq, shifted) -> dict[str, PropertyVerdict]:
-    return {"lemma1": _verdict("lemma1", lemma1_holds(*seq.coeffs),
+    # The mediant step does not change when all six entries scale by one positive lcm.
+    return {"lemma1": _verdict("lemma1", lemma1_holds(*seq._cleared()[0]),
                                "mediant conclusion (a+c)/(b+d) <= (e+c)/(f+d) is false")}
 
 
@@ -314,7 +318,7 @@ def _check_lemma2(seq, shifted) -> dict[str, PropertyVerdict]:
 
 
 def _check_lemma3(seq, shifted) -> dict[str, PropertyVerdict]:
-    r = lemma3_gap(seq.coeffs)
+    r = lemma3_gap(seq)
     if r.gap >= 0:
         return {"lemma3": _verdict("lemma3", True, "")}
     return {"lemma3": _verdict("lemma3", False, f"gap {render_rational(r.gap)} < 0: "
@@ -322,8 +326,8 @@ def _check_lemma3(seq, shifted) -> dict[str, PropertyVerdict]:
 
 
 def _check_corollary(seq, shifted) -> dict[str, PropertyVerdict]:
-    return {"log-concave": check_log_concave(shifted.coeffs),
-            "no-internal-zeros": check_no_internal_zeros(shifted.coeffs)}
+    return {"log-concave": check_log_concave(shifted),
+            "no-internal-zeros": check_no_internal_zeros(shifted)}
 
 
 _IMPLICATIONS_HOLD = PropertyVerdict("implications", Status.HOLDS, None, "")
@@ -448,7 +452,7 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1) -> CampaignReport:
         examples_found[kind] = None
         if hits:
             seq = hits[0].examples[kind]
-            verdict = lattice_verdicts(seq.coeffs)[fails]
+            verdict = lattice_verdicts(seq)[fails]
             examples_found[kind] = {"trial": hits[0].trial, "sequence": _render_seq(seq),
                                     fails.replace("-", "_"): verdict.to_json_dict()}
     return CampaignReport(

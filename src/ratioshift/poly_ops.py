@@ -3,10 +3,10 @@
 A polynomial is a fixed-length sequence of exact coefficients a_0..a_m in
 ascending degree, always held in one form: integer numerators over one
 positive common denominator. The constructor is the one place a sequence is
-coerced to exact rationals and cleared; every checker and predicate that
-takes a sequence builds a ``Polynomial`` from it. ``coeffs`` is a read cache
-of canonical Fractions: the caller's own when built from Fractions, else
-built on first read and kept.
+coerced to exact rationals and cleared, once; every checker and predicate
+calls it on its input, and it returns a ``Polynomial`` as it is
+(``Polynomial(p) is p``). ``coeffs`` is a read cache of canonical Fractions:
+the caller's own when built from Fractions, else built on first read and kept.
 Degree is positional (length - 1): transforms never trim trailing zeros
 implicitly, because the boundary-coefficient identities are stated in terms
 of positions m-1, m-2 relative to the representation length. Trimming is
@@ -50,14 +50,20 @@ class ShiftAlgorithm(enum.Enum):
 class Polynomial:
     """Immutable power-basis polynomial; coeffs[k] multiplies x**k.
 
-    It holds integer numerators over a positive common denominator, and
+    It holds integer numerators over a positive common denominator and
     caches the Fractions it was built from, or builds them on first read.
-    Equality, hash, repr and pickles are those of the Fraction tuple.
+    Polynomial(p) is p. Equality, hash, repr and pickles are the Fraction tuple's.
     """
 
     __slots__ = ("_coeffs", "_ints", "_den")
 
-    def __init__(self, coeffs: Iterable[Fraction | int]) -> None:
+    def __new__(cls, coeffs: Iterable[Fraction | int] | Polynomial = ()) -> Polynomial:
+        # As tuple(t) is t; unpickling calls Polynomial.__new__(Polynomial).
+        return coeffs if type(coeffs) is cls else object.__new__(cls)
+
+    def __init__(self, coeffs: Iterable[Fraction | int] | Polynomial) -> None:
+        if coeffs is self:
+            return
         # From a list, not a generator: tuple() grows a generator's result by
         # reallocation, which fragments the heap on long runs.
         entries = tuple([as_rational(c) for c in coeffs])

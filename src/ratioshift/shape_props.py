@@ -21,13 +21,13 @@ property violations. All inequalities are non-strict and every ratio
 comparison is decided by cross-multiplication, never division.
 
 Every property here is invariant under positive scaling, so each is decided
-on ints: the cleared numerators of a ``Polynomial`` built from the sequence
-(the one place a sequence is coerced and cleared), zero tests included. One
-table, ``_PROPS``, holds each property's int-only finder, whether it needs
-positive entries, and its Fails detail. Every checker is one call of
-``_verdict`` on that polynomial, which builds a witness only when the
-property does not hold; ``_lattice_statuses`` reads statuses with no
-Fraction or witness built, which is all the lattice audit,
+on ints: the cleared numerators of ``Polynomial(seq)``, zero tests included.
+A ``Polynomial`` is taken as it is; a sequence is coerced and cleared once,
+by that constructor. One table, ``_PROPS``, holds each property's int-only
+finder, whether it needs positive entries, and its Fails detail. Every
+checker is one call of ``_verdict`` on that polynomial, which builds a
+witness only when the property does not hold; ``_lattice_statuses`` reads
+statuses with no Fraction or witness built, which is all the lattice audit,
 ``lemma2_preserved`` and a separation trial need. Witnesses quote the
 caller's own Fractions.
 

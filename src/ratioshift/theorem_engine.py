@@ -18,10 +18,10 @@ turns ratio monotone under the shift x -> x + 1:
 * ``induction_decompose``: P(x+1) = a_0 + (x+1) Q(x+1) with Q the tail
   of P.
 
-Each sequence predicate builds one ``Polynomial`` of its input per call, the
-one place a sequence is coerced and cleared, sums and compares its cleared
-numerators as plain ints, and builds one Fraction per returned value; their
-nondecreasing hypotheses are decided by the code behind
+Each sequence predicate calls ``Polynomial`` on its input, which takes a
+``Polynomial`` as it is and coerces and clears a sequence once, sums and
+compares its cleared numerators as plain ints, and builds one Fraction per
+returned value; their nondecreasing hypotheses are decided by the code behind
 ``shape_props.check_nonneg_nondecreasing``. ``lemma2_preserved`` reads the
 ratio-monotone status off the cleared numerators of B and of (x + 1) B, and
 builds no Fraction.

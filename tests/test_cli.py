@@ -9,6 +9,7 @@ import sys
 
 import pytest
 
+from ratioshift import poly_ops
 from ratioshift.cli import main
 
 
@@ -134,6 +135,18 @@ def test_check_all_holds_exit_zero(poly_file, capsys):
         "nonneg-nondecreasing", "unimodal", "spiral", "log-concave",
         "ratio-monotone", "no-internal-zeros"]
     assert all(r["status"] == "holds" for r in doc["results"])
+
+
+def test_check_clears_the_file_once(poly_file, capsys, monkeypatch):
+    # One Polynomial of the file goes to every requested checker.
+    calls = []
+    clear = poly_ops.clear_denominators
+    monkeypatch.setattr(poly_ops, "clear_denominators",
+                        lambda values: calls.append(values) or clear(values))
+    path = poly_file("1/2 2/3 3/4 1/5")
+    code, out, _ = run(capsys, "check", "--props", "all", path)
+    assert code == 1 and len(json.loads(out)["results"]) == 6
+    assert len(calls) == 1
 
 
 def test_check_shifted_output_shape_props(poly_file, capsys):

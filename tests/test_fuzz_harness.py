@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ratioshift
-from ratioshift import fuzz_harness
+from ratioshift import fuzz_harness, poly_ops
 from ratioshift.cli import main as cli_main
 from ratioshift.fuzz_harness import (
     TARGETS,
@@ -221,6 +221,15 @@ def test_spec_rejects_float_shift():
         CampaignSpec(target="corollary", trials=10, seed=1, shift_c=1.5)
 
 
+def test_spec_stores_degree_range_as_a_pair():
+    # A list would compare unequal to the tuple spec and make hash() raise.
+    listed = CampaignSpec(target="theorem1", trials=10, seed=1, degree_range=[2, 5])
+    paired = CampaignSpec(target="theorem1", trials=10, seed=1, degree_range=(2, 5))
+    assert listed.degree_range == (2, 5)
+    assert listed == paired and hash(listed) == hash(paired)
+    assert report_json(listed) == report_json(paired)
+
+
 def test_spec_json_has_no_parallelism_field():
     # Worker count must not be part of campaign identity, or parallel runs
     # could legitimately report differently.
@@ -263,6 +272,24 @@ def test_separation_campaign_finds_and_counts_examples():
     seq = tuple(Fraction(v) for v in sp["sequence"])
     assert check_spiral(seq).holds
     assert not check_log_concave(seq).holds
+
+
+@pytest.mark.parametrize("target, per_trial", [
+    ("theorem1", 2), ("lemma1", 1), ("lemma2", 1), ("lemma3", 1), ("corollary", 1),
+    ("separation", 0),
+])
+def test_no_trial_clears_the_same_coefficients_twice(monkeypatch, target, per_trial):
+    # A draw is cleared once; checks and predicates take it, and its shift,
+    # as they are. theorem1 alone re-clears its shift through coeffs.
+    calls = []
+    clear = poly_ops.clear_denominators
+    monkeypatch.setattr(poly_ops, "clear_denominators",
+                        lambda values: calls.append(values) or clear(values))
+    report = run_campaign(CampaignSpec(target=target, trials=200, seed=8))
+    assert report.violations == []
+    assert len(calls) == 200 * per_trial
+    if target == "separation":  # its kept examples' verdicts clear nothing either
+        assert all(report.examples_found.values())
 
 
 def test_exploratory_corollary_run_reports_findings_not_violations():
@@ -459,7 +486,7 @@ def test_lemma2_violation_carries_base_and_shift(monkeypatch):
 
 def test_lemma3_violation_keeps_both_sides_exactly(monkeypatch):
     monkeypatch.setattr(fuzz_harness, "lemma3_gap",
-                        lambda seq: Lemma3Report(m=len(seq) - 1, lhs=Fraction(1, 3),
+                        lambda seq: Lemma3Report(m=seq.degree, lhs=Fraction(1, 3),
                                                  rhs=Fraction(1, 2)))
     spec = CampaignSpec(target="lemma3", trials=3, seed=2, degree_range=(2, 5))
     report = run_campaign(spec)

@@ -264,6 +264,20 @@ def test_polynomial_is_immutable():
         assert p.coeffs in ((Fraction(1), Fraction(2)), (Fraction(5, 3), Fraction(2)))
 
 
+def test_a_polynomial_passes_through_its_constructor():
+    values = [Fraction(1, 2), Fraction(3), Fraction(-4, 9)]
+    shifted = taylor_shift(Polynomial(values), Fraction(5, 7))
+    assert Polynomial(shifted) is shifted
+    assert shifted._coeffs is None  # passing through built no Fraction
+    for p in (Polynomial(values), Polynomial((1, 2, 3)), pickle.loads(pickle.dumps(shifted))):
+        assert Polynomial(p) is p
+    assert all(a is b for a, b in zip(Polynomial(Polynomial(values)).coeffs, values))
+    with pytest.raises(TypeError):
+        Polynomial(None)
+    with pytest.raises(DomainError, match="^a coefficient sequence needs at least one entry$"):
+        Polynomial(())
+
+
 def test_coeffs_are_built_once():
     p = taylor_shift(Polynomial((Fraction(1, 2), 3, Fraction(2, 7))), Fraction(5, 7))
     assert all(p.coeffs[i] is p.coeffs[i] for i in range(3))

@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from ratioshift.numeric_core import clear_denominators, render_rational
-from ratioshift.poly_ops import Polynomial
+from ratioshift.poly_ops import Polynomial, taylor_shift
 from ratioshift.shape_props import (
     CHECKERS,
     PropertyVerdict,
@@ -465,6 +465,9 @@ def test_integer_checkers_match_fraction_reference(checker, reference):
     for seq in _reference_inputs():
         verdict = checker(seq)
         assert verdict == reference(seq)
+        # A polynomial is taken as it is, here one whose Fractions are unbuilt.
+        cleared = taylor_shift(Polynomial(seq), 0)
+        assert checker(cleared) == verdict
         if verdict.witness is not None:
             # Witness values are the caller's own Fraction objects.
             assert all(v is seq[i] for i, v in zip(verdict.witness.indices,
@@ -496,6 +499,9 @@ def test_lattice_statuses_match_fraction_reference():
         assert statuses == {prop: expected[prop] for prop in lattice}
         assert audit_implications(seq) == audit_statuses(statuses)
         assert all(ok for _, ok in audit_implications(seq))
+        cleared = taylor_shift(Polynomial(seq), 0)
+        assert audit_implications(cleared) == audit_implications(seq)
+        assert lattice_verdicts(cleared) == lattice_verdicts(seq)
         # lemma2_preserved: a hypothesis error unless ratio monotone, else the
         # reference verdict of (x + 1) times the sequence.
         try:

@@ -324,5 +324,9 @@ def test_integer_predicates_match_fraction_reference():
         report = outcome(lemma3_gap, a)
         assert report == outcome(reference_lemma3_gap, a)
         assert outcome(edge_inequality_holds, a) == outcome(reference_edge_inequality_holds, a)
+        # A polynomial is taken as it is, here one whose Fractions are unbuilt.
+        cleared = taylor_shift(Polynomial(a), 0)
+        for predicate in (lemma3_gap, s1_sum, s1_rearranged, edge_inequality_holds):
+            assert outcome(predicate, cleared) == outcome(predicate, a)
         hypotheses_held += isinstance(report, Lemma3Report)
     assert hypotheses_held >= 100  # the predicates ran, not just their guards
