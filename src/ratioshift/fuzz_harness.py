@@ -38,15 +38,28 @@ vacuous. A trial with a violation records no examples.
 Determinism: all per-trial randomness derives from sha256(seed, trial,
 label), so a report is identical regardless of execution parallelism, and
 every violation reproduces from (seed, trial index) alone. Every value is
-drawn by ``_randints``, which runs CPython's own randint rule on the trial's
-``random.Random``: for n values, take k = n.bit_length() bits from
-``getrandbits`` and redraw while the result is >= n. That rule is the same
-on CPython 3.10 to 3.13, so the stream and every report are those of
-``rng.randint`` calls, in one Python frame per batch of draws instead of
-three per value. Nondecreasing inputs are generated by sorting i.i.d.
+drawn by CPython's own randint rule: for n values, take k = n.bit_length()
+bits and redraw while the result is >= n. The degree takes its bits
+straight from the digest of "{seed}:{trial}:degree", k at a time from the
+low end, continued by the digests of "…:degree:1", "…:degree:2", … when 256
+bits run out (``_pick_degree``). Every other value is drawn by
+``_randints`` on the trial's one ``random.Random``, seeded from the digest
+of its own label, with bits from ``getrandbits``. That rule is the same on
+CPython 3.10 to 3.13, so the stream is that of ``rng.randint`` calls, in one
+Python frame per batch of draws instead of three per value, and
+``gen_nondecreasing_seq`` rebuilds a trial's input from its degree. A trial
+seeds one generator. Nondecreasing inputs are generated by sorting i.i.d.
 draws (unbiased over multisets); entries are rationals with numerator and
 denominator bounded by ``magnitude_bound``, or integers in integer-only
 mode.
+
+Besides the coverage counts, a report's ``stats`` say what the trials
+exercised: the degree histogram (string keys, in ascending order), the
+largest bit length of a drawn input's cleared numerators and of its common
+denominator, the same for the shifted polynomial on targets that shift, and
+the number of trials with a not-applicable verdict. They are read off the
+ints a trial holds, and like every field but ``wall_time`` they are
+deterministic.
 """
 
 from __future__ import annotations
@@ -55,6 +68,7 @@ import math
 import os
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
@@ -176,6 +190,7 @@ class CampaignReport:
     violations: list[dict]
     findings: list[dict] = field(default_factory=list)
     examples_found: dict[str, dict | None] = field(default_factory=dict)
+    stats: dict = field(default_factory=dict)
     wall_time: float = 0.0
 
     def to_json_dict(self) -> dict:
@@ -186,6 +201,7 @@ class CampaignReport:
             "violations": self.violations,
             "findings": self.findings,
             "examples_found": self.examples_found,
+            "stats": self.stats,
             "wall_time": self.wall_time,
         }
 
@@ -261,8 +277,25 @@ def _gen_positive_seq(seed: int, trial: int, degree: int, bound: int,
 
 
 def _pick_degree(spec: CampaignSpec, trial: int) -> int:
-    (degree,) = _randints(_trial_rng(spec.seed, trial, "degree"), 1, spec.degree_range)
-    return degree
+    """The trial's degree, uniform over ``spec.degree_range``, by randint's rule
+    on the bits of sha256("{seed}:{trial}:degree"), read from the low end;
+    blocks "…:degree:1", "…:degree:2", … continue the stream above them."""
+    low, high = spec.degree_range
+    n = high - low + 1
+    k = n.bit_length()
+    label = f"{spec.seed}:{trial}:degree"
+    pool, avail, block = int.from_bytes(_sha256(label.encode()).digest(), "big"), 256, 0
+    while True:
+        while avail < k:
+            block += 1
+            digest = _sha256(f"{label}:{block}".encode()).digest()
+            pool |= int.from_bytes(digest, "big") << avail
+            avail += 256
+        r = pool & ((1 << k) - 1)
+        if r < n:
+            return low + r
+        pool >>= k
+        avail -= k
 
 
 def _render_seq(p: Polynomial) -> list[str]:
@@ -381,10 +414,30 @@ _TARGETS = {
 TARGETS = tuple(_TARGETS)
 
 
+# The largest bit lengths a report's stats give, in the order of
+# _TrialOutcome.bits; the last two only for targets that shift.
+_BIT_STATS = ("input_bits_max", "input_den_bits_max", "shifted_bits_max",
+              "shifted_den_bits_max")
+
+
+def _bit_lengths(*polys: Polynomial) -> tuple[int, ...]:
+    """The bit lengths of the largest numerator and of the denominator of each
+    cleared form; two C passes find the largest, where a bit_length per int
+    would cost a theorem1 trial twice as much."""
+    out = []
+    for p in polys:
+        ints, den = p._cleared()
+        out += max(max(ints), -min(ints)).bit_length(), den.bit_length()
+    return tuple(out)
+
+
 @dataclass
 class _TrialOutcome:
     trial: int
     exercised: bool
+    degree: int
+    bits: tuple[int, ...]  # _bit_lengths of the draw and, if any, its shift
+    not_applicable: bool = False
     payload: dict | None = None
     # Example kind -> cleared input; its verdict is built only if the report keeps it.
     examples: dict[str, Polynomial] = field(default_factory=dict)
@@ -394,7 +447,8 @@ def _run_trial(spec: CampaignSpec, trial: int) -> _TrialOutcome:
     target = _TARGETS[spec.target]
     seq = target.draw(spec, trial)
     shifted = taylor_shift(seq, spec.shift_c) if target.shifts else None
-    out = _TrialOutcome(trial, exercised=seq.degree >= target.min_degree)
+    out = _TrialOutcome(trial, exercised=seq.degree >= target.min_degree, degree=seq.degree,
+                        bits=_bit_lengths(seq) if shifted is None else _bit_lengths(seq, shifted))
     try:
         verdicts = target.check(seq, shifted)
         failed = [verdicts[prop] for prop in target.must_hold if not verdicts[prop].holds]
@@ -403,6 +457,7 @@ def _run_trial(spec: CampaignSpec, trial: int) -> _TrialOutcome:
         failed = [PropertyVerdict(spec.target, Status.NOT_APPLICABLE, None,
                                   f"generator produced a hypothesis violation: {exc}")]
     if failed:
+        out.not_applicable = any(v.status is Status.NOT_APPLICABLE for v in failed)
         # Rendered only for a failing trial: rendering every trial's input
         # and shift costs theorem1 about a fifth of its throughput.
         out.payload = {"trial": trial, "input": _render_seq(seq),
@@ -455,6 +510,10 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1) -> CampaignReport:
             verdict = lattice_verdicts(seq)[fails]
             examples_found[kind] = {"trial": hits[0].trial, "sequence": _render_seq(seq),
                                     fails.replace("-", "_"): verdict.to_json_dict()}
+    degrees = Counter(o.degree for o in outcomes)
+    stats = {"degrees": {str(d): degrees[d] for d in sorted(degrees)},
+             **dict(zip(_BIT_STATS, map(max, zip(*(o.bits for o in outcomes))))),
+             "not_applicable_trials": sum(o.not_applicable for o in outcomes)}
     return CampaignReport(
         spec=spec,
         trials_run=spec.trials,
@@ -462,5 +521,6 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1) -> CampaignReport:
         violations=[] if spec.exploratory else payloads,
         findings=payloads if spec.exploratory else [],
         examples_found=examples_found,
+        stats=stats,
         wall_time=time.perf_counter() - start,
     )

@@ -16,13 +16,15 @@ import json
 import math
 import random
 import time
+from collections import Counter
 from contextlib import contextmanager
 from fractions import Fraction
+
+from draw_reference import reference_degree
 
 from ratioshift.boros_moll import bm_polynomial, bm_ratio_identity, bm_shifted_seq
 from ratioshift.fuzz_harness import (
     CampaignSpec,
-    _trial_rng,
     gen_nondecreasing_seq,
     run_campaign,
 )
@@ -100,12 +102,19 @@ def test_04_proof_machinery_identities():
                    for _ in range(m + 1)]
             assert s1_sum(seq) == s1_rearranged(seq)
 
-        # The exact theorem1 campaign inputs, regenerated from the seed.
-        lo, hi = THEOREM1_DEGREES
-        for trial in range(THEOREM1_TRIALS):
-            degree = _trial_rng(THEOREM1_SEED, trial, "degree").randint(lo, hi)
+        # The exact theorem1 campaign inputs, regenerated from the seed, with
+        # each degree rebuilt from the trial digest; a short campaign's degree
+        # histogram shows that they are the campaign's own.
+        degrees = [reference_degree(THEOREM1_SEED, trial, *THEOREM1_DEGREES)
+                   for trial in range(THEOREM1_TRIALS)]
+        for trial, degree in enumerate(degrees):
             seq = gen_nondecreasing_seq(THEOREM1_SEED, trial, degree, BOUND)
             assert edge_inequality_holds(seq)
+        short = run_campaign(CampaignSpec(target="theorem1", trials=300, seed=THEOREM1_SEED,
+                                          degree_range=THEOREM1_DEGREES,
+                                          magnitude_bound=BOUND))
+        rebuilt = Counter(degrees[:300])
+        assert short.stats["degrees"] == {str(d): rebuilt[d] for d in sorted(rebuilt)}
 
         algos = (ShiftAlgorithm.NAIVE_BINOMIAL, ShiftAlgorithm.HORNER_SYNTHETIC)
         for i in range(1_000):

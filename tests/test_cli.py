@@ -299,6 +299,23 @@ def test_fuzz_reports_are_flag_deterministic(capsys):
     assert a == b
 
 
+def test_fuzz_prints_stats_inside_the_report(capsys):
+    code, out, _ = run(capsys, "fuzz", "--target", "theorem1", "--trials", "30",
+                       "--seed", "5", "--degree-min", "2", "--degree-max", "6")
+    assert code == 0
+    doc = json.loads(out)
+    report = doc["results"][0]
+    stats = report["stats"]
+    assert set(stats) == {"degrees", "input_bits_max", "input_den_bits_max",
+                          "shifted_bits_max", "shifted_den_bits_max",
+                          "not_applicable_trials"}
+    assert sum(stats["degrees"].values()) == 30
+    assert set(stats["degrees"]) <= {"2", "3", "4", "5", "6"}
+    # Timings stay out of the report and its stats: wall_time and the CLI timing block.
+    assert "timing" not in report and "timing" not in stats
+    assert "seconds" in doc["timing"]
+
+
 def test_fuzz_corollary_small_c_needs_flag(capsys):
     code, _, err = run(capsys, "fuzz", "--target", "corollary", "--trials", "10",
                        "--seed", "1", "--c", "1/2")

@@ -1,13 +1,16 @@
 import hashlib
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from draw_reference import reference_degree
 
 import ratioshift
 from ratioshift import fuzz_harness, poly_ops
@@ -21,7 +24,7 @@ from ratioshift.fuzz_harness import (
     run_campaign,
 )
 from ratioshift.numeric_core import DomainError
-from ratioshift.poly_ops import Polynomial, taylor_shift
+from ratioshift.poly_ops import Polynomial, ShiftAlgorithm, taylor_shift
 from ratioshift.shape_props import (
     PropertyVerdict,
     Status,
@@ -150,6 +153,36 @@ def test_positive_and_lemma1_draws_match_randint_reference(bound, integer_only):
         r1, r2, r3 = sorted(_randint_ratio(rng, 1, bound, integer_only) for _ in range(3))
         assert fuzz_harness._draw_sextuple(spec, trial).coeffs == (
             r1 * b, b, r2 * d, d, r3 * f, f)
+
+
+# --- the degree draw ---
+# The degree takes randint's rule straight from the trial digest's bits; the
+# reference rebuilds it from hashlib and a string of those bits.
+
+@pytest.mark.parametrize("degree_range, trials", [
+    ((0, 0), 2000), ((0, 2), 2000), ((0, 3), 2000), ((2, 6), 2000), ((2, 64), 2000),
+    ((0, 2 ** 300), 300),
+])
+def test_degree_draw_matches_reference(degree_range, trials):
+    for seed in (0, 13, 2024):
+        # A one-trial spec: a range of 2**300 degrees is drawn, never run.
+        spec = CampaignSpec(target="theorem1", trials=1, seed=seed, degree_range=degree_range)
+        for trial in range(trials):
+            assert fuzz_harness._pick_degree(spec, trial) == reference_degree(
+                seed, trial, *degree_range)
+
+
+@pytest.mark.parametrize("degree_range, critical", [
+    ((2, 6), 18.47),  # chi-square, 4 degrees of freedom, p = 0.001
+    ((0, 2), 13.82),  # 2 degrees of freedom
+])
+def test_degree_draw_is_uniform(degree_range, critical):
+    spec = CampaignSpec(target="theorem1", trials=1, seed=2024, degree_range=degree_range)
+    counts = Counter(fuzz_harness._pick_degree(spec, trial) for trial in range(30_000))
+    low, high = degree_range
+    assert set(counts) == set(range(low, high + 1))
+    expected = 30_000 / len(counts)
+    assert sum((c - expected) ** 2 / expected for c in counts.values()) < critical
 
 
 def test_campaigns_draw_without_randint(monkeypatch):
@@ -281,15 +314,77 @@ def test_separation_campaign_finds_and_counts_examples():
 def test_no_trial_clears_the_same_coefficients_twice(monkeypatch, target, per_trial):
     # A draw is cleared once; checks and predicates take it, and its shift,
     # as they are. theorem1 alone re-clears its shift through coeffs.
+    # Separation finds a spiral sequence that is not log-concave in about 1
+    # of 800 trials at degrees 2..16, so it runs enough trials to keep both kinds.
+    trials = 5_000 if target == "separation" else 200
     calls = []
     clear = poly_ops.clear_denominators
     monkeypatch.setattr(poly_ops, "clear_denominators",
                         lambda values: calls.append(values) or clear(values))
-    report = run_campaign(CampaignSpec(target=target, trials=200, seed=8))
+    report = run_campaign(CampaignSpec(target=target, trials=trials, seed=8))
     assert report.violations == []
-    assert len(calls) == 200 * per_trial
+    assert len(calls) == trials * per_trial
     if target == "separation":  # its kept examples' verdicts clear nothing either
         assert all(report.examples_found.values())
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_each_trial_seeds_one_generator(monkeypatch, target):
+    # The degree is read off the trial digest's bits; only the draw seeds a Random.
+    made = []
+
+    class Counted(random.Random):
+        def __init__(self, *args):
+            made.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(random, "Random", Counted)
+    report = run_campaign(CampaignSpec(target=target, trials=200, seed=8))
+    assert report.violations == []
+    assert len(made) == 200
+
+
+@pytest.mark.parametrize("target, c", [("theorem1", 1), ("corollary", -1), ("separation", 1)])
+def test_stats_match_the_rebuilt_inputs(target, c):
+    # Rebuilt from the reference degree and the Fractions of each input: the
+    # histogram, the bit lengths over the lcm of the reduced denominators
+    # (separation clears over the lcm of the drawn ones, so only its
+    # numerator bound is checked), and, for an integer shift, the naive shift
+    # over that same lcm; c = -1 gives negative shifted coefficients.
+    spec = CampaignSpec(target=target, trials=200, seed=21, degree_range=(0, 5),
+                        magnitude_bound=50, shift_c=Fraction(c),
+                        allow_c_below_one=c < 1)
+    report = run_campaign(spec)
+    stats = report.stats
+    degrees = Counter()
+    bits = Counter()
+    for trial in range(spec.trials):
+        degree = reference_degree(spec.seed, trial, *spec.degree_range)
+        degrees[degree] += 1
+        if target == "separation":
+            continue
+        seq = gen_nondecreasing_seq(spec.seed, trial, degree, spec.magnitude_bound)
+        lcm = math.lcm(*(v.denominator for v in seq))
+        shifted = taylor_shift(Polynomial(seq), c, ShiftAlgorithm.NAIVE_BINOMIAL).coeffs
+        for key, values in (("input", seq), ("shifted", shifted)):
+            bits[f"{key}_bits_max"] = max(bits[f"{key}_bits_max"],
+                                          *(int(v * lcm).bit_length() for v in values))
+            bits[f"{key}_den_bits_max"] = max(bits[f"{key}_den_bits_max"], lcm.bit_length())
+    assert stats["degrees"] == {str(d): degrees[d] for d in range(6)}
+    assert list(stats["degrees"]) == sorted(stats["degrees"], key=int)
+    assert stats["not_applicable_trials"] == sum(
+        any(v["status"] == "not-applicable" for v in p["verdicts"])
+        for p in report.violations + report.findings)
+    assert (stats["not_applicable_trials"] > 0) == (c < 0)
+    # The largest numerator is the largest in magnitude, whatever its sign.
+    assert fuzz_harness._bit_lengths(Polynomial([Fraction(-1024, 3), 5])) == (11, 2)
+    if target == "separation":
+        assert set(stats) == {"degrees", "input_bits_max", "input_den_bits_max",
+                              "not_applicable_trials"}
+        assert 1 <= stats["input_bits_max"] <= (50 ** 6).bit_length()
+    else:
+        assert {k: stats[k] for k in bits} == bits
+        assert len(stats) == 6
 
 
 def test_exploratory_corollary_run_reports_findings_not_violations():
@@ -335,57 +430,60 @@ def test_report_json_is_serializable_and_shaped():
 
 
 # --- pinned report bytes ---
-# sha256 of report_json(spec). The first four were recorded before the
-# integer kernel replaced Fraction arithmetic in the shift and the checkers,
-# the rest before the six trial runners became one table. A change to any
-# layer a campaign runs through must leave these bytes alone.
+# sha256 of report_json(spec), all 15 recomputed in one epoch: the degree
+# drawn from the trial digest's own bits (test_degree_draw_matches_reference
+# rebuilds it from hashlib) and the stats block added to every report; the
+# same bytes on CPython 3.10 to 3.13 and with two workers. The row comments
+# name what each pin was first added to guard. A change to any layer a
+# campaign runs through, other than a new epoch argued the same way, must
+# leave these bytes alone.
 
 @pytest.mark.parametrize("spec, digest", [
     (CampaignSpec(target="theorem1", trials=60, seed=2024, degree_range=(2, 20)),
-     "10c2a581824e1e64abbcbec9178a3894b9ce87de4404c74e0ee6becfb12714bc"),
+     "ab6b6ba2b9471801045d970fa90ec9b2038b24838b502861d94472f70f80b257"),
     (CampaignSpec(target="corollary", trials=60, seed=2024, degree_range=(2, 12),
                   shift_c=Fraction(3, 2)),
-     "e7edb819d2adf022e24cd709f778d9649af38f2aba8bd140f745e98e5e057aa3"),
+     "036518d704355bcf98cc13f86037df866690398944efbc28cfa35178016fa8a2"),
     (CampaignSpec(target="corollary", trials=60, seed=2024, degree_range=(2, 12),
                   shift_c=Fraction(1, 2), allow_c_below_one=True),
-     "4ac60e7f5d1fb0f9c974d6952a2e794706c894caaf990cf4296f348aaa8a2c6f"),
+     "60c9534f1ddb7fd22c2465e57a6a1afb0364870e4cd61d0d0ee478968689163d"),
     (CampaignSpec(target="separation", trials=300, seed=2029, degree_range=(2, 6),
                   magnitude_bound=100),
-     "6228e55e81c265b78b3d155c908bd870423e569067e266bdf7fc1347ace306f3"),
+     "f670a1439c9bf5f37f77920f8145c83ff1021b908caca6853b9c5438950cdd09"),
     (CampaignSpec(target="lemma1", trials=60, seed=2024),
-     "99f8e03a95c15a99f31345044f919115d55bbebde61d4cec63273ca8225c89b3"),
+     "efefdddcd7b2f8ed83e2a9a0b92d2238c981f6381b3c36104cf68b9db583ff49"),
     (CampaignSpec(target="lemma2", trials=60, seed=2024, degree_range=(2, 12)),
-     "726f8d30aee02024e5d81b5dfbc1a9054d3accdcfda4d7c79df9fcb806114012"),
+     "d2093334e70c91e414963fe6f84a3332ac57345b40556d12930c2f9458aefe09"),
     (CampaignSpec(target="lemma3", trials=60, seed=2024, degree_range=(2, 12)),
-     "0234f12d2d1055f3b83dfb92af53a2d482aa06c91bd9bfab8ac29aacdf1aa48a"),
+     "608acda15e33655e5d9995830a12f2494ebf02ad80292c5b4cc1c03712b13908"),
     # Degrees below each target's minimum count as vacuous trials.
     (CampaignSpec(target="theorem1", trials=60, seed=2024, degree_range=(0, 3),
                   integer_only=True),
-     "6f1f2b8d3c014465ea6712ff36030096a262bb017a24bb8e03ef32472a55ec19"),
+     "27f25e80f3b43b74e31bb256c758d84091f852834e3bb8e535f665c379edaed5"),
     (CampaignSpec(target="corollary", trials=60, seed=2024, degree_range=(0, 3),
                   shift_c=Fraction(3, 2)),
-     "c3a7e479306feab5b277811d477e8c4bb2dc7ab965d78e508a82e014ae1948f8"),
-    # These three before separation trials decided on the cleared draw.
+     "2301ac6dca35f4d6044ff3c1c5c1bcf9b5a432b05a24706aee6a6b8a415dd65a"),
+    # These three added when separation trials began to decide on the cleared draw.
     (CampaignSpec(target="separation", trials=300, seed=2029, degree_range=(2, 6),
                   magnitude_bound=100, integer_only=True),
-     "b3b8b27bd618928b8acf487560cb135c3c0176b1f55bc59ba41d08fb1f575934"),
+     "eb55591003e80697d0a41eb32e2fedd3cf3f06a4a4d61078fdef297fc3625541"),
     # Degrees 0 and 1 have empty chains; bound 3 draws ties and both example kinds.
     (CampaignSpec(target="separation", trials=300, seed=2029, degree_range=(0, 3),
                   magnitude_bound=3),
-     "46b727110b9128110e628f9400e11e68eb1b7e89b2ce4cc22ca05cad50219690"),
+     "738db86d92e6b2c046bbd04414347047940b1f3c5dbeb2498eb57ddfd45b9d80"),
     (CampaignSpec(target="separation", trials=300, seed=2029, degree_range=(2, 9),
                   magnitude_bound=10 ** 6),
-     "711b66f3d177d7589d5208fa0cad11abe2b98ffae18d200cdc14373ea478516a"),
-    # These three before the draws left randint for getrandbits.
+     "f9058294ed1a9e1db21b657b9600698dccef4fa355541c6b60b9e00c12b7900a"),
+    # These three added when the draws left randint for getrandbits.
     (CampaignSpec(target="lemma1", trials=60, seed=2024, integer_only=True),
-     "49d640b91f27876909423be0700baae293582078f395f17ff77c3ba803efcdb5"),
+     "2bc848af8516ea52ee02acd85166260e21445c5fc87876dba4324e9de582539e"),
     (CampaignSpec(target="lemma3", trials=60, seed=2024, degree_range=(2, 12),
                   integer_only=True),
-     "526ce8f6220e6c78da040c2c7944aa5f3d27697969702df8e2831de10c7b7c6a"),
-    # Entries 0 or 1: 13 of the 60 inputs draw all zeros and redraw their last entry.
+     "66fb4d816fc8d2e5ccc011957f5ceff0bb78e0798948de289d15e153efd16568"),
+    # Entries 0 or 1: 15 of the 60 inputs draw all zeros and redraw their last entry.
     (CampaignSpec(target="theorem1", trials=60, seed=2024, degree_range=(0, 2),
                   magnitude_bound=1),
-     "12c03959569df08dca7ab8f78d2336206ba26cbe182e0be759f9bbd96053d866"),
+     "16a046f10ff17f4999b10d68b25a9d2c602adc77a943e07c75b22bd18a27d691"),
 ], ids=["theorem1", "corollary-3/2", "corollary-1/2", "separation", "lemma1", "lemma2",
         "lemma3", "theorem1-degree-0-integer", "corollary-3/2-degree-0",
         "separation-integer", "separation-degree-0-bound-3", "separation-degree-9",
@@ -417,7 +515,7 @@ def _forced_fail(prop):
 
 def _drawn_input(spec, trial):
     # Re-derive a trial's sequence from (seed, trial) alone.
-    degree = _trial_rng(spec.seed, trial, "degree").randint(*spec.degree_range)
+    degree = reference_degree(spec.seed, trial, *spec.degree_range)
     return gen_nondecreasing_seq(spec.seed, trial, degree, spec.magnitude_bound,
                                  integer_only=spec.integer_only,
                                  positive=spec.target == "lemma3")
@@ -450,6 +548,7 @@ def test_theorem1_violation_payload(monkeypatch):
          "witness": {"indices": [0], "values": ["7"]}, "detail": "forced"}]
     assert report.findings == []
     assert report.coverage["non_vacuous_trials"] == 5
+    assert report.stats["not_applicable_trials"] == 0  # it fails; it is not vacuous
 
 
 def test_lemma1_false_conclusion_is_violation(monkeypatch):
@@ -474,6 +573,7 @@ def test_lemma1_hypothesis_error_is_vacuous_violation(monkeypatch):
     assert verdict["status"] == "not-applicable"
     assert "does not hold" in verdict["detail"]
     assert report.coverage["non_vacuous_trials"] == 0
+    assert report.stats["not_applicable_trials"] == 4
 
 
 def test_lemma2_violation_carries_base_and_shift(monkeypatch):
@@ -520,8 +620,7 @@ def test_separation_inconsistent_audit_records_no_examples(monkeypatch):
     assert len(report.violations) == 40
     p = report.violations[0]
     assert set(p) == {"trial", "input", "verdicts"}
-    degree = _trial_rng(spec.seed, 0, "degree").randint(*spec.degree_range)
-    assert len(p["input"]) == degree + 1
+    assert len(p["input"]) == reference_degree(spec.seed, 0, *spec.degree_range) + 1
     assert "spiral=>unimodal" in p["verdicts"][0]["detail"]
     assert report.coverage == {"non_vacuous_trials": 40, "log-concave-not-spiral": 0,
                                "spiral-not-log-concave": 0}
@@ -618,7 +717,8 @@ def test_separation_renders_only_the_kept_examples(monkeypatch):
     render = fuzz_harness._render_seq
     monkeypatch.setattr(fuzz_harness, "_render_seq",
                         lambda seq: rendered.append(seq) or render(seq))
-    spec = CampaignSpec(target="separation", trials=400, seed=7, degree_range=(2, 6))
+    # About 1 in 300 trials at degrees 2..6 finds a spiral sequence that is not log-concave.
+    spec = CampaignSpec(target="separation", trials=3_000, seed=7, degree_range=(2, 6))
     report = run_campaign(spec)
     assert report.coverage["log-concave-not-spiral"] > 1
     assert report.coverage["spiral-not-log-concave"] > 1
