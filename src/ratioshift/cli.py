@@ -234,8 +234,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_glue_c_values(list(argv if argv is not None else sys.argv[1:])))
     try:
         return args.func(args)
-    except (_UsageError, DomainError, ParseError) as exc:
-        print(f"ratioshift: error: {exc}", file=sys.stderr)
+    # An input too large to hold, such as a campaign of degree 10**11, ends
+    # in a MemoryError, which seldom carries a message.
+    except (_UsageError, DomainError, ParseError, MemoryError) as exc:
+        print(f"ratioshift: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
     except QuadratureError as exc:
         print(f"ratioshift: quadrature did not converge: {exc}", file=sys.stderr)

@@ -37,21 +37,19 @@ vacuous. A trial with a violation records no examples.
 
 Determinism: all per-trial randomness derives from sha256(seed, trial,
 label), so a report is identical regardless of execution parallelism, and
-every violation reproduces from (seed, trial index) alone. Every value is
-drawn by CPython's own randint rule: for n values, take k = n.bit_length()
-bits and redraw while the result is >= n. The degree takes its bits
-straight from the digest of "{seed}:{trial}:degree", k at a time from the
-low end, continued by the digests of "…:degree:1", "…:degree:2", … when 256
-bits run out (``_pick_degree``). Every other value is drawn by
-``_randints`` on the trial's one ``random.Random``, seeded from the digest
-of its own label, with bits from ``getrandbits``. That rule is the same on
-CPython 3.10 to 3.13, so the stream is that of ``rng.randint`` calls, in one
-Python frame per batch of draws instead of three per value, and
-``gen_nondecreasing_seq`` rebuilds a trial's input from its degree. A trial
-seeds one generator. Nondecreasing inputs are generated by sorting i.i.d.
-draws (unbiased over multisets); entries are rationals with numerator and
-denominator bounded by ``magnitude_bound``, or integers in integer-only
-mode.
+every violation reproduces from (seed, trial index) alone. Each draw reads
+one stream of bits, named by the label "{seed}:{trial}:{name}" (``degree``,
+``seq``, ``positive-seq`` or ``lemma1``): the sha256 digest of the label, then
+those of "…:1", "…:2" and so on, each read as a big-endian number from its
+lowest bit up. ``_draw`` takes every value from such a stream by CPython's
+randint rule: for n values, take k = n.bit_length() bits and redraw while
+the result is >= n. No trial builds a ``random.Random``. The degree has a
+stream of its own, so ``gen_nondecreasing_seq`` rebuilds a trial's input
+from its degree. Nondecreasing inputs are generated by sorting i.i.d. draws
+(unbiased over multisets); the ratio that replaces the last entry when every
+draw is zero follows them in the stream, read whether it is used or not.
+Entries are rationals with numerator and denominator bounded by
+``magnitude_bound``, or integers in integer-only mode.
 
 Besides the coverage counts, a report's ``stats`` say what the trials
 exercised: the degree histogram (string keys, in ascending order), the
@@ -66,7 +64,6 @@ from __future__ import annotations
 
 import math
 import os
-import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -206,33 +203,38 @@ class CampaignReport:
         }
 
 
-def _trial_rng(seed: int, trial: int, label: str) -> random.Random:
-    """RNG derived from (seed, trial, label) only; stable across processes."""
-    digest = _sha256(f"{seed}:{trial}:{label}".encode()).digest()
-    return random.Random(int.from_bytes(digest[:8], "big"))
-
-
-def _randints(rng: random.Random, rounds: int, *ranges: tuple[int, int]) -> list[int]:
-    """``rounds`` rounds of one ``rng.randint(low, high)`` per range, flat: the
-    same values and generator state, by randint's own rule (module docstring)."""
-    getrandbits = rng.getrandbits
+def _draw(label: str, ranges: list[tuple[int, int]]) -> list[int]:
+    """One value per (low, high) range, in order, by randint's rule on the bit
+    stream of ``label`` (module docstring)."""
     out = []
-    for low, high in ranges * rounds:
+    pool = avail = block = 0
+    for low, high in ranges:
         n = high - low + 1
-        r = getrandbits(n.bit_length())
+        k = n.bit_length()
+        r = n
         while r >= n:
-            r = getrandbits(n.bit_length())
+            while avail < k:
+                name = f"{label}:{block}" if block else label
+                pool |= int.from_bytes(_sha256(name.encode()).digest(), "big") << avail
+                avail += 256
+                block += 1
+            r = pool & ((1 << k) - 1)
+            pool >>= k
+            avail -= k
         out.append(low + r)
     return out
 
 
-def _draw_ratios(rng: random.Random, count: int, low: int, bound: int,
+def _draw_ratios(label: str, lows: list[int], bound: int,
                  integer_only: bool) -> tuple[list[int], list[int]]:
-    """``count`` draws num/den, num in [low, bound] and den in [1, bound] (den 1
-    in integer-only mode), as numerators and denominators."""
+    """One draw num/den per entry of ``lows``, num in [low, bound] and den in
+    [1, bound] (den 1 in integer-only mode), as numerators and denominators."""
+    nums = [(low, bound) for low in lows]
     if integer_only:
-        return _randints(rng, count, (low, bound)), [1] * count
-    flat = _randints(rng, count, (low, bound), (1, bound))
+        return _draw(label, nums), [1] * len(nums)
+    ranges = [(1, bound)] * (2 * len(nums))
+    ranges[::2] = nums
+    flat = _draw(label, ranges)
     return flat[::2], flat[1::2]
 
 
@@ -245,14 +247,18 @@ def gen_nondecreasing_seq(seed: int, trial: int, degree: int, bound: int,
     ``positive``), denominators in [1, bound]. If the maximum lands on zero
     the whole sequence is zero, so the last entry is re-drawn positive.
     """
-    for name, value in (("seed", seed), ("trial", trial), ("degree", degree), ("bound", bound)):
-        _require(name, value)
+    for name, value, kind in (("seed", seed, int), ("trial", trial, int),
+                              ("degree", degree, int), ("bound", bound, int),
+                              ("integer_only", integer_only, bool),
+                              ("positive", positive, bool)):
+        _require(name, value, kind)
     if degree < 0:
         raise DomainError(f"degree must be >= 0, got {degree}")
     if bound < 1:
         raise DomainError(f"bound must be >= 1, got {bound}")
-    rng = _trial_rng(seed, trial, "seq")
-    nums, dens = _draw_ratios(rng, degree + 1, 1 if positive else 0, bound, integer_only)
+    nums, dens = _draw_ratios(f"{seed}:{trial}:seq", [1 if positive else 0] * (degree + 1) + [1],
+                              bound, integer_only)
+    redraw = nums.pop(), dens.pop()
     # Sorting integer keys over a common denominator orders the draws as their
     # Fractions would; equal keys are equal Fractions, so the order is the same.
     lcm = math.lcm(*dens)
@@ -260,8 +266,7 @@ def gen_nondecreasing_seq(seed: int, trial: int, degree: int, bound: int,
     order = sorted(range(degree + 1), key=keys.__getitem__)
     draws = [Fraction(nums[i], dens[i]) for i in order]
     if keys[order[-1]] == 0:
-        (num,), (den,) = _draw_ratios(rng, 1, 1, bound, integer_only)
-        draws[-1] = Fraction(num, den)
+        draws[-1] = Fraction(*redraw)
     return tuple(draws)
 
 
@@ -270,32 +275,15 @@ def _gen_positive_seq(seed: int, trial: int, degree: int, bound: int,
     """Unsorted i.i.d. positive draws (those of ``_draw_ratios``), for the
     separation search, as ints s over L, the lcm of the drawn denominators:
     entry i is s[i]/L."""
-    nums, dens = _draw_ratios(_trial_rng(seed, trial, "positive-seq"), degree + 1, 1, bound,
+    nums, dens = _draw_ratios(f"{seed}:{trial}:positive-seq", [1] * (degree + 1), bound,
                               integer_only)
     lcm = math.lcm(*dens)
     return _from_cleared([num * (lcm // den) for num, den in zip(nums, dens)], lcm)
 
 
 def _pick_degree(spec: CampaignSpec, trial: int) -> int:
-    """The trial's degree, uniform over ``spec.degree_range``, by randint's rule
-    on the bits of sha256("{seed}:{trial}:degree"), read from the low end;
-    blocks "…:degree:1", "…:degree:2", … continue the stream above them."""
-    low, high = spec.degree_range
-    n = high - low + 1
-    k = n.bit_length()
-    label = f"{spec.seed}:{trial}:degree"
-    pool, avail, block = int.from_bytes(_sha256(label.encode()).digest(), "big"), 256, 0
-    while True:
-        while avail < k:
-            block += 1
-            digest = _sha256(f"{label}:{block}".encode()).digest()
-            pool |= int.from_bytes(digest, "big") << avail
-            avail += 256
-        r = pool & ((1 << k) - 1)
-        if r < n:
-            return low + r
-        pool >>= k
-        avail -= k
+    """The trial's degree, uniform over ``spec.degree_range``."""
+    return _draw(f"{spec.seed}:{trial}:degree", [spec.degree_range])[0]
 
 
 def _render_seq(p: Polynomial) -> list[str]:
@@ -316,8 +304,8 @@ def _draw_positive(spec: CampaignSpec, trial: int) -> Polynomial:
 
 def _draw_sextuple(spec: CampaignSpec, trial: int) -> Polynomial:
     """Positive (a, b, c, d, e, f) with a/b <= c/d <= e/f, for lemma1."""
-    nums, dens = _draw_ratios(_trial_rng(spec.seed, trial, "lemma1"), 6, 1,
-                              spec.magnitude_bound, spec.integer_only)
+    nums, dens = _draw_ratios(f"{spec.seed}:{trial}:lemma1", [1] * 6, spec.magnitude_bound,
+                              spec.integer_only)
     b, d, f, *ratios = map(Fraction, nums, dens)
     r1, r2, r3 = sorted(ratios)
     return Polynomial((r1 * b, b, r2 * d, d, r3 * f, f))

@@ -1,27 +1,49 @@
-"""A campaign trial's degree, rebuilt from hashlib and randint's rule alone.
+"""Campaign draws rebuilt from hashlib and randint's rule alone.
 
-The bits of the sha256 digests of "{seed}:{trial}:degree", then
-"{seed}:{trial}:degree:1", "…:degree:2" and so on, form one stream, each
-digest read as a big-endian number from its lowest bit up. For n degrees,
-read k = n.bit_length() bits at a time, each group as a number with its
-last bit the most significant, and take the first below n.
+The bits of the sha256 digests of a label "{seed}:{trial}:{name}", then
+"{label}:1", "{label}:2" and so on, form one stream, each digest read as a
+big-endian number from its lowest bit up. For a range of n values, read
+k = n.bit_length() bits at a time, each group as a number with its last bit
+the most significant, and take the first below n; the next range reads on
+from there.
 """
 
 import hashlib
+from fractions import Fraction
+
+
+def reference_draws(label, ranges):
+    bits, block, pos, out = "", 0, 0, []
+    for low, high in ranges:
+        n = high - low + 1
+        k = n.bit_length()
+        while True:
+            while len(bits) - pos < k:
+                name = label if block == 0 else f"{label}:{block}"
+                word = int.from_bytes(hashlib.sha256(name.encode()).digest(), "big")
+                bits += format(word, "0256b")[::-1]
+                block += 1
+            value = int(bits[pos:pos + k][::-1], 2)
+            pos += k
+            if value < n:
+                out.append(low + value)
+                break
+    return out
 
 
 def reference_degree(seed, trial, low, high):
-    n = high - low + 1
-    k = n.bit_length()
-    label = f"{seed}:{trial}:degree"
-    bits, block, pos = "", 0, 0
-    while True:
-        while len(bits) - pos < k:
-            name = label if block == 0 else f"{label}:{block}"
-            word = int.from_bytes(hashlib.sha256(name.encode()).digest(), "big")
-            bits += format(word, "0256b")[::-1]
-            block += 1
-        value = int(bits[pos:pos + k][::-1], 2)
-        pos += k
-        if value < n:
-            return low + value
+    return reference_draws(f"{seed}:{trial}:degree", [(low, high)])[0]
+
+
+def reference_ratios(label, lows, bound, integer_only):
+    """One Fraction per entry of ``lows``: a numerator in [low, bound], then,
+    unless ``integer_only``, a denominator in [1, bound]."""
+    ranges = []
+    for low in lows:
+        ranges.append((low, bound))
+        if not integer_only:
+            ranges.append((1, bound))
+    flat = reference_draws(label, ranges)
+    if integer_only:
+        return [Fraction(v) for v in flat]
+    return [Fraction(num, den) for num, den in zip(flat[::2], flat[1::2])]

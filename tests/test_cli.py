@@ -9,7 +9,7 @@ import sys
 
 import pytest
 
-from ratioshift import poly_ops
+from ratioshift import cli, poly_ops
 from ratioshift.cli import main
 
 
@@ -345,6 +345,18 @@ def test_fuzz_lemma3_degree_guard(capsys):
                        "--seed", "1", "--degree-min", "1")
     assert code == 2
     assert "lemma3" in err
+
+
+def test_fuzz_out_of_memory_is_input_error(capsys, monkeypatch):
+    # Stands in for a degree too large to hold, such as --degree-min 10**11.
+    def exhaust(spec, jobs=1):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "run_campaign", exhaust)
+    code, out, err = run(capsys, "fuzz", "--target", "theorem1", "--trials", "1")
+    assert code == 2
+    assert out == ""
+    assert err == "ratioshift: error: out of memory\n"
 
 
 def test_fuzz_unknown_target_usage_error(capsys):

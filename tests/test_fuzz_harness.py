@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from draw_reference import reference_degree
+from draw_reference import reference_degree, reference_draws, reference_ratios
 
 import ratioshift
 from ratioshift import fuzz_harness, poly_ops
@@ -18,8 +18,6 @@ from ratioshift.cli import main as cli_main
 from ratioshift.fuzz_harness import (
     TARGETS,
     CampaignSpec,
-    _randints,
-    _trial_rng,
     gen_nondecreasing_seq,
     run_campaign,
 )
@@ -81,13 +79,22 @@ def test_gen_nondecreasing_seq_guards():
     for seed, trial in ((1.0, 0), ("1", 0), (True, 0), (1, 0.0), (1, "0")):
         with pytest.raises(DomainError, match="seed|trial"):
             gen_nondecreasing_seq(seed, trial, 3, 10)
+    # Text or ints as flags would draw as their truth value, silently.
+    for flag, value in (("integer_only", "no"), ("integer_only", 1), ("integer_only", None),
+                        ("positive", 0), ("positive", None), ("positive", "yes")):
+        with pytest.raises(DomainError, match=f"{flag} must be bool"):
+            gen_nondecreasing_seq(1, 0, 3, 10, **{flag: value})
 
 
 # --- the draw primitive ---
-# Every pinned report depends on _randints yielding randint's exact stream.
+# Every drawn value comes from _draw, so every pinned report depends on it
+# running randint's rule on the label's stream; the reference rebuilds that
+# stream from hashlib and a string of its bits.
 
+# The last four read k = 256, 256, 257 and 301 bits a draw: one whole digest, and more.
 _WIDTHS = [1, 2, 3, 4, 5, 7, 8, 9, 2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32,
-           2 ** 32 + 1, 2 ** 33, 2 ** 64 + 1, 10 ** 6, 10 ** 18]
+           2 ** 32 + 1, 2 ** 33, 2 ** 64 + 1, 10 ** 6, 10 ** 18,
+           2 ** 255, 2 ** 256 - 1, 2 ** 256, 2 ** 300 + 7]
 
 
 @pytest.mark.parametrize("width", _WIDTHS)
@@ -95,33 +102,28 @@ _WIDTHS = [1, 2, 3, 4, 5, 7, 8, 9, 2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1, 2 ** 32 - 
 def test_randints_is_randint_stream(width, low):
     high = low + width - 1
     for seed in range(200):
-        drawn = random.Random(seed)
-        reference = random.Random(seed)
-        assert _randints(drawn, 7, (low, high)) == [reference.randint(low, high)
-                                                     for _ in range(7)]
-        assert drawn.getstate() == reference.getstate()
+        label = f"{seed}:{seed % 7}:seq"
+        assert fuzz_harness._draw(label, [(low, high)] * 7) == reference_draws(
+            label, [(low, high)] * 7)
 
 
 @pytest.mark.parametrize("low", [0, 1])
 @pytest.mark.parametrize("bound", [1, 2, 3, 4, 7, 8, 100, 127, 128, 10 ** 6, 10 ** 18])
 def test_randints_interleaves_numerator_and_denominator_ranges(low, bound):
+    # Each numerator's range, then, unless integer-only, the denominator's.
     for seed in range(200):
-        drawn = random.Random(seed)
-        reference = random.Random(seed)
-        expected = []
-        for _ in range(9):
-            expected += [reference.randint(low, bound), reference.randint(1, bound)]
-        assert _randints(drawn, 9, (low, bound), (1, bound)) == expected
-        assert drawn.getstate() == reference.getstate()
+        label = f"{seed}:0:positive-seq"
+        expected = reference_draws(label, [(low, bound), (1, bound)] * 9)
+        assert fuzz_harness._draw(label, [(low, bound), (1, bound)] * 9) == expected
+        assert fuzz_harness._draw_ratios(label, [low] * 9, bound, False) == (
+            expected[::2], expected[1::2])
+        assert fuzz_harness._draw_ratios(label, [low] * 9, bound, True) == (
+            reference_draws(label, [(low, bound)] * 9), [1] * 9)
 
 
-# A clean campaign's report hashes only its spec and coverage counts, so the
-# pins above guard the degree draws but not the drawn values. These rebuild
-# each input from randint calls, the way the draws were first written.
-
-def _randint_ratio(rng, low, bound, integer_only):
-    return Fraction(rng.randint(low, bound), 1 if integer_only else rng.randint(1, bound))
-
+# A clean campaign's report hashes only its spec, degree-driven counts and the
+# largest bit lengths, so the pins do not guard every drawn value. These
+# rebuild each input from the reference, as the draws are documented.
 
 @pytest.mark.parametrize("integer_only", [False, True])
 @pytest.mark.parametrize("positive", [False, True])
@@ -129,11 +131,14 @@ def _randint_ratio(rng, low, bound, integer_only):
 def test_gen_nondecreasing_seq_matches_randint_reference(bound, positive, integer_only):
     for trial in range(150):
         degree = trial % 9
-        rng = _trial_rng(13, trial, "seq")
-        draws = sorted(_randint_ratio(rng, 1 if positive else 0, bound, integer_only)
-                       for _ in range(degree + 1))
+        # The positive ratio that replaces the last entry of an all-zero draw
+        # follows the main draws in the stream.
+        *draws, redraw = reference_ratios(f"13:{trial}:seq",
+                                          [1 if positive else 0] * (degree + 1) + [1],
+                                          bound, integer_only)
+        draws.sort()
         if draws[-1] == 0:
-            draws[-1] = _randint_ratio(rng, 1, bound, integer_only)
+            draws[-1] = redraw
         assert gen_nondecreasing_seq(13, trial, degree, bound, integer_only=integer_only,
                                      positive=positive) == tuple(draws)
 
@@ -144,13 +149,12 @@ def test_positive_and_lemma1_draws_match_randint_reference(bound, integer_only):
     spec = CampaignSpec(target="lemma1", trials=1, seed=13, magnitude_bound=bound,
                         integer_only=integer_only)
     for trial in range(150):
-        rng = _trial_rng(13, trial, "positive-seq")
-        expected = [_randint_ratio(rng, 1, bound, integer_only) for _ in range(trial % 9 + 1)]
+        expected = reference_ratios(f"13:{trial}:positive-seq", [1] * (trial % 9 + 1), bound,
+                                    integer_only)
         drawn = fuzz_harness._gen_positive_seq(13, trial, trial % 9, bound, integer_only)
         assert list(drawn.coeffs) == expected
-        rng = _trial_rng(13, trial, "lemma1")
-        b, d, f = [_randint_ratio(rng, 1, bound, integer_only) for _ in range(3)]
-        r1, r2, r3 = sorted(_randint_ratio(rng, 1, bound, integer_only) for _ in range(3))
+        b, d, f, *ratios = reference_ratios(f"13:{trial}:lemma1", [1] * 6, bound, integer_only)
+        r1, r2, r3 = sorted(ratios)
         assert fuzz_harness._draw_sextuple(spec, trial).coeffs == (
             r1 * b, b, r2 * d, d, r3 * f, f)
 
@@ -186,16 +190,19 @@ def test_degree_draw_is_uniform(degree_range, critical):
 
 
 def test_campaigns_draw_without_randint(monkeypatch):
-    def refuse(self, a, b):
-        raise AssertionError("a campaign drew through randint")
+    # Every value comes from the trial's sha256 stream: no campaign of any
+    # target constructs a random.Random or draws through randint.
+    def refuse(self, *args):
+        raise AssertionError("a campaign used random.Random")
 
+    monkeypatch.setattr(random.Random, "__init__", refuse)
     monkeypatch.setattr(random.Random, "randint", refuse)
     for target in TARGETS:
         for integer_only in (False, True):
-            spec = CampaignSpec(target=target, trials=12, seed=5, degree_range=(2, 7),
-                                magnitude_bound=9, integer_only=integer_only)
-            assert run_campaign(spec).trials_run == 12
-    assert isinstance(_trial_rng(5, 0, "seq"), random.Random)
+            spec = CampaignSpec(target=target, trials=200, seed=8, integer_only=integer_only)
+            report = run_campaign(spec)
+            assert report.trials_run == 200
+            assert report.violations == []
 
 
 # --- campaign spec validation ---
@@ -289,7 +296,9 @@ def test_small_campaigns_find_no_violations(target):
 
 
 def test_separation_campaign_finds_and_counts_examples():
-    spec = CampaignSpec(target="separation", trials=400, seed=7,
+    # About 1 in 294 trials at degrees 2..6 finds a spiral sequence that is
+    # not log-concave; 3,000 trials expect about 10.
+    spec = CampaignSpec(target="separation", trials=3_000, seed=7,
                         degree_range=(2, 6))
     report = run_campaign(spec)
     assert report.violations == []
@@ -315,8 +324,9 @@ def test_no_trial_clears_the_same_coefficients_twice(monkeypatch, target, per_tr
     # A draw is cleared once; checks and predicates take it, and its shift,
     # as they are. theorem1 alone re-clears its shift through coeffs.
     # Separation finds a spiral sequence that is not log-concave in about 1
-    # of 800 trials at degrees 2..16, so it runs enough trials to keep both kinds.
-    trials = 5_000 if target == "separation" else 200
+    # of 800 trials at degrees 2..16, so it runs enough trials (about 12
+    # expected) to keep both kinds.
+    trials = 10_000 if target == "separation" else 200
     calls = []
     clear = poly_ops.clear_denominators
     monkeypatch.setattr(poly_ops, "clear_denominators",
@@ -326,22 +336,6 @@ def test_no_trial_clears_the_same_coefficients_twice(monkeypatch, target, per_tr
     assert len(calls) == trials * per_trial
     if target == "separation":  # its kept examples' verdicts clear nothing either
         assert all(report.examples_found.values())
-
-
-@pytest.mark.parametrize("target", TARGETS)
-def test_each_trial_seeds_one_generator(monkeypatch, target):
-    # The degree is read off the trial digest's bits; only the draw seeds a Random.
-    made = []
-
-    class Counted(random.Random):
-        def __init__(self, *args):
-            made.append(args)
-            super().__init__(*args)
-
-    monkeypatch.setattr(random, "Random", Counted)
-    report = run_campaign(CampaignSpec(target=target, trials=200, seed=8))
-    assert report.violations == []
-    assert len(made) == 200
 
 
 @pytest.mark.parametrize("target, c", [("theorem1", 1), ("corollary", -1), ("separation", 1)])
@@ -430,57 +424,58 @@ def test_report_json_is_serializable_and_shaped():
 
 
 # --- pinned report bytes ---
-# sha256 of report_json(spec), all 15 recomputed in one epoch: the degree
-# drawn from the trial digest's own bits (test_degree_draw_matches_reference
-# rebuilds it from hashlib) and the stats block added to every report; the
-# same bytes on CPython 3.10 to 3.13 and with two workers. The row comments
-# name what each pin was first added to guard. A change to any layer a
-# campaign runs through, other than a new epoch argued the same way, must
-# leave these bytes alone.
+# sha256 of report_json(spec), recomputed in one epoch: every value drawn
+# from its label's sha256 stream by _draw, which the reference tests above
+# rebuild from hashlib. The degrees did not move, and 4 of the 15 digests
+# kept their bytes: a clean report hashes only degree-driven counts and the
+# largest bit lengths. The same bytes on CPython 3.10 to 3.13 and with two
+# workers. The row comments name what each pin was first added to guard. A
+# change to any layer a campaign runs through, other than a new epoch argued
+# the same way, must leave these bytes alone.
 
 @pytest.mark.parametrize("spec, digest", [
     (CampaignSpec(target="theorem1", trials=60, seed=2024, degree_range=(2, 20)),
-     "ab6b6ba2b9471801045d970fa90ec9b2038b24838b502861d94472f70f80b257"),
+     "54b6d422f008cc211976eddabd23e3bd18df9762512b722271ba3681134b2299"),
     (CampaignSpec(target="corollary", trials=60, seed=2024, degree_range=(2, 12),
                   shift_c=Fraction(3, 2)),
-     "036518d704355bcf98cc13f86037df866690398944efbc28cfa35178016fa8a2"),
+     "819633f4f92db0c441be981f5ed23a1169ff637a705c2f7f097af56b8037171e"),
     (CampaignSpec(target="corollary", trials=60, seed=2024, degree_range=(2, 12),
                   shift_c=Fraction(1, 2), allow_c_below_one=True),
-     "60c9534f1ddb7fd22c2465e57a6a1afb0364870e4cd61d0d0ee478968689163d"),
+     "e68d12450020031954284745f62ea39d8627010d08ae152bcc1accc6156c4eea"),
     (CampaignSpec(target="separation", trials=300, seed=2029, degree_range=(2, 6),
                   magnitude_bound=100),
-     "f670a1439c9bf5f37f77920f8145c83ff1021b908caca6853b9c5438950cdd09"),
+     "02f372c6cc9f9cb1065c598d1ce6a34dc3e04ff85a934cc1c67148009aaad517"),
     (CampaignSpec(target="lemma1", trials=60, seed=2024),
-     "efefdddcd7b2f8ed83e2a9a0b92d2238c981f6381b3c36104cf68b9db583ff49"),
+     "4dd1aeea99a8278a6bd83f617f08b42a12084912e3a8c971f0a8a1133602ad97"),
     (CampaignSpec(target="lemma2", trials=60, seed=2024, degree_range=(2, 12)),
-     "d2093334e70c91e414963fe6f84a3332ac57345b40556d12930c2f9458aefe09"),
+     "3d816878b49921a3bb87aa118518ffea974c9ad8901926844fe56915205dc984"),
     (CampaignSpec(target="lemma3", trials=60, seed=2024, degree_range=(2, 12)),
-     "608acda15e33655e5d9995830a12f2494ebf02ad80292c5b4cc1c03712b13908"),
+     "56c2ad0ed00274e81996db3d23a34a454a7e0a9c6aec726aa021516f951738b2"),
     # Degrees below each target's minimum count as vacuous trials.
     (CampaignSpec(target="theorem1", trials=60, seed=2024, degree_range=(0, 3),
                   integer_only=True),
      "27f25e80f3b43b74e31bb256c758d84091f852834e3bb8e535f665c379edaed5"),
     (CampaignSpec(target="corollary", trials=60, seed=2024, degree_range=(0, 3),
                   shift_c=Fraction(3, 2)),
-     "2301ac6dca35f4d6044ff3c1c5c1bcf9b5a432b05a24706aee6a6b8a415dd65a"),
+     "6c379243ff6d0bdb825b7397d4c36bfe10d430884d6b44f6d041146992a05874"),
     # These three added when separation trials began to decide on the cleared draw.
     (CampaignSpec(target="separation", trials=300, seed=2029, degree_range=(2, 6),
                   magnitude_bound=100, integer_only=True),
-     "eb55591003e80697d0a41eb32e2fedd3cf3f06a4a4d61078fdef297fc3625541"),
+     "bbc8a4e4c14c8a0e60ddac49b92b4d007befb7c4cbe283a6c0f305237700583e"),
     # Degrees 0 and 1 have empty chains; bound 3 draws ties and both example kinds.
     (CampaignSpec(target="separation", trials=300, seed=2029, degree_range=(0, 3),
                   magnitude_bound=3),
-     "738db86d92e6b2c046bbd04414347047940b1f3c5dbeb2498eb57ddfd45b9d80"),
+     "3d918c391b1db697938cd6cdff0453176771ca15da2c9f50500d3dde519958da"),
     (CampaignSpec(target="separation", trials=300, seed=2029, degree_range=(2, 9),
                   magnitude_bound=10 ** 6),
-     "f9058294ed1a9e1db21b657b9600698dccef4fa355541c6b60b9e00c12b7900a"),
+     "7c1f6998f76e26bb1dce4354b4885d548bc1fd7041ef08672ff5e1d20dcdf22c"),
     # These three added when the draws left randint for getrandbits.
     (CampaignSpec(target="lemma1", trials=60, seed=2024, integer_only=True),
      "2bc848af8516ea52ee02acd85166260e21445c5fc87876dba4324e9de582539e"),
     (CampaignSpec(target="lemma3", trials=60, seed=2024, degree_range=(2, 12),
                   integer_only=True),
      "66fb4d816fc8d2e5ccc011957f5ceff0bb78e0798948de289d15e153efd16568"),
-    # Entries 0 or 1: 15 of the 60 inputs draw all zeros and redraw their last entry.
+    # Entries 0 or 1: 14 of the 60 inputs draw all zeros and redraw their last entry.
     (CampaignSpec(target="theorem1", trials=60, seed=2024, degree_range=(0, 2),
                   magnitude_bound=1),
      "16a046f10ff17f4999b10d68b25a9d2c602adc77a943e07c75b22bd18a27d691"),
@@ -493,14 +488,15 @@ def test_report_bytes_pinned(spec, digest):
 
 
 def test_package_import_leaves_openssl_unloaded():
-    # Trial seeding uses the builtin sha256, not hashlib, which loads OpenSSL.
+    # Trial draws use the builtin sha256, not hashlib, which loads OpenSSL,
+    # and no random.Random.
     src = str(Path(ratioshift.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, ratioshift.cli; print('_hashlib' in sys.modules)"
+    code = "import sys, ratioshift.cli; print('_hashlib' in sys.modules, 'random' in sys.modules)"
     # -S keeps site hooks, which may load anything, out of the picture.
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.split() == ["False", "False"]
 
 
 # --- violation and finding paths ---
@@ -717,7 +713,8 @@ def test_separation_renders_only_the_kept_examples(monkeypatch):
     render = fuzz_harness._render_seq
     monkeypatch.setattr(fuzz_harness, "_render_seq",
                         lambda seq: rendered.append(seq) or render(seq))
-    # About 1 in 300 trials at degrees 2..6 finds a spiral sequence that is not log-concave.
+    # About 1 in 294 trials at degrees 2..6 finds a spiral sequence that is
+    # not log-concave; 3,000 trials expect about 10.
     spec = CampaignSpec(target="separation", trials=3_000, seed=7, degree_range=(2, 6))
     report = run_campaign(spec)
     assert report.coverage["log-concave-not-spiral"] > 1
