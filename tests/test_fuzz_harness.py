@@ -205,6 +205,29 @@ def test_campaigns_draw_without_randint(monkeypatch):
             assert report.violations == []
 
 
+_VALUE_LABEL = {"theorem1": "seq", "lemma2": "seq", "lemma3": "seq", "corollary": "seq",
+                "lemma1": "lemma1", "separation": "positive-seq"}
+
+
+@pytest.mark.parametrize("target", TARGETS)
+def test_each_trial_seeds_one_generator(monkeypatch, target):
+    # A trial's one generator is its sha256 stream keyed "{seed}:{trial}":
+    # its values come from one draw under one label (the degree, where drawn,
+    # from its own), and no trial constructs a random.Random.
+    calls = []
+    draw = fuzz_harness._draw
+    monkeypatch.setattr(fuzz_harness, "_draw",
+                        lambda label, ranges: calls.append(label) or draw(label, ranges))
+    monkeypatch.setattr(random.Random, "__init__",
+                        lambda self, *args: pytest.fail("a trial constructed a random.Random"))
+    report = run_campaign(CampaignSpec(target=target, trials=200, seed=8))
+    assert report.violations == []
+    values = [label for label in calls if not label.endswith(":degree")]
+    assert values == [f"8:{trial}:{_VALUE_LABEL[target]}" for trial in range(200)]
+    degrees = [label for label in calls if label.endswith(":degree")]
+    assert degrees in ([], [f"8:{trial}:degree" for trial in range(200)])
+
+
 # --- campaign spec validation ---
 
 def test_spec_rejects_unknown_target():
