@@ -37,7 +37,7 @@ class _UsageError(Exception):
 def _read_coefficients(path: str) -> list:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     coeffs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -83,12 +83,12 @@ def _cmd_shift(args: argparse.Namespace) -> int:
 def _cmd_check(args: argparse.Namespace) -> int:
     started = time.perf_counter()
     names = [p.strip() for p in args.props.split(",") if p.strip()]
-    if "all" in names:
-        names = list(CHECKERS)
-    unknown = [n for n in names if n not in CHECKERS]
+    unknown = [n for n in names if n not in CHECKERS and n != "all"]
     if unknown:
         raise _UsageError(
             f"unknown properties {unknown}; choose from {list(CHECKERS)} or 'all'")
+    if "all" in names:
+        names = list(CHECKERS)
     if not names:
         raise _UsageError("no properties requested")
     poly = Polynomial(_read_coefficients(args.file))  # cleared once, for every checker
@@ -218,14 +218,11 @@ def _glue_c_values(argv: list[str]) -> list[str]:
     # argparse treats "-3/2" after "--c" as an unknown flag, so fold the
     # value into the option token before parsing.
     glued = []
-    i = 0
-    while i < len(argv):
-        if argv[i] == "--c" and i + 1 < len(argv):
-            glued.append(f"--c={argv[i + 1]}")
-            i += 2
+    for arg in argv:
+        if glued and glued[-1] == "--c":
+            glued[-1] = f"--c={arg}"
         else:
-            glued.append(argv[i])
-            i += 1
+            glued.append(arg)
     return glued
 
 

@@ -2,8 +2,8 @@
 
 Campaign targets are rows of one table (``_TARGETS``, whose keys are
 ``TARGETS``), all run by one trial runner. A row names how a trial draws its
-input (always a ``Polynomial``, cleared once when drawn; checks take it and
-its shift as they are, and only theorem1 clears its shift again, through
+input (always a ``Polynomial`` of ints over one denominator; checks take it
+and its shift as they are, and only theorem1 clears its shift again, through
 ``coeffs``), whether it shifts the input by the spec's ``shift_c`` (refused
 for any target but corollary), the verdicts that must hold, the degree below
 which a trial is vacuous, and the example kinds it records:
@@ -27,6 +27,12 @@ which a trial is vacuous, and the example kinds it records:
   (``shape_props._lattice_statuses``) and audits and picks examples on those
   statuses alone; only a violation or an example the report keeps is
   rendered as Fractions, with its verdict.
+
+The nondecreasing draws (theorem1, lemma2, lemma3, corollary) are built
+cleared, in the lowest terms the constructor would give their Fractions, and
+build no Fraction. The separation draw is built over the unreduced lcm of
+its drawn denominators. Only lemma1's sextuple is built from Fractions and
+cleared by the ``Polynomial`` constructor.
 
 Every violation (or finding) has one shape: ``trial``, ``input`` (the drawn
 sequence), ``verdicts`` (the failing verdicts as
@@ -256,18 +262,26 @@ def gen_nondecreasing_seq(seed: int, trial: int, degree: int, bound: int,
         raise DomainError(f"degree must be >= 0, got {degree}")
     if bound < 1:
         raise DomainError(f"bound must be >= 1, got {bound}")
+    return _gen_nondecreasing(seed, trial, degree, bound, integer_only, positive).coeffs
+
+
+def _gen_nondecreasing(seed: int, trial: int, degree: int, bound: int, integer_only: bool,
+                       positive: bool) -> Polynomial:
+    """The draw of ``gen_nondecreasing_seq``, built cleared: its sorted ints
+    over their lcm, divided by the gcd of all of them and that lcm. The lcm L
+    of the reduced denominators divides any common denominator, and a prime
+    dividing every v*L and L would make L/p one; so this is the lowest-terms
+    form that clearing the Fractions would give, with no Fraction built."""
     nums, dens = _draw_ratios(f"{seed}:{trial}:seq", [1 if positive else 0] * (degree + 1) + [1],
                               bound, integer_only)
-    redraw = nums.pop(), dens.pop()
-    # Sorting integer keys over a common denominator orders the draws as their
-    # Fractions would; equal keys are equal Fractions, so the order is the same.
-    lcm = math.lcm(*dens)
-    keys = [num * (lcm // den) for num, den in zip(nums, dens)]
-    order = sorted(range(degree + 1), key=keys.__getitem__)
-    draws = [Fraction(nums[i], dens[i]) for i in order]
-    if keys[order[-1]] == 0:
-        draws[-1] = Fraction(*redraw)
-    return tuple(draws)
+    redraw_num, redraw_den = nums.pop(), dens.pop()
+    # Integer keys over a common denominator sort as their Fractions would.
+    den = math.lcm(*dens)
+    keys = sorted([num * (den // d) for num, d in zip(nums, dens)])
+    if keys[-1] == 0:  # every entry is zero, over the redraw's denominator too
+        keys[-1], den = redraw_num, redraw_den
+    g = math.gcd(den, *keys)
+    return _from_cleared([key // g for key in keys], den // g)
 
 
 def _gen_positive_seq(seed: int, trial: int, degree: int, bound: int,
@@ -292,9 +306,8 @@ def _render_seq(p: Polynomial) -> list[str]:
 
 
 def _draw_nondecreasing(spec: CampaignSpec, trial: int, positive: bool = False) -> Polynomial:
-    return Polynomial(gen_nondecreasing_seq(spec.seed, trial, _pick_degree(spec, trial),
-                                            spec.magnitude_bound,
-                                            integer_only=spec.integer_only, positive=positive))
+    return _gen_nondecreasing(spec.seed, trial, _pick_degree(spec, trial), spec.magnitude_bound,
+                              spec.integer_only, positive)
 
 
 def _draw_positive(spec: CampaignSpec, trial: int) -> Polynomial:

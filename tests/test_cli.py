@@ -71,6 +71,17 @@ def test_shift_missing_file(capsys):
     assert "cannot read" in err
 
 
+@pytest.mark.parametrize("argv", [("shift", "--c", "1"), ("check", "--props", "all")])
+def test_file_not_utf8_is_usage_error(tmp_path, capsys, argv):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe1 2 3\n")
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"ratioshift: error: cannot read {path}: ")
+    assert "utf-8" in err
+
+
 def test_bad_token_reports_line_and_column(poly_file, capsys):
     path = poly_file("1\n2 x7\n")
     code, _, err = run(capsys, "shift", "--c", "1", path)
@@ -180,6 +191,16 @@ def test_check_unknown_property_usage_error(poly_file, capsys):
     code, _, err = run(capsys, "check", "--props", "bogus", path)
     assert code == 2
     assert "unknown properties" in err
+
+
+@pytest.mark.parametrize("props", ["all,foo", "foo,all", "log-concave,all,foo"])
+def test_check_unknown_property_beside_all_usage_error(poly_file, capsys, props):
+    # 'all' does not swallow a misspelt name next to it.
+    path = poly_file("1 2 3")
+    code, out, err = run(capsys, "check", "--props", props, path)
+    assert code == 2
+    assert out == ""
+    assert "unknown properties ['foo']" in err
 
 
 def test_check_prop_list_order_preserved(poly_file, capsys):

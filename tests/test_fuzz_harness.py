@@ -144,6 +144,25 @@ def test_gen_nondecreasing_seq_matches_randint_reference(bound, positive, intege
 
 
 @pytest.mark.parametrize("integer_only", [False, True])
+@pytest.mark.parametrize("positive", [False, True])
+@pytest.mark.parametrize("bound", [1, 2, 3, 100, 10 ** 6])
+def test_nondecreasing_draw_is_cleared_as_its_fractions(bound, positive, integer_only):
+    # The draw is built cleared, without Fractions; its (ints, den) must be
+    # the lowest-terms form that clearing the reference Fractions gives.
+    for trial in range(150):
+        degree = trial % 9
+        *draws, redraw = reference_ratios(f"13:{trial}:seq",
+                                          [1 if positive else 0] * (degree + 1) + [1],
+                                          bound, integer_only)
+        draws.sort()
+        if draws[-1] == 0:
+            draws[-1] = redraw
+        ints, den = poly_ops.clear_denominators(draws)
+        drawn = fuzz_harness._gen_nondecreasing(13, trial, degree, bound, integer_only, positive)
+        assert drawn._cleared() == (tuple(ints), den)
+
+
+@pytest.mark.parametrize("integer_only", [False, True])
 @pytest.mark.parametrize("bound", [1, 3, 100, 10 ** 6])
 def test_positive_and_lemma1_draws_match_randint_reference(bound, integer_only):
     spec = CampaignSpec(target="lemma1", trials=1, seed=13, magnitude_bound=bound,
@@ -340,12 +359,13 @@ def test_separation_campaign_finds_and_counts_examples():
 
 
 @pytest.mark.parametrize("target, per_trial", [
-    ("theorem1", 2), ("lemma1", 1), ("lemma2", 1), ("lemma3", 1), ("corollary", 1),
+    ("theorem1", 1), ("lemma1", 1), ("lemma2", 0), ("lemma3", 0), ("corollary", 0),
     ("separation", 0),
 ])
 def test_no_trial_clears_the_same_coefficients_twice(monkeypatch, target, per_trial):
-    # A draw is cleared once; checks and predicates take it, and its shift,
-    # as they are. theorem1 alone re-clears its shift through coeffs.
+    # Only lemma1's draw is cleared from Fractions; every other draw is built
+    # cleared. Checks and predicates take a draw, and its shift, as they are;
+    # theorem1 alone re-clears its shift through coeffs.
     # Separation finds a spiral sequence that is not log-concave in about 1
     # of 800 trials at degrees 2..16, so it runs enough trials (about 12
     # expected) to keep both kinds.
