@@ -8,12 +8,17 @@ quartic-integral fields are decimal floats.
 
 Coefficient files are whitespace- or newline-separated rational tokens
 (``p``, ``p/q``, or an exact decimal); ``#`` starts a comment.
+
+The console script (``entry``) adds two exits of its own: 2 when stdout
+cannot be written (a closed pipe, a full disk), and 130 on an interrupt,
+each with one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 import time
@@ -32,6 +37,17 @@ __all__ = ["entry", "main"]
 
 class _UsageError(Exception):
     """Maps to exit code 2."""
+
+
+class _OutputError(Exception):
+    """Stdout could not be written; ``entry`` maps it to exit code 2."""
+
+
+def _print(text: str) -> None:
+    try:
+        print(text)
+    except OSError as exc:
+        raise _OutputError from exc
 
 
 def _read_coefficients(path: str) -> list:
@@ -64,7 +80,7 @@ def _report(command: str, inputs: dict, results: list, started: float) -> dict:
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    _print(json.dumps(doc, indent=2))
 
 
 def _cmd_shift(args: argparse.Namespace) -> int:
@@ -76,7 +92,7 @@ def _cmd_shift(args: argparse.Namespace) -> int:
     shifted = taylor_shift(Polynomial(coeffs), c, ShiftAlgorithm(args.algo))
     # Render every coefficient before printing any, so a coefficient too long
     # to render (DomainError, exit 2) leaves stdout empty.
-    print("\n".join([render_rational(value) for value in shifted.coeffs]))
+    _print("\n".join([render_rational(value) for value in shifted.coeffs]))
     return 0
 
 
@@ -117,8 +133,7 @@ def _cmd_boros_moll(args: argparse.Namespace) -> int:
                       [{"m": args.m, "basis": basis, "coefficients": rendered}],
                       started))
     else:
-        for token in rendered:
-            print(token)
+        _print("\n".join(rendered))
     return 0
 
 
@@ -242,4 +257,25 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script: ``main``, then stdout flushed. A failed write to
+    stdout ends in exit 2 and an interrupt in exit 130, each with one line
+    on stderr instead of a traceback."""
+    try:
+        try:
+            code = main()
+        except SystemExit as exc:  # argparse: --help, --version, usage errors
+            code = exc.code
+        try:
+            sys.stdout.flush()  # buffered output that cannot be written fails here
+        except OSError as exc:
+            raise _OutputError from exc
+    except _OutputError:
+        # Python flushes stdout again at exit, which would fail again; point
+        # it at devnull first, as the signal module's note on SIGPIPE shows.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("ratioshift: error: cannot write output", file=sys.stderr)
+        code = 2
+    except KeyboardInterrupt:
+        print("ratioshift: interrupted", file=sys.stderr)
+        code = 130
+    sys.exit(code)

@@ -22,11 +22,14 @@ which a trial is vacuous, and the example kinds it records:
   exploratory: failures are reported as findings, not violations);
 * ``separation``: random positive sequences, searching for a log-concave
   sequence that is not spiral and a spiral sequence that is not log-concave,
-  while auditing the implication lattice on every input. A trial draws ints
-  over one common denominator, reads the four lattice statuses off them
-  (``shape_props._lattice_statuses``) and audits and picks examples on those
-  statuses alone; only a violation or an example the report keeps is
-  rendered as Fractions, with its verdict.
+  while auditing the implication lattice on every input. A trial makes two
+  ``_draw`` calls (its degree, then every numerator and denominator in one
+  call), builds ints over one common denominator, runs the four lattice
+  finders once to read their statuses (``shape_props._lattice_statuses``),
+  and audits and picks examples on those statuses alone. It builds no
+  verdict (a clean audit returns the module's one ``_IMPLICATIONS_HOLD``)
+  and, unless it keeps an example, no examples dict; only a violation or an
+  example the report keeps is rendered as Fractions, with its verdict.
 
 The nondecreasing draws (theorem1, lemma2, lemma3, corollary) are built
 cleared, in the lowest terms the constructor would give their Fractions, and
@@ -62,8 +65,9 @@ exercised: the degree histogram (string keys, in ascending order), the
 largest bit length of a drawn input's cleared numerators and of its common
 denominator, the same for the shifted polynomial on targets that shift, and
 the number of trials with a not-applicable verdict. They are read off the
-ints a trial holds, and like every field but ``wall_time`` they are
-deterministic.
+ints a trial holds, gathered with the coverage and examples from one pass
+that splits the trial outcomes into columns, and like every field but
+``wall_time`` they are deterministic.
 """
 
 from __future__ import annotations
@@ -82,6 +86,8 @@ from .poly_ops import Polynomial, _from_cleared, taylor_shift
 from .shape_props import (
     PropertyVerdict,
     Status,
+    _FAILS,
+    _HOLDS,
     _lattice_statuses,
     audit_implications,  # noqa: F401  bench/layers.py wraps these two names here
     audit_statuses,
@@ -286,13 +292,19 @@ def _gen_nondecreasing(seed: int, trial: int, degree: int, bound: int, integer_o
 
 def _gen_positive_seq(seed: int, trial: int, degree: int, bound: int,
                       integer_only: bool) -> Polynomial:
-    """Unsorted i.i.d. positive draws (those of ``_draw_ratios``), for the
-    separation search, as ints s over L, the lcm of the drawn denominators:
-    entry i is s[i]/L."""
-    nums, dens = _draw_ratios(f"{seed}:{trial}:positive-seq", [1] * (degree + 1), bound,
-                              integer_only)
+    """Unsorted i.i.d. positive draws num/den, for the separation search, as
+    ints s over L, the lcm of the drawn denominators: entry i is s[i]/L.
+
+    num and den both lie in [1, bound], so one ``_draw`` call over equal
+    ranges reads the stream ``_draw_ratios`` would: each numerator, then,
+    unless integer-only (den 1), its denominator."""
+    label = f"{seed}:{trial}:positive-seq"
+    if integer_only:
+        return _from_cleared(_draw(label, [(1, bound)] * (degree + 1)), 1)
+    flat = _draw(label, [(1, bound)] * (2 * degree + 2))
+    dens = flat[1::2]
     lcm = math.lcm(*dens)
-    return _from_cleared([num * (lcm // den) for num, den in zip(nums, dens)], lcm)
+    return _from_cleared([num * (lcm // den) for num, den in zip(flat[::2], dens)], lcm)
 
 
 def _pick_degree(spec: CampaignSpec, trial: int) -> int:
@@ -327,8 +339,8 @@ def _draw_sextuple(spec: CampaignSpec, trial: int) -> Polynomial:
 def _verdict(prop: str, holds: bool, detail: str) -> PropertyVerdict:
     """A Holds verdict, or a Fails verdict that says ``detail``; no witness."""
     if holds:
-        return PropertyVerdict(prop, Status.HOLDS, None, "")
-    return PropertyVerdict(prop, Status.FAILS, None, detail)
+        return PropertyVerdict(prop, _HOLDS, None, "")
+    return PropertyVerdict(prop, _FAILS, None, detail)
 
 
 # Each check maps (drawn polynomial, shifted polynomial or None) to the
@@ -432,45 +444,51 @@ def _bit_lengths(*polys: Polynomial) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass
-class _TrialOutcome:
+class _TrialOutcome(NamedTuple):
     trial: int
     exercised: bool
     degree: int
     bits: tuple[int, ...]  # _bit_lengths of the draw and, if any, its shift
     not_applicable: bool = False
     payload: dict | None = None
-    # Example kind -> cleared input; its verdict is built only if the report keeps it.
-    examples: dict[str, Polynomial] = field(default_factory=dict)
+    # Example kind -> cleared input, only on a trial that keeps one; its
+    # verdict is built only if the report keeps it.
+    examples: dict[str, Polynomial] | None = None
 
 
 def _run_trial(spec: CampaignSpec, trial: int) -> _TrialOutcome:
     target = _TARGETS[spec.target]
     seq = target.draw(spec, trial)
-    shifted = taylor_shift(seq, spec.shift_c) if target.shifts else None
-    out = _TrialOutcome(trial, exercised=seq.degree >= target.min_degree, degree=seq.degree,
-                        bits=_bit_lengths(seq) if shifted is None else _bit_lengths(seq, shifted))
+    degree = seq.degree
+    if target.shifts:
+        shifted = taylor_shift(seq, spec.shift_c)
+        bits = _bit_lengths(seq, shifted)
+    else:
+        shifted, bits = None, _bit_lengths(seq)
+    exercised = degree >= target.min_degree
     try:
         verdicts = target.check(seq, shifted)
         failed = [verdicts[prop] for prop in target.must_hold if not verdicts[prop].holds]
     except HypothesisError as exc:
-        out.exercised = False
+        exercised = False
         failed = [PropertyVerdict(spec.target, Status.NOT_APPLICABLE, None,
                                   f"generator produced a hypothesis violation: {exc}")]
     if failed:
-        out.not_applicable = any(v.status is Status.NOT_APPLICABLE for v in failed)
         # Rendered only for a failing trial: rendering every trial's input
         # and shift costs theorem1 about a fifth of its throughput.
-        out.payload = {"trial": trial, "input": _render_seq(seq),
-                       "verdicts": [v.to_json_dict() for v in failed]}
+        payload = {"trial": trial, "input": _render_seq(seq),
+                   "verdicts": [v.to_json_dict() for v in failed]}
         if shifted is not None:
-            out.payload["shift_c"] = render_rational(spec.shift_c)
-            out.payload["shifted"] = _render_seq(shifted)
-        return out
+            payload["shift_c"] = render_rational(spec.shift_c)
+            payload["shifted"] = _render_seq(shifted)
+        return _TrialOutcome(trial, exercised, degree, bits,
+                             any(v.status is Status.NOT_APPLICABLE for v in failed), payload)
+    examples = None
     for kind, holds, fails in target.examples:
-        if verdicts[holds] is Status.HOLDS and verdicts[fails] is Status.FAILS:
-            out.examples[kind] = seq
-    return out
+        if verdicts[holds] is _HOLDS and verdicts[fails] is _FAILS:
+            examples = examples or {}
+            examples[kind] = seq
+    return _TrialOutcome(trial, exercised, degree, bits, examples=examples)
 
 
 def run_campaign(spec: CampaignSpec, jobs: int = 1) -> CampaignReport:
@@ -499,22 +517,23 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1) -> CampaignReport:
     else:
         outcomes = [_run_trial(spec, t) for t in trials]
 
-    payloads = [o.payload for o in outcomes if o.payload is not None]
-    coverage = {"non_vacuous_trials": sum(1 for o in outcomes if o.exercised)}
+    ids, exercised, degrees, bits, not_applicable, payloads, kept = zip(*outcomes)
+    payloads = [p for p in payloads if p is not None]
+    coverage = {"non_vacuous_trials": sum(exercised)}
     examples_found: dict[str, dict | None] = {}
     for kind, _, fails in _TARGETS[spec.target].examples:
-        hits = [o for o in outcomes if kind in o.examples]
+        hits = [i for i, examples in enumerate(kept) if examples and kind in examples]
         coverage[kind] = len(hits)
         examples_found[kind] = None
         if hits:
-            seq = hits[0].examples[kind]
+            seq = kept[hits[0]][kind]
             verdict = lattice_verdicts(seq)[fails]
-            examples_found[kind] = {"trial": hits[0].trial, "sequence": _render_seq(seq),
+            examples_found[kind] = {"trial": ids[hits[0]], "sequence": _render_seq(seq),
                                     fails.replace("-", "_"): verdict.to_json_dict()}
-    degrees = Counter(o.degree for o in outcomes)
+    degrees = Counter(degrees)
     stats = {"degrees": {str(d): degrees[d] for d in sorted(degrees)},
-             **dict(zip(_BIT_STATS, map(max, zip(*(o.bits for o in outcomes))))),
-             "not_applicable_trials": sum(o.not_applicable for o in outcomes)}
+             **dict(zip(_BIT_STATS, map(max, zip(*bits)))),
+             "not_applicable_trials": sum(not_applicable)}
     return CampaignReport(
         spec=spec,
         trials_run=spec.trials,

@@ -5,10 +5,16 @@ verification misses its tolerance, 2 on usage or input errors.
 """
 
 import json
+import os
+import signal
+import subprocess
 import sys
+import time
+from pathlib import Path
 
 import pytest
 
+import ratioshift
 from ratioshift import cli, poly_ops
 from ratioshift.cli import main
 
@@ -402,3 +408,64 @@ def test_version_flag(capsys):
     assert info.value.code == 0
     out = capsys.readouterr().out
     assert out.startswith("ratioshift ")
+
+
+# --- the console script: failed writes and interrupts ---
+# main() returns exit codes to its caller; these run entry(), as the
+# installed console script does, in a fresh interpreter. With stdout
+# buffered (the default for a pipe or a file) a write fails when entry
+# flushes it; unbuffered, it fails in the write itself.
+
+_SRC = str(Path(ratioshift.__file__).resolve().parent.parent)
+
+
+def _entry(*argv, unbuffered=False, **popen):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = _SRC
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen([sys.executable, "-m", "ratioshift", *argv], env=env,
+                            stderr=subprocess.PIPE, text=True, **popen)
+
+
+@pytest.mark.parametrize("argv, unbuffered", [
+    (("boros-moll", "--m", "400"), False), (("boros-moll", "--m", "400"), True),
+    (("boros-moll", "--m", "3"), False),
+    # argparse prints --version and exits through SystemExit; it drops a
+    # write that fails at once, so only a buffered one is left to fail.
+    (("--version",), False),
+])
+def test_closed_pipe_is_one_line_and_exit_two(argv, unbuffered):
+    # As `ratioshift boros-moll --m 400 | head -c 10`, with the reader gone
+    # before the first write, so the write fails whatever its size.
+    proc = _entry(*argv, unbuffered=unbuffered, stdout=subprocess.PIPE)
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err == "ratioshift: error: cannot write output\n"
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", [False, True])
+def test_full_device_is_one_line_and_exit_two(poly_file, unbuffered):
+    path = poly_file("2\n2\n2\n")
+    with open("/dev/full", "w") as full:
+        proc = _entry("check", "--props", "all", path, unbuffered=unbuffered, stdout=full)
+        _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 2
+    assert err == "ratioshift: error: cannot write output\n"
+
+
+def test_interrupt_is_one_line_and_exit_130():
+    # A campaign far longer than the test, interrupted once it runs; the
+    # timeout bounds it if the interrupt were lost.
+    proc = _entry("fuzz", "--target", "theorem1", "--trials", str(10 ** 8),
+                  stdout=subprocess.PIPE)
+    try:
+        time.sleep(1.5)  # past the imports, into the campaign
+        proc.send_signal(signal.SIGINT)
+        out, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+    assert proc.returncode == 130
+    assert (out, err) == ("", "ratioshift: interrupted\n")

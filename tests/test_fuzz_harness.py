@@ -381,6 +381,32 @@ def test_no_trial_clears_the_same_coefficients_twice(monkeypatch, target, per_tr
         assert all(report.examples_found.values())
 
 
+def test_separation_trial_builds_no_bookkeeping(monkeypatch):
+    # A clean separation trial builds no verdict through the harness (its
+    # audit returns the module's one _IMPLICATIONS_HOLD, built at import)
+    # and, unless it keeps an example, no examples dict. The kept examples'
+    # verdicts come from shape_props.lattice_verdicts, not the harness name.
+    verdicts, outcomes = [], []
+    build, run_trial = fuzz_harness.PropertyVerdict, fuzz_harness._run_trial
+
+    def record(spec, trial):
+        outcomes.append(run_trial(spec, trial))
+        return outcomes[-1]
+
+    monkeypatch.setattr(fuzz_harness, "PropertyVerdict",
+                        lambda *args: verdicts.append(args) or build(*args))
+    monkeypatch.setattr(fuzz_harness, "_run_trial", record)
+    report = run_campaign(CampaignSpec(target="separation", trials=2_000, seed=8,
+                                       degree_range=(2, 6)))
+    assert report.violations == []
+    assert verdicts == []
+    assert len(outcomes) == 2_000
+    kept = [o for o in outcomes if o.examples is not None]
+    assert all(o.examples for o in kept)  # a dict only where an example was kept
+    assert len(kept) == sum(report.coverage[kind] for kind in report.examples_found)
+    assert all(report.examples_found.values())
+
+
 @pytest.mark.parametrize("target, c", [("theorem1", 1), ("corollary", -1), ("separation", 1)])
 def test_stats_match_the_rebuilt_inputs(target, c):
     # Rebuilt from the reference degree and the Fractions of each input: the
