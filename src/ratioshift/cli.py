@@ -50,6 +50,20 @@ def _print(text: str) -> None:
         raise _OutputError from exc
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse drops a failed write of its own output to stdout (``--help``,
+    ``--version``) and exits 0; this raises ``_OutputError`` instead. Its
+    subparsers are of this class too."""
+
+    def _print_message(self, message: str, file=None) -> None:
+        if file is not sys.stdout:
+            return super()._print_message(message, file)
+        try:
+            file.write(message)
+        except OSError as exc:
+            raise _OutputError from exc
+
+
 def _read_coefficients(path: str) -> list:
     try:
         text = Path(path).read_text(encoding="utf-8")
@@ -180,7 +194,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ratioshift",
         description="Exact Taylor shifts and coefficient-shape certification.")
     parser.add_argument("--version", action="version", version=f"ratioshift {__version__}")

@@ -33,9 +33,11 @@ which a trial is vacuous, and the example kinds it records:
 
 The nondecreasing draws (theorem1, lemma2, lemma3, corollary) are built
 cleared, in the lowest terms the constructor would give their Fractions, and
-build no Fraction. The separation draw is built over the unreduced lcm of
-its drawn denominators. Only lemma1's sextuple is built from Fractions and
-cleared by the ``Polynomial`` constructor.
+build no Fraction: each drawn ratio is reduced by its own gcd, so the lcm of
+their denominators is already the lowest one and the row needs no gcd of its
+own. The separation draw is built over the unreduced lcm of its drawn
+denominators. Only lemma1's sextuple is built from Fractions and cleared by
+the ``Polynomial`` constructor.
 
 Every violation (or finding) has one shape: ``trial``, ``input`` (the drawn
 sequence), ``verdicts`` (the failing verdicts as
@@ -65,9 +67,10 @@ exercised: the degree histogram (string keys, in ascending order), the
 largest bit length of a drawn input's cleared numerators and of its common
 denominator, the same for the shifted polynomial on targets that shift, and
 the number of trials with a not-applicable verdict. They are read off the
-ints a trial holds, gathered with the coverage and examples from one pass
-that splits the trial outcomes into columns, and like every field but
-``wall_time`` they are deterministic.
+ints a trial holds and gathered with the coverage and examples, one block of
+trials at a time: each block's outcomes are split into columns in one pass
+and folded into running totals. Like every field but ``wall_time`` they are
+deterministic.
 """
 
 from __future__ import annotations
@@ -273,21 +276,31 @@ def gen_nondecreasing_seq(seed: int, trial: int, degree: int, bound: int,
 
 def _gen_nondecreasing(seed: int, trial: int, degree: int, bound: int, integer_only: bool,
                        positive: bool) -> Polynomial:
-    """The draw of ``gen_nondecreasing_seq``, built cleared: its sorted ints
-    over their lcm, divided by the gcd of all of them and that lcm. The lcm L
-    of the reduced denominators divides any common denominator, and a prime
-    dividing every v*L and L would make L/p one; so this is the lowest-terms
-    form that clearing the Fractions would give, with no Fraction built."""
+    """The draw of ``gen_nondecreasing_seq``, built cleared: the lowest-terms
+    form that clearing its Fractions would give, with no Fraction built.
+
+    Each draw num/den is reduced by its own gcd, a word-size one, and L is
+    the lcm of the reduced denominators, so L is the lowest common
+    denominator. Entry num/d then becomes the int num * (L // d). No prime p
+    of L divides every one of those ints: the entry whose d holds p's full
+    power in L has L // d prime to p, and its num is prime to d, so to p.
+    So the ints over L are in lowest terms as they stand, and no gcd over
+    the whole row and no division by it is needed. A zero entry reduces to
+    0/1; when every entry is zero, L is 1 and the redraw, reduced the same
+    way, alone sets the denominator."""
     nums, dens = _draw_ratios(f"{seed}:{trial}:seq", [1 if positive else 0] * (degree + 1) + [1],
                               bound, integer_only)
+    if not integer_only:  # else every den is 1 already
+        gcds = list(map(math.gcd, nums, dens))
+        nums = [num // g for num, g in zip(nums, gcds)]
+        dens = [d // g for d, g in zip(dens, gcds)]
     redraw_num, redraw_den = nums.pop(), dens.pop()
     # Integer keys over a common denominator sort as their Fractions would.
     den = math.lcm(*dens)
     keys = sorted([num * (den // d) for num, d in zip(nums, dens)])
     if keys[-1] == 0:  # every entry is zero, over the redraw's denominator too
         keys[-1], den = redraw_num, redraw_den
-    g = math.gcd(den, *keys)
-    return _from_cleared([key // g for key in keys], den // g)
+    return _from_cleared(keys, den)
 
 
 def _gen_positive_seq(seed: int, trial: int, degree: int, bound: int,
@@ -491,6 +504,29 @@ def _run_trial(spec: CampaignSpec, trial: int) -> _TrialOutcome:
     return _TrialOutcome(trial, exercised, degree, bits, examples=examples)
 
 
+# Trials per block: run_campaign holds one block's outcomes at a time and
+# folds them into running totals, so its memory does not grow with the trial
+# count (about 0.4 KB per held outcome).
+_BLOCK = 4096
+
+
+def _outcome_blocks(spec: CampaignSpec, workers: int):
+    """Yield the trials' outcomes in trial order, one list per block of at
+    most ``_BLOCK`` trials, run here or by one pool of ``workers``."""
+    blocks = (range(lo, min(lo + _BLOCK, spec.trials)) for lo in range(0, spec.trials, _BLOCK))
+    if workers == 1:
+        for block in blocks:
+            yield [_run_trial(spec, t) for t in block]
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    run = partial(_run_trial, spec)
+    chunk = max(1, min(spec.trials, _BLOCK) // (workers * 8))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        for block in blocks:
+            yield list(pool.map(run, block, chunksize=chunk))
+
+
 def run_campaign(spec: CampaignSpec, jobs: int = 1) -> CampaignReport:
     """Run all trials and assemble the report in trial-index order.
 
@@ -498,42 +534,51 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1) -> CampaignReport:
     workers, and no more than there are trials or CPUs; because each trial
     derives its randomness from (seed, trial) alone and results are
     assembled in trial order, the report does not depend on ``jobs``.
+    Outcomes are split into columns and folded into the report's running
+    values one block at a time, so memory stays flat however many trials run.
     """
     _require("jobs", jobs)
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
     start = time.perf_counter()
-    trials = range(spec.trials)
     # The pool starts all its workers on the first submit, needed or not.
     workers = min(jobs, spec.trials)
     if workers > 1:  # only then is the CPU count worth asking for
         workers = min(workers, os.cpu_count() or 1)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
 
-        chunk = max(1, spec.trials // (workers * 8))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(partial(_run_trial, spec), trials, chunksize=chunk))
-    else:
-        outcomes = [_run_trial(spec, t) for t in trials]
+    example_kinds = _TARGETS[spec.target].examples
+    kinds = [kind for kind, _, _ in example_kinds]
+    non_vacuous = not_applicable = 0
+    degrees: Counter = Counter()
+    bits_max: list[int] = []
+    payloads: list[dict] = []
+    hit_counts = dict.fromkeys(kinds, 0)
+    first_hits: dict[str, tuple[int, Polynomial]] = {}
+    for outcomes in _outcome_blocks(spec, workers):
+        ids, exercised, degs, bits, na, pays, kept = zip(*outcomes)
+        non_vacuous += sum(exercised)
+        not_applicable += sum(na)
+        degrees.update(degs)
+        block_max = list(map(max, zip(*bits)))
+        bits_max = list(map(max, bits_max, block_max)) if bits_max else block_max
+        payloads += [p for p in pays if p is not None]
+        for kind in kinds:
+            hits = [i for i, examples in enumerate(kept) if examples and kind in examples]
+            hit_counts[kind] += len(hits)
+            if hits and kind not in first_hits:
+                first_hits[kind] = ids[hits[0]], kept[hits[0]][kind]
 
-    ids, exercised, degrees, bits, not_applicable, payloads, kept = zip(*outcomes)
-    payloads = [p for p in payloads if p is not None]
-    coverage = {"non_vacuous_trials": sum(exercised)}
-    examples_found: dict[str, dict | None] = {}
-    for kind, _, fails in _TARGETS[spec.target].examples:
-        hits = [i for i, examples in enumerate(kept) if examples and kind in examples]
-        coverage[kind] = len(hits)
-        examples_found[kind] = None
-        if hits:
-            seq = kept[hits[0]][kind]
+    coverage = {"non_vacuous_trials": non_vacuous, **hit_counts}
+    examples_found: dict[str, dict | None] = dict.fromkeys(kinds)
+    for kind, _, fails in example_kinds:
+        if kind in first_hits:
+            trial, seq = first_hits[kind]
             verdict = lattice_verdicts(seq)[fails]
-            examples_found[kind] = {"trial": ids[hits[0]], "sequence": _render_seq(seq),
+            examples_found[kind] = {"trial": trial, "sequence": _render_seq(seq),
                                     fails.replace("-", "_"): verdict.to_json_dict()}
-    degrees = Counter(degrees)
     stats = {"degrees": {str(d): degrees[d] for d in sorted(degrees)},
-             **dict(zip(_BIT_STATS, map(max, zip(*bits)))),
-             "not_applicable_trials": sum(not_applicable)}
+             **dict(zip(_BIT_STATS, bits_max)),
+             "not_applicable_trials": not_applicable}
     return CampaignReport(
         spec=spec,
         trials_run=spec.trials,

@@ -178,15 +178,20 @@ def _shift_horner(ints: tuple[int, ...], den: int, c: Fraction) -> tuple[list[in
         for k in range(n - 1, -1, -1):
             out[k] *= weight
             weight *= q
-    # After pass i, out[i] is final.
+    # After pass i, out[i] is final. Each pass carries the value it just
+    # wrote, out[j + 1], in the local acc rather than indexing it back out of
+    # the list: the same additions in the same order, one subscript fewer
+    # per inner step.
     if p == 1:
         for i in range(n - 1):
+            acc = out[-1]
             for j in range(n - 2, i - 1, -1):
-                out[j] += out[j + 1]
+                acc = out[j] = out[j] + acc
     elif p != 0:
         for i in range(n - 1):
+            acc = out[-1]
             for j in range(n - 2, i - 1, -1):
-                out[j] += p * out[j + 1]
+                acc = out[j] = out[j] + p * acc
     if q != 1:
         weight = 1
         for j in range(n):

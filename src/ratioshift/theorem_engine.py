@@ -41,7 +41,7 @@ from typing import Sequence
 
 from .numeric_core import DomainError, as_rational, ratio_leq
 from .poly_ops import Polynomial, ShiftAlgorithm, _scaled_boundary, mul_by_x_plus_one, taylor_shift
-from .shape_props import Status, _lattice_statuses, _nonneg_nondecreasing_witness
+from .shape_props import Status, _HOLDS, _lattice_statuses, _nonneg_nondecreasing_witness
 
 __all__ = [
     "HypothesisError",
@@ -178,9 +178,9 @@ def lemma2_preserved(b: Polynomial) -> bool:
     Raises HypothesisError if B itself is not ratio monotone. Expected true
     under the hypothesis.
     """
-    if _ratio_monotone_status(b) is not Status.HOLDS:
+    if _ratio_monotone_status(b) is not _HOLDS:
         raise HypothesisError("input polynomial is not ratio monotone")
-    return _ratio_monotone_status(mul_by_x_plus_one(b)) is Status.HOLDS
+    return _ratio_monotone_status(mul_by_x_plus_one(b)) is _HOLDS
 
 
 def _ratio_monotone_status(p: Polynomial) -> Status:

@@ -431,9 +431,11 @@ def _entry(*argv, unbuffered=False, **popen):
 @pytest.mark.parametrize("argv, unbuffered", [
     (("boros-moll", "--m", "400"), False), (("boros-moll", "--m", "400"), True),
     (("boros-moll", "--m", "3"), False),
-    # argparse prints --version and exits through SystemExit; it drops a
-    # write that fails at once, so only a buffered one is left to fail.
-    (("--version",), False),
+    # argparse writes --help and --version itself and exits through
+    # SystemExit; left to itself it drops a write that fails at once (stdout
+    # unbuffered) and exits 0. Subcommand parsers write the same way.
+    (("--version",), False), (("--version",), True),
+    (("--help",), False), (("--help",), True), (("fuzz", "--help"), True),
 ])
 def test_closed_pipe_is_one_line_and_exit_two(argv, unbuffered):
     # As `ratioshift boros-moll --m 400 | head -c 10`, with the reader gone

@@ -145,12 +145,16 @@ def test_gen_nondecreasing_seq_matches_randint_reference(bound, positive, intege
 
 @pytest.mark.parametrize("integer_only", [False, True])
 @pytest.mark.parametrize("positive", [False, True])
-@pytest.mark.parametrize("bound", [1, 2, 3, 100, 10 ** 6])
+# 360 = 2^3 3^2 5: many draws share small factors with their denominators.
+@pytest.mark.parametrize("bound", [1, 2, 3, 100, 360, 10 ** 6])
 def test_nondecreasing_draw_is_cleared_as_its_fractions(bound, positive, integer_only):
-    # The draw is built cleared, without Fractions; its (ints, den) must be
-    # the lowest-terms form that clearing the reference Fractions gives.
-    for trial in range(150):
-        degree = trial % 9
+    # The draw is built cleared, without Fractions, each ratio reduced on its
+    # own and no gcd over the row; its (ints, den) must be the lowest-terms
+    # form that clearing the reference Fractions gives. Degrees 0..8 come
+    # often (all-zero draws and their redraw at bounds 1 and 2), then every
+    # degree up to 64, as theorem1 campaigns draw.
+    degrees = [trial % 9 for trial in range(150)] + list(range(9, 65))
+    for trial, degree in enumerate(degrees):
         *draws, redraw = reference_ratios(f"13:{trial}:seq",
                                           [1 if positive else 0] * (degree + 1) + [1],
                                           bound, integer_only)
@@ -474,6 +478,40 @@ def test_parallel_run_reports_identically():
     spec = CampaignSpec(target="separation", trials=150, seed=33, degree_range=(2, 6),
                         magnitude_bound=100)
     assert report_json(spec, jobs=1) == report_json(spec, jobs=3)
+
+
+@pytest.mark.parametrize("spec", [
+    # Findings at trials 5, 25, 27 and 36: payloads from four blocks of 7.
+    CampaignSpec(target="corollary", trials=60, seed=2024, degree_range=(2, 12),
+                 shift_c=Fraction(1, 2), allow_c_below_one=True),
+    # Both example kinds, one first found at trial 102, and degrees 0..3.
+    CampaignSpec(target="separation", trials=300, seed=2029, degree_range=(0, 3),
+                 magnitude_bound=3),
+    CampaignSpec(target="theorem1", trials=60, seed=2024, degree_range=(0, 3)),
+], ids=["corollary-1/2", "separation", "theorem1"])
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_blocks_fold_into_the_one_block_report(monkeypatch, spec, jobs):
+    # run_campaign folds its outcomes block by block; blocks of 7 trials
+    # (the last one short) must give the report that one block gives.
+    whole = report_json(spec)
+    monkeypatch.setattr(fuzz_harness, "_BLOCK", 7)
+    assert report_json(spec, jobs=jobs) == whole
+
+
+def test_campaign_memory_does_not_grow_with_trials():
+    # Each held trial outcome takes about 0.35 KB on a separation campaign:
+    # holding all 30,000 peaked at 10.8 MB, one block at a time at 2.3 MB.
+    import tracemalloc
+
+    spec = CampaignSpec(target="separation", trials=30_000, seed=5, degree_range=(2, 6),
+                        magnitude_bound=100)
+    tracemalloc.start()
+    try:
+        run_campaign(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 10 ** 6
 
 
 def test_different_seeds_differ():
