@@ -92,13 +92,13 @@ from .shape_props import (
     _FAILS,
     _HOLDS,
     _lattice_statuses,
+    _verdict as _lattice_verdict,
     audit_implications,  # noqa: F401  bench/layers.py wraps these two names here
     audit_statuses,
     check_log_concave,
     check_no_internal_zeros,
     check_ratio_monotone,
     check_spiral,  # noqa: F401
-    lattice_verdicts,
 )
 from .theorem_engine import HypothesisError, lemma1_holds, lemma2_preserved, lemma3_gap
 
@@ -573,7 +573,7 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1) -> CampaignReport:
     for kind, _, fails in example_kinds:
         if kind in first_hits:
             trial, seq = first_hits[kind]
-            verdict = lattice_verdicts(seq)[fails]
+            verdict = _lattice_verdict(fails, seq)  # seq is the trial's Polynomial
             examples_found[kind] = {"trial": trial, "sequence": _render_seq(seq),
                                     fails.replace("-", "_"): verdict.to_json_dict()}
     stats = {"degrees": {str(d): degrees[d] for d in sorted(degrees)},

@@ -20,9 +20,12 @@ whose integrand is smooth and bounded for x > -1 (the denominator is
 Quadrature is iterated composite Simpson with panel doubling and a
 Richardson error estimate, trusted from 16 panels on and capped in
 refinement depth. It is one loop, ``_simpson``, that streams each level's
-midpoints through the integrand and into ``math.fsum`` in index order; the
-folded integrand is one fused generator, so a point costs a generator step,
-not three Python calls.
+values into ``math.fsum`` in index order. A level is one generator,
+``_folded_level``, that forms each midpoint and its folded integrand value
+in one frame, so a point costs one generator step. Where u^(4m+2) is too
+small to change 1 + u^(4m+2), the generator does not compute it: the
+numerator is exactly 1.0 there, so every value and every raised error is
+the literal formula's.
 
 This is the only module that touches floating point, and only at its
 boundary: P_m(x) is evaluated by Horner's rule on integers (P_m's integer
@@ -77,47 +80,70 @@ def integrand(t: float, x: float, m: int) -> float:
     return ((t * t + 2.0 * x) * t * t + 1.0) ** (-(m + 1))
 
 
-def _folded_values(us: Iterable[float], x: float, m: int) -> Iterator[float]:
-    """folded_integrand(u, x, m) for each u in ``us``, lazily and in order.
+def _folded_level(a: float, h: float, n: int, x: float, m: int) -> Iterator[float]:
+    """folded_integrand(u, x, m) at u = a + (i + 0.5) h for i < n, lazily and
+    in index order.
 
-    The expression is the same tree, operation for operation, so every value
+    Each value is the literal formula's tree, operation for operation, so it
     is bit-identical: ``**`` converts an int exponent to float anyway, and
     the product stays left-associative ((u^2 + 2x) u) u.
+
+    ``u ** e`` is skipped while |u| <= t = 2^(-54/e) (e = 4m + 2 is even, so
+    u^e = |u|^e). There the exact u^e is at most t^e, which exceeds 2^-54
+    only by the rounding of t, a relative e 2^-52 or so. A faithful ``pow``
+    then returns less than 2^-53, half an ulp of 1.0, so 1.0 + u^e rounds to
+    1.0 and the numerator is exactly 1.0. The denominator's ``pow`` and the
+    division still run, so every value and every error, and the point that
+    raises it, are unchanged. Only the first loop tests u, and it skips only
+    points it tested; the second computes every value in full. In the
+    quadrature a = 0 <= h, so u never decreases with i (float + and * are
+    monotone) and the skipped points are the level's whole prefix below t.
     """
     e, k, tx = float(4 * m + 2), float(m + 1), 2.0 * x
-    for u in us:
+    t = 2.0 ** (-54.0 / e)
+    rest = iter(range(n))
+    for i in rest:
+        u = a + (i + 0.5) * h
+        if not -t <= u <= t:
+            yield (1.0 + u ** e) / ((u * u + tx) * u * u + 1.0) ** k
+            break
+        yield 1.0 / ((u * u + tx) * u * u + 1.0) ** k
+    for i in rest:
+        u = a + (i + 0.5) * h
         yield (1.0 + u ** e) / ((u * u + tx) * u * u + 1.0) ** k
 
 
 def folded_integrand(u: float, x: float, m: int) -> float:
     """Integrand after folding [1, inf) back onto [0, 1] via t -> 1/u."""
-    return next(_folded_values((u,), x, m))
+    return next(_folded_level(u, -0.0, 1, x, m))
 
 
-def _simpson(values: Callable[[Iterable[float]], Iterable[float]], a: float, b: float,
+def _simpson(level: Callable[[float, float, int], Iterable[float]], a: float, b: float,
              tol: float, max_doublings: int) -> float:
     """Composite Simpson with panel doubling until the Richardson estimate
     |S_2n - S_n| / 15 drops to ``tol`` relative to the value; S_2n must have
     at least ``_MIN_PANELS`` panels (2 ``_MIN_PANELS`` subintervals).
 
-    ``values`` maps an iterable of points to their integrand values in the
-    same order. Function evaluations are reused across refinements by
-    building Simpson values from the trapezoid ladder, S_2n = (4 T_2n - T_n) / 3.
-    Each level's midpoints stay lazy and ``math.fsum`` takes them in index
-    order: a level holds up to 2^21 points, and the order decides which
-    error a failing integrand raises first (fsum's intermediate overflow or
-    the integrand's own).
+    ``level(a, h, n)`` yields the integrand at a + (i + 0.5) h for i < n, in
+    index order. The endpoints are its h = -0.0 case: a + (i + 0.5) (-0.0)
+    is a for every float a, signed zero included. Function evaluations are
+    reused across refinements by building Simpson values from the trapezoid
+    ladder, S_2n = (4 T_2n - T_n) / 3. Each level stays lazy and
+    ``math.fsum`` takes it in index order: a level holds up to 2^21 points,
+    and the order decides which error a failing integrand raises first
+    (fsum's intermediate overflow or the integrand's own).
     """
     if not 0 < tol < math.inf:
         raise DomainError(f"tolerance must be finite and positive, got {tol}")
-    fa, fb = values((a, b))
+    fa, = level(a, -0.0, 1)
+    fb, = level(b, -0.0, 1)
     trap = 0.5 * (b - a) * (fa + fb)
     simpson_prev = None
     last_err = math.inf
     panels = 1
     for _ in range(max_doublings):
         h = (b - a) / panels
-        midsum = math.fsum(values(a + (i + 0.5) * h for i in range(panels)))
+        midsum = math.fsum(level(a, h, panels))
         trap_next = 0.5 * (trap + h * midsum)
         simpson = (4.0 * trap_next - trap) / 3.0
         if simpson_prev is not None:
@@ -138,7 +164,8 @@ def simpson_refine(f: Callable[[float], float], a: float, b: float, tol: float,
                    max_doublings: int = _MAX_DOUBLINGS) -> float:
     """Integrate the scalar ``f`` over [a, b] to relative tolerance ``tol``
     by composite Simpson with panel doubling (see ``_simpson``)."""
-    return _simpson(lambda us: map(f, us), a, b, tol, max_doublings)
+    return _simpson(lambda a, h, n: (f(a + (i + 0.5) * h) for i in range(n)),
+                    a, b, tol, max_doublings)
 
 
 def _check_domain(x: float, m: int) -> None:
@@ -155,7 +182,8 @@ def quadrature_lhs(x: float, m: int, tol: float) -> float:
     """
     _check_domain(x, m)
     # Halve the requested tolerance so the estimate has headroom.
-    return _simpson(lambda us: _folded_values(us, x, m), 0.0, 1.0, tol / 2.0, _MAX_DOUBLINGS)
+    return _simpson(lambda a, h, n: _folded_level(a, h, n, x, m), 0.0, 1.0, tol / 2.0,
+                    _MAX_DOUBLINGS)
 
 
 def closed_form_rhs(x: float, m: int) -> float:

@@ -295,6 +295,7 @@ def test_verify_integral_x_past_half_the_largest_float_is_domain_error(capsys):
     ("2000", "1.0", "OverflowError: "),  # from pow; its text is the C library's
     ("54", "-0.999999", "OverflowError: intermediate overflow in fsum"),
     ("57", "-0.999999", "ZeroDivisionError: float division by zero"),
+    ("3", "1e80", "OverflowError: "),  # (2x)^4 at u = 1, from pow
 ])
 def test_verify_integral_float_failure_exits_one(capsys, m, x, error):
     code, out, err = run(capsys, "verify-integral", "--m", m, "--x", x)

@@ -389,7 +389,7 @@ def test_separation_trial_builds_no_bookkeeping(monkeypatch):
     # A clean separation trial builds no verdict through the harness (its
     # audit returns the module's one _IMPLICATIONS_HOLD, built at import)
     # and, unless it keeps an example, no examples dict. The kept examples'
-    # verdicts come from shape_props.lattice_verdicts, not the harness name.
+    # verdicts come from shape_props._verdict, not the harness name.
     verdicts, outcomes = [], []
     build, run_trial = fuzz_harness.PropertyVerdict, fuzz_harness._run_trial
 

@@ -17,6 +17,7 @@ import pytest
 from ratioshift.numeric_core import DomainError
 from ratioshift.quartic_integral import (
     QuadratureError,
+    _folded_level,
     closed_form_rhs,
     folded_integrand,
     integrand,
@@ -90,6 +91,27 @@ def test_folded_integrand_is_the_literal_formula_bit_for_bit():
         for x in (-0.999999, -0.5, 0.0, 0.3, 1.0, 1e3):
             for m in (0, 1, 7, 60):
                 assert _outcome(folded_integrand, u, x, m) == _outcome(_literal_folded, u, x, m)
+    # The integrand skips u ** (4m+2) for |u| <= 2^(-54/(4m+2)), where it
+    # cannot change 1 + u^(4m+2): probe that threshold, its float neighbours,
+    # and the u where u^(4m+2) = 2^-b for b = 49..54, some of which it changes.
+    xs = (-0.9999999, -0.5, 0.0, 1.0, 1e10)
+    for m in range(121):
+        e = 4 * m + 2
+        t = 2.0 ** (-54.0 / e)
+        us = [t, math.nextafter(t, 0.0), math.nextafter(t, 1.0)]
+        us += [2.0 ** (-b / e) for b in range(49, 55)]
+        for u in us + [-u for u in us]:
+            for x in xs:
+                assert _outcome(folded_integrand, u, x, m) == _outcome(_literal_folded, u, x, m)
+    # One whole level, its skipped prefix and the rest, summed as _simpson does.
+    n = 1024
+    h = 1.0 / n
+    for m in (0, 3, 10, 49, 120):
+        for x in xs:
+            level = _outcome(lambda: math.fsum(_folded_level(0.0, h, n, x, m)))
+            literal = _outcome(lambda: math.fsum(
+                _literal_folded(0.0 + (i + 0.5) * h, x, m) for i in range(n)))
+            assert level == literal
 
 
 def test_fold_matches_tail_on_samples():
