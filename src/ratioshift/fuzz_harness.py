@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 import time
 from collections import Counter
 from dataclasses import dataclass, field
@@ -220,12 +221,20 @@ class CampaignReport:
 
 def _draw(label: str, ranges: list[tuple[int, int]]) -> list[int]:
     """One value per (low, high) range, in order, by randint's rule on the bit
-    stream of ``label`` (module docstring)."""
+    stream of ``label`` (module docstring).
+
+    n, k and the mask are computed again only when the range object changes:
+    a separation or lemma1 draw repeats one tuple, so it computes them once."""
     out = []
     pool = avail = block = 0
-    for low, high in ranges:
-        n = high - low + 1
-        k = n.bit_length()
+    last = None
+    for rng in ranges:
+        if rng is not last:
+            last = rng
+            low, high = rng
+            n = high - low + 1
+            k = n.bit_length()
+            mask = (1 << k) - 1
         r = n
         while r >= n:
             while avail < k:
@@ -233,7 +242,7 @@ def _draw(label: str, ranges: list[tuple[int, int]]) -> list[int]:
                 pool |= int.from_bytes(_sha256(name.encode()).digest(), "big") << avail
                 avail += 256
                 block += 1
-            r = pool & ((1 << k) - 1)
+            r = pool & mask
             pool >>= k
             avail -= k
         out.append(low + r)
@@ -244,10 +253,11 @@ def _draw_ratios(label: str, lows: list[int], bound: int,
                  integer_only: bool) -> tuple[list[int], list[int]]:
     """One draw num/den per entry of ``lows``, num in [low, bound] and den in
     [1, bound] (den 1 in integer-only mode), as numerators and denominators."""
-    nums = [(low, bound) for low in lows]
+    den = (1, bound)  # numerators from 1 share it, so that _draw keeps its constants
+    nums = [den if low == 1 else (low, bound) for low in lows]
     if integer_only:
         return _draw(label, nums), [1] * len(nums)
-    ranges = [(1, bound)] * (2 * len(nums))
+    ranges = [den] * (2 * len(nums))
     ranges[::2] = nums
     flat = _draw(label, ranges)
     return flat[::2], flat[1::2]
@@ -469,19 +479,26 @@ class _TrialOutcome(NamedTuple):
     examples: dict[str, Polynomial] | None = None
 
 
+# A _TrialOutcome built from all seven fields at once, without the
+# namedtuple's keyword-taking __new__.
+_tuple_new = tuple.__new__
+
+
 def _run_trial(spec: CampaignSpec, trial: int) -> _TrialOutcome:
     target = _TARGETS[spec.target]
     seq = target.draw(spec, trial)
-    degree = seq.degree
+    ints, den = seq._cleared()
+    degree = len(ints) - 1
     if target.shifts:
         shifted = taylor_shift(seq, spec.shift_c)
         bits = _bit_lengths(seq, shifted)
     else:
-        shifted, bits = None, _bit_lengths(seq)
+        shifted, bits = None, (max(max(ints), -min(ints)).bit_length(), den.bit_length())
     exercised = degree >= target.min_degree
     try:
         verdicts = target.check(seq, shifted)
-        failed = [verdicts[prop] for prop in target.must_hold if not verdicts[prop].holds]
+        failed = [verdicts[prop] for prop in target.must_hold
+                  if verdicts[prop].status is not _HOLDS]
     except HypothesisError as exc:
         exercised = False
         failed = [PropertyVerdict(spec.target, Status.NOT_APPLICABLE, None,
@@ -494,20 +511,25 @@ def _run_trial(spec: CampaignSpec, trial: int) -> _TrialOutcome:
         if shifted is not None:
             payload["shift_c"] = render_rational(spec.shift_c)
             payload["shifted"] = _render_seq(shifted)
-        return _TrialOutcome(trial, exercised, degree, bits,
-                             any(v.status is Status.NOT_APPLICABLE for v in failed), payload)
+        return _tuple_new(_TrialOutcome, (
+            trial, exercised, degree, bits,
+            any(v.status is Status.NOT_APPLICABLE for v in failed), payload, None))
     examples = None
     for kind, holds, fails in target.examples:
         if verdicts[holds] is _HOLDS and verdicts[fails] is _FAILS:
             examples = examples or {}
             examples[kind] = seq
-    return _TrialOutcome(trial, exercised, degree, bits, examples=examples)
+    return _tuple_new(_TrialOutcome, (trial, exercised, degree, bits, False, None, examples))
 
 
 # Trials per block: run_campaign holds one block's outcomes at a time and
 # folds them into running totals, so its memory does not grow with the trial
 # count (about 0.4 KB per held outcome).
 _BLOCK = 4096
+
+# The largest degree a campaign draws at: a draw lists two ranges per
+# coefficient and two for the redraw, at most sys.maxsize of them.
+_MAX_DEGREE = sys.maxsize // 2 - 2
 
 
 def _outcome_blocks(spec: CampaignSpec, workers: int):
@@ -540,6 +562,12 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1) -> CampaignReport:
     _require("jobs", jobs)
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
+    # Past _MAX_DEGREE a draw's list of ranges is longer than a list can be
+    # (OverflowError); below it a huge degree runs out of memory. lemma1's
+    # sextuple draws no degree.
+    if spec.degree_range[1] > _MAX_DEGREE and spec.target != "lemma1":
+        raise DomainError(f"degree range end {spec.degree_range[1]} is too large to draw "
+                          f"(at most {_MAX_DEGREE})")
     start = time.perf_counter()
     # The pool starts all its workers on the first submit, needed or not.
     workers = min(jobs, spec.trials)

@@ -78,7 +78,7 @@ class Polynomial:
         from the numerators on first read."""
         if self._coeffs is None:
             den = self._den
-            object.__setattr__(self, "_coeffs", tuple([Fraction(n, den) for n in self._ints]))
+            _set_coeffs(self, tuple([Fraction(n, den) for n in self._ints]))
         return self._coeffs
 
     def _cleared(self) -> tuple[tuple[int, ...], int]:
@@ -121,11 +121,19 @@ class Polynomial:
         self.__init__(state["coeffs"])
 
 
+# The slots' own setters: the frozen __setattr__ refuses every assignment.
+_set_ints, _set_den, _set_coeffs = (
+    slot.__set__ for slot in (Polynomial._ints, Polynomial._den, Polynomial._coeffs))
+
+
 def _set(p: Polynomial, ints: tuple[int, ...], den: int,
          cache: tuple[Fraction, ...] | None) -> None:
-    object.__setattr__(p, "_ints", ints)
-    object.__setattr__(p, "_den", den)
-    object.__setattr__(p, "_coeffs", cache)
+    """Store the three slots through their descriptors' ``__set__``, which
+    skips the attribute lookup by name that ``object.__setattr__`` makes per
+    slot; it runs on every draw, shift and product."""
+    _set_ints(p, ints)
+    _set_den(p, den)
+    _set_coeffs(p, cache)
 
 
 def _from_cleared(ints: list[int], den: int) -> Polynomial:

@@ -387,6 +387,21 @@ def test_fuzz_out_of_memory_is_input_error(capsys, monkeypatch):
     assert err == "ratioshift: error: out of memory\n"
 
 
+@pytest.mark.parametrize("target", ["theorem1", "lemma2", "lemma3", "corollary", "separation"])
+def test_fuzz_degree_past_any_list_is_input_error(capsys, target):
+    # A degree whose draw could not even be listed used to end in an
+    # OverflowError traceback ("cannot fit 'int' into an index-sized integer").
+    code, out, err = run(capsys, "fuzz", "--target", target, "--trials", "2",
+                         "--degree-max", "100000000000000000000")
+    assert (code, out) == (2, "")
+    assert err.startswith("ratioshift: error: degree range end 100000000000000000000 ")
+    assert err.count("\n") == 1
+    # lemma1 draws no degree, so the range does not stop it.
+    code, _, _ = run(capsys, "fuzz", "--target", "lemma1", "--trials", "2",
+                     "--degree-max", "100000000000000000000")
+    assert code == 0
+
+
 def test_fuzz_unknown_target_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["fuzz", "--target", "nope", "--trials", "5"])

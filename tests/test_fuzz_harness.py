@@ -121,6 +121,19 @@ def test_randints_interleaves_numerator_and_denominator_ranges(low, bound):
             reference_draws(label, [(low, bound)] * 9), [1] * 9)
 
 
+def test_draw_constants_are_only_a_cache():
+    # _draw computes n, k and the mask again only when the range object
+    # changes; equal but distinct tuples, and two objects that alternate with
+    # different k, must give the values of a fresh computation per range.
+    one = (0, 127)
+    equal = [(1, 10 ** 6) for _ in range(12)]
+    small, wide = (0, 127), (1, 2 ** 31 - 1)
+    for seed in range(200):
+        label = f"{seed}:0:positive-seq"
+        for ranges in ([one] * 12, equal, [small, wide] * 6, [wide, small] * 6):
+            assert fuzz_harness._draw(label, ranges) == reference_draws(label, list(ranges))
+
+
 # A clean campaign's report hashes only its spec, degree-driven counts and the
 # largest bit lengths, so the pins do not guard every drawn value. These
 # rebuild each input from the reference, as the draws are documented.
@@ -409,6 +422,15 @@ def test_separation_trial_builds_no_bookkeeping(monkeypatch):
     assert all(o.examples for o in kept)  # a dict only where an example was kept
     assert len(kept) == sum(report.coverage[kind] for kind in report.examples_found)
     assert all(report.examples_found.values())
+    # Built from all seven fields at once, each outcome is the clean trial's
+    # _TrialOutcome, its degree and bit lengths read off the rebuilt draw.
+    spec = report.spec
+    for trial, outcome in enumerate(outcomes):
+        seq = fuzz_harness._draw_positive(spec, trial)
+        assert type(outcome) is fuzz_harness._TrialOutcome
+        assert outcome == fuzz_harness._TrialOutcome(
+            trial, True, seq.degree, fuzz_harness._bit_lengths(seq), examples=outcome.examples)
+        assert outcome.not_applicable is False and outcome.payload is None
 
 
 @pytest.mark.parametrize("target, c", [("theorem1", 1), ("corollary", -1), ("separation", 1)])
@@ -496,6 +518,17 @@ def test_blocks_fold_into_the_one_block_report(monkeypatch, spec, jobs):
     whole = report_json(spec)
     monkeypatch.setattr(fuzz_harness, "_BLOCK", 7)
     assert report_json(spec, jobs=jobs) == whole
+
+
+@pytest.mark.parametrize("target", [t for t in TARGETS if t != "lemma1"])
+def test_degree_past_any_list_is_refused_before_a_trial(target):
+    # Past the bound a draw's list of ranges could not be built at all
+    # (OverflowError); at it the list is refused by size, at once.
+    top = fuzz_harness._MAX_DEGREE
+    with pytest.raises(DomainError, match=f"degree range end {top + 1} is too large"):
+        run_campaign(CampaignSpec(target=target, trials=1, seed=0, degree_range=(top + 1,) * 2))
+    with pytest.raises(MemoryError):
+        run_campaign(CampaignSpec(target=target, trials=1, seed=0, degree_range=(top, top)))
 
 
 def test_campaign_memory_does_not_grow_with_trials():
