@@ -4,19 +4,27 @@ Exit code contract: 0 when everything holds, 1 when a property fails or a
 verification misses its tolerance, 2 on usage or input errors.
 """
 
+import contextlib
+import io
 import json
+import math
 import os
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import ratioshift
 from ratioshift import cli, poly_ops
 from ratioshift.cli import main
+from ratioshift.fuzz_harness import TARGETS
+from ratioshift.shape_props import CHECKERS
 
 
 @pytest.fixture
@@ -424,6 +432,108 @@ def test_version_flag(capsys):
     assert info.value.code == 0
     out = capsys.readouterr().out
     assert out.startswith("ratioshift ")
+
+
+# --- any argv: an exit code, never an exception ---
+# argv is built from the real subcommands and flags, values near and past
+# their limits, junk tokens and coefficient files of any bytes. main returns
+# 0, 1 or 2; only argparse's own exits (usage errors, --help, --version)
+# leave it, as SystemExit with 2 or 0, which entry maps the same way. Every
+# number is bounded (degree <= 8, trials <= 5, m <= 20) so no example runs a
+# long campaign or quadrature.
+
+def _mostly(valid, *invalid):
+    """Tokens drawn from ``valid`` three times in four, else from ``invalid``."""
+    return st.sampled_from([*valid, *valid, *valid, *invalid])
+
+
+# C(12, k) 2^600: every ratio link an exact tie, long and wide enough for the
+# finders' floor view; one unit more on a_12 breaks chain A's first link.
+_WIDE = [math.comb(12, k) << 600 for k in range(13)]
+
+_FILES = st.one_of(
+    st.binary(max_size=40),
+    st.sampled_from([b"1/0", "\uff11\uff12 \uff13".encode(), b"1" * 4301, b"", b"# only\n",
+                     b"1 2 3", b"0 1 0 2", b"-1/2 3 0.25", b"1e5 2", b"\xff\xfe1",
+                     *(" ".join(map(str, row)).encode()
+                       for row in (_WIDE, _WIDE[:-1] + [_WIDE[-1] + 1]))]),
+    st.lists(st.fractions(max_denominator=50).map(str), min_size=1, max_size=9)
+    .map(lambda tokens: " ".join(tokens).encode()),
+)
+
+_RATIONALS = _mostly(["1", "-3/2", "0", "2/3", "1/2", "3", "-0.25"],
+                     "1/0", "abc", "\uff11", "1" + "0" * 400)
+_UP_TO = {n: [str(k) for k in range(n + 1)] for n in (5, 8, 20)}
+_OPTIONS = {
+    "shift": {"--c": _RATIONALS, "--algo": _mostly(["horner", "naive"], "fft")},
+    "check": {"--props": st.lists(_mostly([*CHECKERS, "all"], "foo", ""),
+                                  min_size=1, max_size=3).map(",".join)},
+    "boros-moll": {"--m": _mostly(_UP_TO[20], "-1", "x", "1.5")},
+    "verify-integral": {
+        "--m": _mostly(_UP_TO[20], "-1", "x", "1.5"),
+        "--x": _mostly(["2.0", "-0.5", "0", "-0.99", "1e3", "1e-300"],
+                       "1e80", "1e308", "-1", "-2", "nan", "inf", "x"),
+        "--tol": _mostly(["1e-8", "1e-3"], "0", "-1", "nan", "inf", "x"),
+    },
+    "fuzz": {
+        "--target": _mostly(TARGETS, "nope"),
+        "--trials": _mostly(_UP_TO[5], "-1", "x"),
+        "--seed": _mostly(_UP_TO[8], "-3"),
+        "--degree-min": _mostly(_UP_TO[5], "-2", "8"),
+        "--degree-max": _mostly(_UP_TO[8][4:], "-1", "0"),
+        "--bound": _mostly(["1", "2", "10", "1000000"], "0", "-1"),
+        # A --c other than 1 is an error outside corollary.
+        "--c": _mostly(["1", "1", "3/2"], "1/2", "-3/2", "0", "x"),
+        "--jobs": _mostly(["1"], "0", "-1"),
+    },
+}
+_FLAGS = {"boros-moll": ("--power-basis", "--json"),
+          "fuzz": ("--integer-only", "--allow-c-below-one")}
+_JUNK = st.sampled_from(["--", "-", "--bogus", "--help", "--version", "--m", "-1", "nan",
+                         "\uff11", ""])
+_USUALLY = _mostly([True], False)
+_ALMOST_ALWAYS = _mostly([True] * 6, False)  # what is required is left out 1 time in 19
+_REQUIRED = ("--c", "--props", "--m", "--x", "--target")
+
+
+@st.composite
+def _argv(draw):
+    command = draw(_mostly(list(_OPTIONS), "nope", ""))
+    argv = [command]
+    optional = st.booleans() if command == "fuzz" else _USUALLY  # fuzz has the most
+    for option, values in _OPTIONS.get(command, {}).items():
+        if draw(_ALMOST_ALWAYS if option in _REQUIRED else optional):
+            argv += [option, draw(values)]
+    argv += [flag for flag in _FLAGS.get(command, ()) if draw(st.booleans())]
+    if command in ("shift", "check") and draw(_ALMOST_ALWAYS):
+        argv.append(draw(_mostly(["FILE"], "missing.txt", ".")))
+    if not draw(_USUALLY):  # a junk token, one time in four
+        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
+    return argv
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(_argv(), _FILES)
+def test_any_argv_ends_in_an_exit_code(argv, content):
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "coeffs.txt")
+        with open(path, "wb") as f:
+            f.write(content)
+        argv = [path if a == "FILE" else os.path.join(tmp, a) if a == "missing.txt" else a
+                for a in argv]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                assert exc.code in (0, 2)
+                return
+    assert code in (0, 1, 2)
+    if code == 2:
+        # An input error prints one line and nothing on stdout.
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("ratioshift: error: ")
+        assert err.getvalue().count("\n") == 1
 
 
 # --- the console script: failed writes and interrupts ---

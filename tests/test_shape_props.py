@@ -6,6 +6,7 @@ tests by pointing at indices that do not actually violate anything.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -18,8 +19,11 @@ from ratioshift.shape_props import (
     PropertyVerdict,
     Status,
     Witness,
+    _FLOOR_BITS,
     _lattice_statuses,
+    _log_concave_w,
     _PROPS,
+    _ratio_monotone_w,
     audit_implications,
     audit_statuses,
     check_log_concave,
@@ -428,6 +432,55 @@ def reference_no_internal_zeros(a):
     return PropertyVerdict(prop, Status.HOLDS, None, "")
 
 
+# Log-concave and ratio-monotone first try each link on t_i = s_i >> sh, the
+# smallest entry kept to _FLOOR_BITS bits (see the shape_props docstring).
+# Short, narrow inputs never reach that view; these are long and wide, and
+# put links at every distance from a tie.
+
+def _shift_by_one(a):
+    m = len(a) - 1
+    return [sum(a[j] * math.comb(j, i) for j in range(i, m + 1)) for i in range(m + 1)]
+
+
+def _wide_inputs():
+    rng = random.Random(2051)
+    for trial in range(400):
+        m = rng.randint(8, 79)
+        span = rng.randint(0, 600)  # bits between the smallest and largest entry
+        kind = trial % 4
+        if kind == 0:
+            # Shifts of nondecreasing rows are ratio monotone, off any tie.
+            row = _shift_by_one(sorted(rng.getrandbits(span // 2) + 1 for _ in range(m + 1)))
+        elif kind == 1:
+            # Binomial rows make every ratio link an exact tie.
+            row = [math.comb(m, k) for k in range(m + 1)]
+        elif kind == 2:
+            # Geometric runs make every log-concave link an exact tie.
+            p, q = (rng.randint(1, 1 << span // m) for _ in range(2))
+            row = [p ** k * q ** (m - k) for k in range(m + 1)]
+        else:
+            row = [rng.getrandbits(span) + 1 for _ in range(m + 1)]
+        scale, shift = rng.randint(1, 1 << 32), rng.randint(0, 2000)
+        row = [v * scale << shift for v in row]
+        variant = trial // 4 % 4
+        unit = 1 << max(min(row).bit_length() - _FLOOR_BITS, 0)  # one floor in the view
+        if variant == 1:
+            # A single one-unit violation of a tie.
+            row[rng.randrange(m + 1)] += rng.choice((-1, 1))
+        elif variant == 2:
+            # Entries moved to the edges of their floor, where a floor moves
+            # by one or the remainder is the largest it can be.
+            row = [v + rng.choice((-1, 0, unit - 1)) if v > 1 else v for v in row]
+        elif variant == 3:
+            # Chain A's first link, a_m a_1 <= a_{m-1} a_0, at the edges: a
+            # tie on the view with a_m one floor down, failing exactly.
+            row[m] -= 1
+            row[1] += unit - 1
+        # A common denominator scales the cleared integers alike.
+        den = rng.randint(2, 1 << 40) if trial % 3 == 0 else 1
+        yield tuple(Fraction(v, den) for v in row)
+
+
 def _reference_inputs():
     rng = random.Random(4242)
     for trial in range(1500):
@@ -441,6 +494,7 @@ def _reference_inputs():
             ratio = Fraction(rng.randint(1, 4), rng.randint(1, 4))
             seq = tuple(seq[0] * ratio ** k for k in range(m + 1))
         yield seq
+    yield from _wide_inputs()
 
 
 @pytest.mark.parametrize("checker, reference", [
@@ -519,3 +573,69 @@ def test_lattice_statuses_match_fraction_reference():
                                          else {Status.NOT_APPLICABLE})
                     for prop in references}
     assert lemma2_outcomes == {None, True}
+
+
+# --- the floor view of the two cross-multiplying finders ---
+
+def test_wide_inputs_reach_the_floor_view():
+    viewed = 0
+    for seq in _wide_inputs():
+        s = Polynomial(seq)._cleared()[0]
+        viewed += len(s) > 8 and min(s).bit_length() > _FLOOR_BITS
+    assert viewed > 380  # of 400; a row too narrow for the view runs the exact loop
+
+
+class _Counted(int):
+    """An int that counts the products formed from it."""
+
+    products = 0
+
+    def __mul__(self, other):
+        _Counted.products += 1
+        return int.__mul__(self, other)
+
+    __rmul__ = __mul__
+
+
+def _parabola_row():
+    # t_j = X - (j - 6)^2 is log concave on the view with margin 4 (j - 6)^2
+    # at link j; the peak link j = 6 is an exact tie of the view's test.
+    x = 3 << _FLOOR_BITS - 2
+    return [x - (j - 6) ** 2 for j in range(13)], 6
+
+
+def _tight_ratio_row():
+    # The shift of 1..11, 66, 440, ..., 120, 11, is ratio monotone with room
+    # at every link. The first link of chain A is set to the tie
+    # (t_10 + 1)(t_1 + 1) = t_9 t_0: t_1 + 1 = u 2^a, t_0 a multiple of 2^a
+    # and t_9 one of u, each moved by under 2^-20 of itself, and t_10 raised
+    # to about 18 units. Those units are 2^(_FLOOR_BITS - 5), so the row's
+    # smallest entry, t_10, has _FLOOR_BITS bits.
+    t = [v << _FLOOR_BITS - 5 for v in _shift_by_one(list(range(1, 12)))]
+    n0, d0, n1, d1 = 10, 0, 9, 1
+    a = t[d1].bit_length() - 24
+    u = -(-(t[d1] + 1) >> a)
+    t[d1] = (u << a) - 1
+    t[d0] = t[d0] >> a << a
+    t[n1] = t[n1] // u * u
+    t[n0] = t[n1] * t[d0] // (t[d1] + 1) - 1
+    return t, (n0, d0, n1, d1)
+
+
+def test_floor_view_proves_a_tie_of_its_own_test_with_no_exact_product():
+    t, k = _parabola_row()
+    assert (t[k + 1] + 1) * (t[k - 1] + 1) == t[k] * t[k]
+    r, (n0, d0, n1, d1) = _tight_ratio_row()
+    assert (r[n0] + 1) * (r[d1] + 1) == r[n1] * r[d0]
+    for finder, row in ((_log_concave_w, t), (_ratio_monotone_w, r)):
+        assert min(row).bit_length() == _FLOOR_BITS
+        # Shifted past the view's floor, the view is the row itself.
+        s = [_Counted(v << 300) for v in row]
+        _Counted.products = 0
+        assert finder(s) is None
+        assert _Counted.products == 0
+        # With sh = 0 the gate keeps the exact loop: two products a link.
+        assert finder([_Counted(v) for v in row]) is None
+        links = (len(row) - 2 if finder is _log_concave_w else
+                 sum(len(pairs) - 1 for pairs in ratio_chain_indices(len(row) - 1)))
+        assert _Counted.products == 2 * links
