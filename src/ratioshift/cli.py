@@ -66,7 +66,7 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_coefficients(path: str) -> list:
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     coeffs = []

@@ -9,7 +9,8 @@ with P_m the degree-m Boros-Moll polynomial. The left side is evaluated
 numerically, the right side from the exact coefficients, and the two are
 compared at a stated relative tolerance. The checks take
 -1 < x <= (largest float) / 2, where 2x is still finite, and raise
-DomainError for any other x.
+DomainError for any other x; an x not an int or float, or an m not an int,
+raises TypeError.
 
 The improper integral is folded onto [0, 1] through the symmetry t -> 1/u:
 
@@ -169,6 +170,12 @@ def simpson_refine(f: Callable[[float], float], a: float, b: float, tol: float,
 
 
 def _check_domain(x: float, m: int) -> None:
+    # closed_form_rhs reads x as p / 2^e: a Fraction or Decimal x would be
+    # misread, and a float or bool m is no degree.
+    if not isinstance(x, (int, float)) or isinstance(x, bool):
+        raise TypeError(f"x must be an int or float, got {type(x).__name__}")
+    if not isinstance(m, int) or isinstance(m, bool):
+        raise TypeError(f"m must be an int, got {type(m).__name__}")
     if not -1 < x <= _X_MAX:
         raise DomainError(f"need finite x > -1 with 2x finite (x <= {_X_MAX!r}), got x = {x}")
     if m < 0:

@@ -20,17 +20,21 @@ rather than Fails, so campaigns can tell precondition violations apart from
 property violations. All inequalities are non-strict and every ratio
 comparison is decided by cross-multiplication, never division.
 
-The two finders that cross-multiply, log-concave and ratio-monotone, first
-try each link on a floor view of the integers: t_i = s_i >> sh, with sh
-chosen so that the smallest entry keeps _FLOOR_BITS bits. Since
+Log-concavity and ratio monotonicity are both chains of ratios that must
+not decrease, so one finder, ``_chain_w``, decides both from a cached link
+table. A link (n0, d0, n1, d1) holds when a_{n0}/a_{d0} <= a_{n1}/a_{d1}.
+Log-concavity is the one chain of links (k-1, k, k, k+1), k = 1..m-1, with
+no final pair, and its witness is (k-1, k, k+1). Ratio monotonicity is
+chains A and B, each with a final pair. The finder first tries each link on
+a floor view of the integers: t_i = s_i >> sh, with sh chosen so that the
+smallest entry keeps _FLOOR_BITS bits. Since
 t_i 2^sh <= s_i < (t_i + 1) 2^sh, the integer test
 (t_{n0} + 1)(t_{d1} + 1) <= t_{n1} t_{d0} proves s_{n0} s_{d1} < s_{n1} s_{d0},
 and the link holds; only a link the view cannot prove is decided by the
 exact products. The view never decides a failure, so verdicts and witnesses
-are those of the exact loop. It is built only for more than 8 entries and a
-positive sh: shorter or narrower sequences, such as a separation trial's
-(degree <= 6), run the exact loop alone, and the length is tested first, so
-a short row pays one comparison for the gate.
+are those of the exact products alone. It is built only for more than 8
+entries and a positive sh. Below that gate, as on a separation trial's rows
+(degree <= 6), t is s and each link skips the view's test.
 
 Every property here is invariant under positive scaling, so each is decided
 on ints: the cleared numerators of ``Polynomial(seq)``, zero tests included.
@@ -194,13 +198,33 @@ def _spiral_w(s: Sequence[int]) -> tuple[int, ...] | None:
     return None
 
 
-# Bits the smallest entry keeps in the floor view (see the module docstring).
-# The view proves every ratio link of 2,000 theorem1 trials (seed 7, degree
-# 2..64) at 64 bits, and at 16; a wider view proves links closer to a tie.
-# Each finder tests the view's gate itself and runs the view in a function of
-# its own: with the view inline, a short row paid about 55 ns more per finder
-# call instead of 20 (timeit, CPython 3.11).
+# Bits the smallest entry keeps in the floor view of ``_chain_w`` (see the
+# module docstring). The view proves every ratio link of 2,000 theorem1
+# trials (seed 7, degree 2..64) at 64 bits, and at 16; a wider view proves
+# links closer to a tie. Below the gate a row of 3..7 entries pays the link
+# table, a call frame and one ``t is s`` test a link: about 20% more per
+# finder call than the two exact loops this replaced (80-160 ns on 380-700 ns;
+# timeit, both interleaved in one process, best of 40, CPython 3.11).
 _FLOOR_BITS = 64
+
+
+def _chain_w(s: Sequence[int], chains) -> tuple[int, ...] | None:
+    """The first failing link, or final pair (n, d) with a_n > a_d, of each
+    (links, final) chain in turn, else None; an empty final is none."""
+    t = s
+    if len(s) > 8 and (sh := min(s).bit_length() - _FLOOR_BITS) > 0:
+        t = [v >> sh for v in s]
+    for links, final in chains:
+        for link in links:
+            n0, d0, n1, d1 = link
+            # The view proves a_{n0} a_{d1} < a_{n1} a_{d0} when it can; else
+            # the exact products decide (every entry is positive).
+            if ((t is s or (t[n0] + 1) * (t[d1] + 1) > t[n1] * t[d0])
+                    and s[n0] * s[d1] > s[n1] * s[d0]):
+                return link
+        if final and s[final[0]] > s[final[1]]:
+            return final
+    return None
 
 
 def check_log_concave(seq: Sequence[Fraction | int]) -> PropertyVerdict:
@@ -208,24 +232,15 @@ def check_log_concave(seq: Sequence[Fraction | int]) -> PropertyVerdict:
     return _verdict("log-concave", Polynomial(seq))
 
 
+@lru_cache
+def _concave_links(m: int) -> tuple:
+    """One chain, a_{k-1}/a_k <= a_k/a_{k+1} for k = 1..m-1, with no final pair."""
+    return ((tuple((k - 1, k, k, k + 1) for k in range(1, m)), ()),)
+
+
 def _log_concave_w(s: Sequence[int]) -> tuple[int, ...] | None:
-    if len(s) > 8 and (sh := min(s).bit_length() - _FLOOR_BITS) > 0:
-        return _log_concave_floor(s, sh)
-    for k in range(1, len(s) - 1):
-        if s[k] * s[k] < s[k + 1] * s[k - 1]:
-            return (k - 1, k, k + 1)
-    return None
-
-
-def _log_concave_floor(s: Sequence[int], sh: int) -> tuple[int, ...] | None:
-    """``_log_concave_w`` on the floor view ``s_i >> sh``."""
-    t = [v >> sh for v in s]
-    for k in range(1, len(s) - 1):
-        # The view proves a_k^2 > a_{k+1} a_{k-1} when it can.
-        if ((t[k + 1] + 1) * (t[k - 1] + 1) > t[k] * t[k]
-                and s[k] * s[k] < s[k + 1] * s[k - 1]):
-            return (k - 1, k, k + 1)
-    return None
+    w = _chain_w(s, _concave_links(len(s) - 1))
+    return None if w is None else (w[0], w[1], w[3])
 
 
 def ratio_chain_indices(m: int) -> tuple[list[tuple[int, int]], list[tuple[int, int]]]:
@@ -258,32 +273,7 @@ def check_ratio_monotone(seq: Sequence[Fraction | int]) -> PropertyVerdict:
 
 
 def _ratio_monotone_w(s: Sequence[int]) -> tuple[int, ...] | None:
-    if len(s) > 8 and (sh := min(s).bit_length() - _FLOOR_BITS) > 0:
-        return _ratio_monotone_floor(s, sh)
-    for links, final in _ratio_links(len(s) - 1):
-        for link in links:
-            n0, d0, n1, d1 = link
-            # Cross-multiplied: past the precondition every entry is positive.
-            if s[n0] * s[d1] > s[n1] * s[d0]:
-                return link
-        if s[final[0]] > s[final[1]]:
-            return final
-    return None
-
-
-def _ratio_monotone_floor(s: Sequence[int], sh: int) -> tuple[int, ...] | None:
-    """``_ratio_monotone_w`` on the floor view ``s_i >> sh``."""
-    t = [v >> sh for v in s]
-    for links, final in _ratio_links(len(s) - 1):
-        for link in links:
-            n0, d0, n1, d1 = link
-            # The view proves a_{n0} a_{d1} < a_{n1} a_{d0} when it can.
-            if ((t[n0] + 1) * (t[d1] + 1) > t[n1] * t[d0]
-                    and s[n0] * s[d1] > s[n1] * s[d0]):
-                return link
-        if s[final[0]] > s[final[1]]:
-            return final
-    return None
+    return _chain_w(s, _ratio_links(len(s) - 1))
 
 
 def _ratio_detail(a: CoeffSeq, w: tuple[int, ...]) -> str:

@@ -96,6 +96,14 @@ def test_file_not_utf8_is_usage_error(tmp_path, capsys, argv):
     assert "utf-8" in err
 
 
+def test_file_with_byte_order_mark_is_read(tmp_path, capsys):
+    # Editors on some systems start UTF-8 text with U+FEFF; it is no token.
+    path = tmp_path / "bom.txt"
+    path.write_bytes("1\n1\n1\n".encode("utf-8-sig"))
+    code, out, err = run(capsys, "shift", "--c", "1", str(path))
+    assert (code, out.splitlines(), err) == (0, ["3", "3", "1"], "")
+
+
 def test_bad_token_reports_line_and_column(poly_file, capsys):
     path = poly_file("1\n2 x7\n")
     code, _, err = run(capsys, "shift", "--c", "1", path)

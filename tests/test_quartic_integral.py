@@ -11,9 +11,12 @@ so the quadrature is validated before it is trusted against the closed form.
 
 import math
 import sys
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 
+from ratioshift import quartic_integral
 from ratioshift.numeric_core import DomainError
 from ratioshift.quartic_integral import (
     QuadratureError,
@@ -227,6 +230,29 @@ def test_domain_guards():
         quadrature_lhs(1.0, -1, 1e-8)
     with pytest.raises(DomainError):
         verify_identity(1.0, 0, 0.0)
+
+
+@pytest.mark.parametrize("x, m", [
+    (Fraction(1, 3), 2),     # read as p / 2^e, it gave rel_err 0.17
+    (Decimal("0.3"), 2),
+    (True, 2),
+    (1.0, 2.0),
+    (1.0, True),
+])
+@pytest.mark.parametrize("check", [
+    lambda x, m: quadrature_lhs(x, m, 1e-8),
+    lambda x, m: closed_form_rhs(x, m),
+    lambda x, m: verify_identity(x, m, 1e-8),
+], ids=["quadrature_lhs", "closed_form_rhs", "verify_identity"])
+def test_wrong_argument_types_are_refused_before_any_quadrature(check, x, m, monkeypatch):
+    monkeypatch.setattr(quartic_integral, "_simpson",
+                        lambda *args: pytest.fail("the quadrature ran"))
+    with pytest.raises(TypeError, match="must be an int"):
+        check(x, m)
+
+
+def test_int_x_is_the_float_it_equals():
+    assert verify_identity(2, 3, 1e-8) == verify_identity(2.0, 3, 1e-8)
 
 
 @pytest.mark.parametrize("x, tol", [(math.inf, 1e-8), (math.nan, 1e-8),

@@ -158,6 +158,22 @@ def test_log_concave_fails():
     assert "discriminant" in verdict.detail
 
 
+@pytest.mark.parametrize("m, scale", [(7, 0), (40, 600)], ids=["exact-loop", "floor-view"])
+def test_log_concave_witness_at_each_lowered_entry_of_a_geometric_row(m, scale):
+    # Every link of a geometric row is an exact tie; lowering a_k by one
+    # breaks link k alone (its neighbours gain room). Eight entries stay
+    # below the view's gate; 41 entries of 800 bits and more pass it.
+    row = [2 ** k * 3 ** (m - k) << scale for k in range(m + 1)]
+    assert (len(row) > 8 and min(row).bit_length() > _FLOOR_BITS) == (scale > 0)
+    assert check_log_concave(row).holds
+    for k in range(1, m):
+        lowered = row[:k] + [row[k] - 1] + row[k + 1:]
+        verdict = check_log_concave(lowered)
+        assert verdict.witness.indices == (k - 1, k, k + 1)
+        assert_witness_sound(verdict, lowered)
+        assert _lattice_statuses(lowered)["log-concave"] is Status.FAILS
+
+
 def test_log_concave_not_applicable_on_zero():
     assert check_log_concave((1, 0, 1)).status is Status.NOT_APPLICABLE
 
