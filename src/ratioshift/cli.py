@@ -9,9 +9,10 @@ quartic-integral fields are decimal floats.
 Coefficient files are whitespace- or newline-separated rational tokens
 (``p``, ``p/q``, or an exact decimal); ``#`` starts a comment.
 
-The console script (``entry``) adds two exits of its own: 2 when stdout
-cannot be written (a closed pipe, a full disk), and 130 on an interrupt,
-each with one line on stderr.
+The console script (``__main__.run``, which imports this module and calls
+``entry``) adds two exits of its own: 2 when stdout cannot be written (a
+closed pipe, a full disk), and 130 on an interrupt, each with one line on
+stderr.
 """
 
 from __future__ import annotations

@@ -5,8 +5,9 @@ Campaign targets are rows of one table (``_TARGETS``, whose keys are
 input (always a ``Polynomial`` of ints over one denominator; checks take it
 and its shift as they are, and only theorem1 clears its shift again, through
 ``coeffs``), whether it shifts the input by the spec's ``shift_c`` (refused
-for any target but corollary), the verdicts that must hold, the degree below
-which a trial is vacuous, and the example kinds it records:
+for any target but corollary), its check, the degree below which a trial is
+vacuous, and the example kinds it records. Every check returns the trial's
+failing verdicts and the example kinds it keeps:
 
 * ``theorem1``: shift a random nonnegative nondecreasing sequence by one,
   the result must be ratio monotone (vacuous below degree 1);
@@ -24,12 +25,16 @@ which a trial is vacuous, and the example kinds it records:
   sequence that is not spiral and a spiral sequence that is not log-concave,
   while auditing the implication lattice on every input. A trial makes two
   ``_draw`` calls (its degree, then every numerator and denominator in one
-  call), builds ints over one common denominator, runs the four lattice
-  finders once to read their statuses (``shape_props._lattice_statuses``),
-  and audits and picks examples on those statuses alone. It builds no
-  verdict (a clean audit returns the module's one ``_IMPLICATIONS_HOLD``)
-  and, unless it keeps an example, no examples dict; only a violation or an
-  example the report keeps is rendered as Fractions, with its verdict.
+  call), builds ints over one common denominator, and runs the four lattice
+  finders once to read their statuses as a tuple
+  (``shape_props._lattice_statuses``). The audit and the example kinds
+  depend on those four statuses alone, so the trial reads them from one row
+  of ``_LATTICE_ROWS``, keyed by that tuple: each of the at most 81 rows is
+  built from ``audit_statuses`` and the target's examples on its key's
+  first use in a process. A clean trial builds no dict, runs no audit and
+  builds no verdict, and, unless it keeps an example, no examples dict;
+  only a violation or an example the report keeps is rendered as
+  Fractions, with its verdict.
 
 The nondecreasing draws (theorem1, lemma2, lemma3, corollary) are built
 cleared, in the lowest terms the constructor would give their Fractions, and
@@ -83,7 +88,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .numeric_core import DomainError, as_rational, render_rational
 from .poly_ops import Polynomial, _from_cleared, taylor_shift
@@ -92,6 +97,7 @@ from .shape_props import (
     Status,
     _FAILS,
     _HOLDS,
+    _LATTICE,
     _lattice_statuses,
     _verdict as _lattice_verdict,
     audit_implications,  # noqa: F401  bench/layers.py wraps these two names here
@@ -279,6 +285,8 @@ def gen_nondecreasing_seq(seed: int, trial: int, degree: int, bound: int,
         _require(name, value, kind)
     if degree < 0:
         raise DomainError(f"degree must be >= 0, got {degree}")
+    if degree > _MAX_DEGREE:  # run_campaign's guard
+        raise DomainError(f"degree {degree} is too large to draw (at most {_MAX_DEGREE})")
     if bound < 1:
         raise DomainError(f"bound must be >= 1, got {bound}")
     return _gen_nondecreasing(seed, trial, degree, bound, integer_only, positive).coeffs
@@ -367,81 +375,99 @@ def _verdict(prop: str, holds: bool, detail: str) -> PropertyVerdict:
 
 
 # Each check maps (drawn polynomial, shifted polynomial or None) to the
-# verdicts the trial computed, by property name; the lattice check maps its
-# four properties to their statuses alone.
-
-def _check_theorem1(seq, shifted) -> dict[str, PropertyVerdict]:
-    # .coeffs clears again: faster trials would grow bench peak_rss_mb (ROADMAP item 1).
-    return {"ratio-monotone": check_ratio_monotone(shifted.coeffs)}
+# trial's failing verdicts and the example kinds it keeps (None for none).
+_CheckResult = tuple[Sequence[PropertyVerdict], tuple[str, ...] | None]
 
 
-def _check_lemma1(seq, shifted) -> dict[str, PropertyVerdict]:
+def _failing(*verdicts: PropertyVerdict) -> _CheckResult:
+    """The result of a check that keeps no example: its verdicts that fail."""
+    return [v for v in verdicts if v.status is not _HOLDS], None
+
+
+def _check_theorem1(seq, shifted) -> _CheckResult:
+    # .coeffs clears again. Passing shifted more than doubles theorem1
+    # ops_per_s, but grows bench peak_rss_mb by 15-17%, past its 0.05 bound
+    # (ROADMAP item 1).
+    return _failing(check_ratio_monotone(shifted.coeffs))
+
+
+def _check_lemma1(seq, shifted) -> _CheckResult:
     # The mediant step does not change when all six entries scale by one positive lcm.
-    return {"lemma1": _verdict("lemma1", lemma1_holds(*seq._cleared()[0]),
-                               "mediant conclusion (a+c)/(b+d) <= (e+c)/(f+d) is false")}
+    return _failing(_verdict("lemma1", lemma1_holds(*seq._cleared()[0]),
+                             "mediant conclusion (a+c)/(b+d) <= (e+c)/(f+d) is false"))
 
 
-def _check_lemma2(seq, shifted) -> dict[str, PropertyVerdict]:
-    return {"lemma2": _verdict("lemma2", lemma2_preserved(shifted),
-                               "ratio monotonicity lost after multiplying by (x+1)")}
+def _check_lemma2(seq, shifted) -> _CheckResult:
+    return _failing(_verdict("lemma2", lemma2_preserved(shifted),
+                             "ratio monotonicity lost after multiplying by (x+1)"))
 
 
-def _check_lemma3(seq, shifted) -> dict[str, PropertyVerdict]:
+def _check_lemma3(seq, shifted) -> _CheckResult:
     r = lemma3_gap(seq)
     if r.gap >= 0:
-        return {"lemma3": _verdict("lemma3", True, "")}
-    return {"lemma3": _verdict("lemma3", False, f"gap {render_rational(r.gap)} < 0: "
-                               f"lhs {render_rational(r.lhs)}, rhs {render_rational(r.rhs)}")}
+        return _failing()
+    return _failing(_verdict("lemma3", False, f"gap {render_rational(r.gap)} < 0: "
+                             f"lhs {render_rational(r.lhs)}, rhs {render_rational(r.rhs)}"))
 
 
-def _check_corollary(seq, shifted) -> dict[str, PropertyVerdict]:
-    return {"log-concave": check_log_concave(shifted),
-            "no-internal-zeros": check_no_internal_zeros(shifted)}
+def _check_corollary(seq, shifted) -> _CheckResult:
+    return _failing(check_log_concave(shifted), check_no_internal_zeros(shifted))
 
 
-_IMPLICATIONS_HOLD = PropertyVerdict("implications", Status.HOLDS, None, "")
+class _LatticeRows(dict):
+    """The separation check's result by status key (``_lattice_statuses``,
+    in ``_LATTICE`` order): an inconsistent audit's failing ``implications``
+    verdict and no example, or no verdict and the example kinds the statuses
+    give. A row is built from ``audit_statuses`` and the target's examples
+    on its key's first use, once per process; there are at most 3^4 = 81."""
+
+    def __missing__(self, key: tuple[Status, ...]) -> _CheckResult:
+        statuses = dict(zip(_LATTICE, key))
+        inconsistent = [name for name, ok in audit_statuses(statuses) if not ok]
+        if inconsistent:
+            row = (_verdict("implications", False,
+                            f"implication audit inconsistent: {inconsistent}"),), None
+        else:
+            row = (), tuple([kind for kind, holds, fails in _TARGETS["separation"].examples
+                             if statuses[holds] is _HOLDS and statuses[fails] is _FAILS]) or None
+        self[key] = row
+        return row
 
 
-def _check_lattice(seq, shifted) -> dict[str, PropertyVerdict | Status]:
+_LATTICE_ROWS = _LatticeRows()
+
+
+def _check_lattice(seq, shifted) -> _CheckResult:
     # Statuses only: run_campaign builds the full verdict of a kept example.
-    checked = _lattice_statuses(seq._cleared()[0])
-    inconsistent = [name for name, ok in audit_statuses(checked) if not ok]
-    checked["implications"] = (
-        _verdict("implications", False, f"implication audit inconsistent: {inconsistent}")
-        if inconsistent else _IMPLICATIONS_HOLD)
-    return checked
+    return _LATTICE_ROWS[_lattice_statuses(seq._cleared()[0])]
 
 
 class _Target(NamedTuple):
     """One campaign target: draw an input, maybe shift it by the spec's
     ``shift_c`` (1 for every target but corollary), check it.
 
-    ``must_hold`` names the verdicts whose failure is a violation (a finding
-    on exploratory runs); a trial of degree below ``min_degree`` is vacuous.
-    Each example kind is (kind, property that holds, property that fails),
-    both lattice properties whose statuses the check returns; its payload
-    quotes the failing verdict under that property's name, with underscores
-    for hyphens.
+    ``check`` returns the trial's failing verdicts, each a violation (a
+    finding on exploratory runs), and the example kinds it keeps, or None;
+    a trial of degree below ``min_degree`` is vacuous. Each example kind is
+    (kind, property that holds, property that fails), both lattice
+    properties; its payload quotes the failing verdict under that
+    property's name, with underscores for hyphens.
     """
 
     draw: Callable[[CampaignSpec, int], Polynomial]
     shifts: bool
-    check: Callable[..., dict[str, PropertyVerdict | Status]]
-    must_hold: tuple[str, ...]
+    check: Callable[[Polynomial, Polynomial | None], _CheckResult]
     min_degree: int = 0
     examples: tuple[tuple[str, str, str], ...] = ()
 
 
 _TARGETS = {
-    "theorem1": _Target(_draw_nondecreasing, True, _check_theorem1, ("ratio-monotone",),
-                        min_degree=1),
-    "lemma1": _Target(_draw_sextuple, False, _check_lemma1, ("lemma1",)),
-    "lemma2": _Target(_draw_nondecreasing, True, _check_lemma2, ("lemma2",)),
-    "lemma3": _Target(partial(_draw_nondecreasing, positive=True), False, _check_lemma3,
-                      ("lemma3",)),
-    "corollary": _Target(_draw_nondecreasing, True, _check_corollary,
-                         ("log-concave", "no-internal-zeros"), min_degree=2),
-    "separation": _Target(_draw_positive, False, _check_lattice, ("implications",), examples=(
+    "theorem1": _Target(_draw_nondecreasing, True, _check_theorem1, min_degree=1),
+    "lemma1": _Target(_draw_sextuple, False, _check_lemma1),
+    "lemma2": _Target(_draw_nondecreasing, True, _check_lemma2),
+    "lemma3": _Target(partial(_draw_nondecreasing, positive=True), False, _check_lemma3),
+    "corollary": _Target(_draw_nondecreasing, True, _check_corollary, min_degree=2),
+    "separation": _Target(_draw_positive, False, _check_lattice, examples=(
         ("log-concave-not-spiral", "log-concave", "spiral"),
         ("spiral-not-log-concave", "spiral", "log-concave"),
     )),
@@ -485,20 +511,18 @@ _tuple_new = tuple.__new__
 
 
 def _run_trial(spec: CampaignSpec, trial: int) -> _TrialOutcome:
-    target = _TARGETS[spec.target]
-    seq = target.draw(spec, trial)
+    draw, shifts, check, min_degree, _ = _TARGETS[spec.target]
+    seq = draw(spec, trial)
     ints, den = seq._cleared()
     degree = len(ints) - 1
-    if target.shifts:
+    if shifts:
         shifted = taylor_shift(seq, spec.shift_c)
         bits = _bit_lengths(seq, shifted)
     else:
         shifted, bits = None, (max(max(ints), -min(ints)).bit_length(), den.bit_length())
-    exercised = degree >= target.min_degree
+    exercised = degree >= min_degree
     try:
-        verdicts = target.check(seq, shifted)
-        failed = [verdicts[prop] for prop in target.must_hold
-                  if verdicts[prop].status is not _HOLDS]
+        failed, kinds = check(seq, shifted)
     except HypothesisError as exc:
         exercised = False
         failed = [PropertyVerdict(spec.target, Status.NOT_APPLICABLE, None,
@@ -514,12 +538,8 @@ def _run_trial(spec: CampaignSpec, trial: int) -> _TrialOutcome:
         return _tuple_new(_TrialOutcome, (
             trial, exercised, degree, bits,
             any(v.status is Status.NOT_APPLICABLE for v in failed), payload, None))
-    examples = None
-    for kind, holds, fails in target.examples:
-        if verdicts[holds] is _HOLDS and verdicts[fails] is _FAILS:
-            examples = examples or {}
-            examples[kind] = seq
-    return _tuple_new(_TrialOutcome, (trial, exercised, degree, bits, False, None, examples))
+    return _tuple_new(_TrialOutcome, (trial, exercised, degree, bits, False, None,
+                                      kinds and dict.fromkeys(kinds, seq)))
 
 
 # Trials per block: run_campaign holds one block's outcomes at a time and

@@ -43,9 +43,12 @@ by that constructor. One table, ``_PROPS``, holds each property's int-only
 finder, whether it needs positive entries, and its Fails detail. Every
 checker is one call of ``_verdict`` on that polynomial, which builds a
 witness only when the property does not hold; ``_lattice_statuses`` reads
-statuses with no Fraction or witness built, which is all the lattice audit,
-``lemma2_preserved`` and a separation trial need. Witnesses quote the
-caller's own Fractions.
+statuses with no Fraction or witness built, as a tuple in the order of the
+properties it is given (by default ``_LATTICE``), which is all the lattice
+audit, ``lemma2_preserved`` and a separation trial need. ``Status`` hashes
+by identity, so a tuple of statuses is a cheap dict key: a separation
+trial looks its audit and examples up by it. Witnesses quote the caller's
+own Fractions.
 
 Every Fails verdict carries a witness whose indices and values reproduce
 the violated inequality exactly; the witness layout per property is
@@ -89,6 +92,11 @@ class Status(enum.Enum):
     HOLDS = "holds"
     FAILS = "fails"
     NOT_APPLICABLE = "not-applicable"
+
+    # Members are singletons compared by identity. Enum hashes the name in
+    # Python; hashing by identity, in C, looks a separation trial's row up
+    # by its four statuses in about 50 ns instead of 330 (CPython 3.11).
+    __hash__ = object.__hash__
 
 
 # Reading a member off the class runs a descriptor on CPython 3.11 (about
@@ -348,13 +356,19 @@ def _verdict(prop: str, p: Polynomial) -> PropertyVerdict:
     return PropertyVerdict(prop, _FAILS, Witness(w, tuple([a[i] for i in w])), detail(a, w))
 
 
-def _lattice_statuses(s: Sequence[int], props: tuple[str, ...] = _LATTICE) -> dict[str, Status]:
+def _lattice_statuses(s: Sequence[int], props: tuple[str, ...] = _LATTICE) -> tuple[Status, ...]:
     """The statuses of ``props``, by default the four lattice properties, on a
-    cleared sequence, in that order; builds no Fraction or witness."""
+    cleared sequence, as a tuple in that order; builds no Fraction, witness
+    or dict. A separation trial looks its row up by this tuple."""
+    out = []  # a loop: a comprehension's frame costs a trial 0.15 us on CPython 3.11
     if min(s) > 0:
-        return {prop: _HOLDS if _PROPS[prop][0](s) is None else _FAILS for prop in props}
-    return {prop: _NOT_APPLICABLE if _PROPS[prop][1]
-            else _HOLDS if _PROPS[prop][0](s) is None else _FAILS for prop in props}
+        for prop in props:
+            out.append(_HOLDS if _PROPS[prop][0](s) is None else _FAILS)
+    else:
+        for prop in props:
+            find, positive_only, _ = _PROPS[prop]
+            out.append(_NOT_APPLICABLE if positive_only else _HOLDS if find(s) is None else _FAILS)
+    return tuple(out)
 
 
 # Implication lattice restated at checker level, each with its name. An antecedent
@@ -387,4 +401,5 @@ def audit_statuses(statuses: dict[str, Status]) -> list[tuple[str, bool]]:
 def audit_implications(seq: Sequence[Fraction | int]) -> list[tuple[str, bool]]:
     """Evaluate the implication lattice on one sequence (see audit_statuses);
     builds no verdict."""
-    return audit_statuses(_lattice_statuses(Polynomial(seq)._cleared()[0]))
+    statuses = _lattice_statuses(Polynomial(seq)._cleared()[0])
+    return audit_statuses(dict(zip(_LATTICE, statuses)))

@@ -184,4 +184,4 @@ def lemma2_preserved(b: Polynomial) -> bool:
 
 
 def _ratio_monotone_status(p: Polynomial) -> Status:
-    return _lattice_statuses(p._cleared()[0], ("ratio-monotone",))["ratio-monotone"]
+    return _lattice_statuses(p._cleared()[0], ("ratio-monotone",))[0]

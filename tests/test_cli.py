@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -605,3 +606,35 @@ def test_interrupt_is_one_line_and_exit_130():
         proc.kill()
     assert proc.returncode == 130
     assert (out, err) == ("", "ratioshift: interrupted\n")
+
+
+# A meta path finder that raises KeyboardInterrupt when asked for one module,
+# as a SIGINT would while the package loads; then the CLI is launched as
+# `python -m ratioshift` does, or as the script that pip writes for the
+# console script's target in pyproject.toml.
+_INTERRUPT_AT = """
+import sys
+class Interrupt:
+    def find_spec(self, name, path=None, target=None):
+        if name == {module!r}:
+            raise KeyboardInterrupt
+sys.meta_path.insert(0, Interrupt())
+sys.argv = ["ratioshift", "--version"]
+"""
+_SCRIPT = re.search(r'^ratioshift = "([\w.]+):(\w+)"$',
+                    (Path(_SRC).parent / "pyproject.toml").read_text(encoding="utf-8"), re.M)
+_LAUNCH = {
+    "python -m": "import runpy\n"
+                 "runpy.run_module('ratioshift', run_name='__main__', alter_sys=True)",
+    "console script": f"from {_SCRIPT[1]} import {_SCRIPT[2]}; sys.exit({_SCRIPT[2]}())",
+}
+
+
+@pytest.mark.parametrize("launch", _LAUNCH)
+@pytest.mark.parametrize("module", ["ratioshift.numeric_core", "ratioshift.shape_props",
+                                    "ratioshift.fuzz_harness", "ratioshift.cli", "argparse"])
+def test_interrupt_while_the_package_loads_is_one_line_and_exit_130(launch, module):
+    code = _INTERRUPT_AT.format(module=module) + _LAUNCH[launch]
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": _SRC},
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (130, "", "ratioshift: interrupted\n")

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -27,6 +28,7 @@ from ratioshift.shape_props import (
     PropertyVerdict,
     Status,
     Witness,
+    audit_statuses,
     check_log_concave,
     check_spiral,
 )
@@ -399,12 +401,14 @@ def test_no_trial_clears_the_same_coefficients_twice(monkeypatch, target, per_tr
 
 
 def test_separation_trial_builds_no_bookkeeping(monkeypatch):
-    # A clean separation trial builds no verdict through the harness (its
-    # audit returns the module's one _IMPLICATIONS_HOLD, built at import)
-    # and, unless it keeps an example, no examples dict. The kept examples'
-    # verdicts come from shape_props._verdict, not the harness name.
-    verdicts, outcomes = [], []
-    build, run_trial = fuzz_harness.PropertyVerdict, fuzz_harness._run_trial
+    # A clean separation trial builds no verdict through the harness and
+    # runs no audit: it reads its row of a fresh table, where each status
+    # key is audited on its first use alone. Unless it keeps an example, it
+    # builds no examples dict. The kept examples' verdicts come from
+    # shape_props._verdict, not the harness name.
+    verdicts, outcomes, audited = [], [], []
+    build, run_trial, audit = (fuzz_harness.PropertyVerdict, fuzz_harness._run_trial,
+                               fuzz_harness.audit_statuses)
 
     def record(spec, trial):
         outcomes.append(run_trial(spec, trial))
@@ -413,10 +417,15 @@ def test_separation_trial_builds_no_bookkeeping(monkeypatch):
     monkeypatch.setattr(fuzz_harness, "PropertyVerdict",
                         lambda *args: verdicts.append(args) or build(*args))
     monkeypatch.setattr(fuzz_harness, "_run_trial", record)
+    monkeypatch.setattr(fuzz_harness, "audit_statuses",
+                        lambda statuses: audited.append(tuple(statuses.values()))
+                        or audit(statuses))
+    monkeypatch.setattr(fuzz_harness, "_LATTICE_ROWS", fuzz_harness._LatticeRows())
     report = run_campaign(CampaignSpec(target="separation", trials=2_000, seed=8,
                                        degree_range=(2, 6)))
     assert report.violations == []
     assert verdicts == []
+    assert 1 < len(audited) == len(set(audited)) == len(fuzz_harness._LATTICE_ROWS)
     assert len(outcomes) == 2_000
     kept = [o for o in outcomes if o.examples is not None]
     assert all(o.examples for o in kept)  # a dict only where an example was kept
@@ -529,6 +538,14 @@ def test_degree_past_any_list_is_refused_before_a_trial(target):
         run_campaign(CampaignSpec(target=target, trials=1, seed=0, degree_range=(top + 1,) * 2))
     with pytest.raises(MemoryError):
         run_campaign(CampaignSpec(target=target, trials=1, seed=0, degree_range=(top, top)))
+
+
+def test_gen_nondecreasing_seq_refuses_a_degree_past_any_list():
+    # run_campaign's guard, before any list is built; 10**20 used to end in a
+    # bare OverflowError from the list of ranges.
+    for degree in (fuzz_harness._MAX_DEGREE + 1, 10 ** 20):
+        with pytest.raises(DomainError, match=f"^degree {degree} is too large to draw"):
+            gen_nondecreasing_seq(1, 0, degree, 10)
 
 
 def test_campaign_memory_does_not_grow_with_trials():
@@ -748,9 +765,37 @@ def test_corollary_failures_route_by_exploratory(monkeypatch, c, allow, field):
     assert [v["property"] for v in payloads[0]["verdicts"]] == ["log-concave"]
 
 
+def test_every_status_key_gives_the_audit_and_examples_row():
+    # All 3^4 keys, a fresh table: an inconsistent audit gives the failing
+    # implications verdict a trial quotes and no example; a consistent one
+    # gives no verdict and each kind whose first property holds while its
+    # second fails, in the target's order.
+    lattice = ("ratio-monotone", "spiral", "log-concave", "unimodal")
+    rows = fuzz_harness._LatticeRows()
+    for key in itertools.product(Status, repeat=4):
+        statuses = dict(zip(lattice, key))
+        inconsistent = [name for name, ok in audit_statuses(statuses) if not ok]
+        failed, kinds = rows[key]
+        if inconsistent:
+            assert kinds is None
+            assert [v.to_json_dict() for v in failed] == [{
+                "property": "implications", "status": "fails", "witness": None,
+                "detail": f"implication audit inconsistent: {inconsistent}"}]
+        else:
+            assert failed == ()
+            assert kinds == (tuple(kind for kind, held, broken in (
+                ("log-concave-not-spiral", "log-concave", "spiral"),
+                ("spiral-not-log-concave", "spiral", "log-concave"))
+                if statuses[held] is Status.HOLDS and statuses[broken] is Status.FAILS)
+                or None)
+    assert len(rows) == 81
+
+
 def test_separation_inconsistent_audit_records_no_examples(monkeypatch):
     monkeypatch.setattr(fuzz_harness, "audit_statuses",
                         lambda statuses: [("spiral=>unimodal", False)])
+    # Rows already built hold the real audit's outcome.
+    monkeypatch.setattr(fuzz_harness, "_LATTICE_ROWS", fuzz_harness._LatticeRows())
     spec = CampaignSpec(target="separation", trials=40, seed=7, degree_range=(2, 6))
     report = run_campaign(spec)
     assert len(report.violations) == 40
