@@ -122,12 +122,13 @@ def _cmd_check(args: argparse.Namespace) -> int:
         names = list(CHECKERS)
     if not names:
         raise _UsageError("no properties requested")
-    poly = Polynomial(_read_coefficients(args.file))  # cleared once, for every checker
+    coeffs = _read_coefficients(args.file)
+    poly = Polynomial(coeffs)  # cleared once, for every checker
     verdicts = [CHECKERS[name](poly) for name in names]
     doc = _report(
         "check",
         {"file": args.file,
-         "coefficients": [render_rational(v) for v in poly.coeffs],
+         "coefficients": [render_rational(v) for v in coeffs],
          "props": names},
         [v.to_json_dict() for v in verdicts],
         started,

@@ -32,9 +32,11 @@ failing verdicts and the example kinds it keeps:
   of ``_LATTICE_ROWS``, keyed by that tuple: each of the at most 81 rows is
   built from ``audit_statuses`` and the target's examples on its key's
   first use in a process. A clean trial builds no dict, runs no audit and
-  builds no verdict, and, unless it keeps an example, no examples dict;
-  only a violation or an example the report keeps is rendered as
-  Fractions, with its verdict.
+  builds no verdict. Its outcome is a plain tuple of ints, bools and
+  strings: a trial that meets an example carries its row's kinds and the
+  draw's own ints and denominator, no ``Polynomial``, so a pool ships it
+  cheaply. Only a violation, and the first example of each kind, are
+  rendered as Fractions, with their verdicts.
 
 The nondecreasing draws (theorem1, lemma2, lemma3, corollary) are built
 cleared, in the lowest terms the constructor would give their Fractions, and
@@ -127,6 +129,10 @@ __all__ = [
     "run_campaign",
 ]
 
+# The largest degree a campaign draws at: a draw lists two ranges per
+# coefficient and two for the redraw, at most sys.maxsize of them.
+_MAX_DEGREE = sys.maxsize // 2 - 2
+
 
 def _require(name: str, value, kind: type = int) -> None:
     # Exact types: the draws take ints alone, and a bool, an int to Python,
@@ -167,6 +173,12 @@ class CampaignSpec:
         if not 0 <= lo <= hi:
             raise DomainError(f"invalid degree range {self.degree_range}")
         object.__setattr__(self, "degree_range", (lo, hi))  # a list would be unhashable
+        # Past _MAX_DEGREE a draw's list of ranges is longer than a list can
+        # be (OverflowError); below it a huge degree runs out of memory.
+        # lemma1's sextuple draws no degree.
+        if hi > _MAX_DEGREE and self.target != "lemma1":
+            raise DomainError(f"degree range end {hi} is too large to draw "
+                              f"(at most {_MAX_DEGREE})")
         if self.target == "lemma3" and lo < 2:
             raise DomainError("lemma3 campaigns need degree >= 2 (the gap references a_{m-2})")
         if self.magnitude_bound < 1:
@@ -285,7 +297,7 @@ def gen_nondecreasing_seq(seed: int, trial: int, degree: int, bound: int,
         _require(name, value, kind)
     if degree < 0:
         raise DomainError(f"degree must be >= 0, got {degree}")
-    if degree > _MAX_DEGREE:  # run_campaign's guard
+    if degree > _MAX_DEGREE:  # CampaignSpec's guard
         raise DomainError(f"degree {degree} is too large to draw (at most {_MAX_DEGREE})")
     if bound < 1:
         raise DomainError(f"bound must be >= 1, got {bound}")
@@ -476,8 +488,8 @@ _TARGETS = {
 TARGETS = tuple(_TARGETS)
 
 
-# The largest bit lengths a report's stats give, in the order of
-# _TrialOutcome.bits; the last two only for targets that shift.
+# The largest bit lengths a report's stats give, in the order of a trial
+# outcome's bits; the last two only for targets that shift.
 _BIT_STATS = ("input_bits_max", "input_den_bits_max", "shifted_bits_max",
               "shifted_den_bits_max")
 
@@ -493,24 +505,11 @@ def _bit_lengths(*polys: Polynomial) -> tuple[int, ...]:
     return tuple(out)
 
 
-class _TrialOutcome(NamedTuple):
-    trial: int
-    exercised: bool
-    degree: int
-    bits: tuple[int, ...]  # _bit_lengths of the draw and, if any, its shift
-    not_applicable: bool = False
-    payload: dict | None = None
-    # Example kind -> cleared input, only on a trial that keeps one; its
-    # verdict is built only if the report keeps it.
-    examples: dict[str, Polynomial] | None = None
-
-
-# A _TrialOutcome built from all seven fields at once, without the
-# namedtuple's keyword-taking __new__.
-_tuple_new = tuple.__new__
-
-
-def _run_trial(spec: CampaignSpec, trial: int) -> _TrialOutcome:
+def _run_trial(spec: CampaignSpec, trial: int) -> tuple:
+    """The trial's outcome, a plain tuple: (trial, exercised, degree, bits,
+    not_applicable, payload, kept). bits is ``_bit_lengths`` of the draw and,
+    if any, its shift; payload is the rendered violation, or None; kept is
+    None, or (example kinds, the draw's ints, its denominator)."""
     draw, shifts, check, min_degree, _ = _TARGETS[spec.target]
     seq = draw(spec, trial)
     ints, den = seq._cleared()
@@ -535,21 +534,15 @@ def _run_trial(spec: CampaignSpec, trial: int) -> _TrialOutcome:
         if shifted is not None:
             payload["shift_c"] = render_rational(spec.shift_c)
             payload["shifted"] = _render_seq(shifted)
-        return _tuple_new(_TrialOutcome, (
-            trial, exercised, degree, bits,
-            any(v.status is Status.NOT_APPLICABLE for v in failed), payload, None))
-    return _tuple_new(_TrialOutcome, (trial, exercised, degree, bits, False, None,
-                                      kinds and dict.fromkeys(kinds, seq)))
+        return (trial, exercised, degree, bits,
+                any(v.status is Status.NOT_APPLICABLE for v in failed), payload, None)
+    return trial, exercised, degree, bits, False, None, kinds and (kinds, ints, den)
 
 
 # Trials per block: run_campaign holds one block's outcomes at a time and
 # folds them into running totals, so its memory does not grow with the trial
 # count (about 0.4 KB per held outcome).
 _BLOCK = 4096
-
-# The largest degree a campaign draws at: a draw lists two ranges per
-# coefficient and two for the redraw, at most sys.maxsize of them.
-_MAX_DEGREE = sys.maxsize // 2 - 2
 
 
 def _outcome_blocks(spec: CampaignSpec, workers: int):
@@ -582,12 +575,6 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1) -> CampaignReport:
     _require("jobs", jobs)
     if jobs < 1:
         raise DomainError(f"jobs must be >= 1, got {jobs}")
-    # Past _MAX_DEGREE a draw's list of ranges is longer than a list can be
-    # (OverflowError); below it a huge degree runs out of memory. lemma1's
-    # sextuple draws no degree.
-    if spec.degree_range[1] > _MAX_DEGREE and spec.target != "lemma1":
-        raise DomainError(f"degree range end {spec.degree_range[1]} is too large to draw "
-                          f"(at most {_MAX_DEGREE})")
     start = time.perf_counter()
     # The pool starts all its workers on the first submit, needed or not.
     workers = min(jobs, spec.trials)
@@ -601,7 +588,7 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1) -> CampaignReport:
     bits_max: list[int] = []
     payloads: list[dict] = []
     hit_counts = dict.fromkeys(kinds, 0)
-    first_hits: dict[str, tuple[int, Polynomial]] = {}
+    first_hits: dict[str, tuple[int, tuple]] = {}  # kind -> (trial, kept)
     for outcomes in _outcome_blocks(spec, workers):
         ids, exercised, degs, bits, na, pays, kept = zip(*outcomes)
         non_vacuous += sum(exercised)
@@ -610,18 +597,19 @@ def run_campaign(spec: CampaignSpec, jobs: int = 1) -> CampaignReport:
         block_max = list(map(max, zip(*bits)))
         bits_max = list(map(max, bits_max, block_max)) if bits_max else block_max
         payloads += [p for p in pays if p is not None]
-        for kind in kinds:
-            hits = [i for i, examples in enumerate(kept) if examples and kind in examples]
-            hit_counts[kind] += len(hits)
-            if hits and kind not in first_hits:
-                first_hits[kind] = ids[hits[0]], kept[hits[0]][kind]
+        for trial, hit in zip(ids, kept):
+            if hit is not None:
+                for kind in hit[0]:
+                    hit_counts[kind] += 1
+                    first_hits.setdefault(kind, (trial, hit))
 
     coverage = {"non_vacuous_trials": non_vacuous, **hit_counts}
     examples_found: dict[str, dict | None] = dict.fromkeys(kinds)
     for kind, _, fails in example_kinds:
         if kind in first_hits:
-            trial, seq = first_hits[kind]
-            verdict = _lattice_verdict(fails, seq)  # seq is the trial's Polynomial
+            trial, (_, ints, den) = first_hits[kind]
+            seq = _from_cleared(ints, den)
+            verdict = _lattice_verdict(fails, seq)
             examples_found[kind] = {"trial": trial, "sequence": _render_seq(seq),
                                     fails.replace("-", "_"): verdict.to_json_dict()}
     stats = {"degrees": {str(d): degrees[d] for d in sorted(degrees)},

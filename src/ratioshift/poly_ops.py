@@ -5,8 +5,10 @@ ascending degree, always held in one form: integer numerators over one
 positive common denominator. The constructor is the one place a sequence is
 coerced to exact rationals and cleared, once; every checker and predicate
 calls it on its input, and it returns a ``Polynomial`` as it is
-(``Polynomial(p) is p``). ``coeffs`` is a read cache of canonical Fractions:
-the caller's own when built from Fractions, else built on first read and kept.
+(``Polynomial(p) is p``). The integers are the only copy it keeps: the
+caller's entries are dropped once cleared, and ``coeffs``, the canonical
+Fractions, is built from the integers on first read and kept. So equal
+polynomials pickle to equal bytes.
 Degree is positional (length - 1): transforms never trim trailing zeros
 implicitly, because the boundary-coefficient identities are stated in terms
 of positions m-1, m-2 relative to the representation length. Trimming is
@@ -51,7 +53,7 @@ class Polynomial:
     """Immutable power-basis polynomial; coeffs[k] multiplies x**k.
 
     It holds integer numerators over a positive common denominator and
-    caches the Fractions it was built from, or builds them on first read.
+    builds its Fractions from them on first read of ``coeffs``.
     Polynomial(p) is p. Equality, hash, repr and pickles are the Fraction tuple's.
     """
 
@@ -64,18 +66,16 @@ class Polynomial:
     def __init__(self, coeffs: Iterable[Fraction | int] | Polynomial) -> None:
         if coeffs is self:
             return
-        # From a list, not a generator: tuple() grows a generator's result by
-        # reallocation, which fragments the heap on long runs.
-        entries = tuple([as_rational(c) for c in coeffs])
+        entries = [as_rational(c) for c in coeffs]
         if not entries:
             raise DomainError("a coefficient sequence needs at least one entry")
         ints, den = clear_denominators(entries)
-        _set(self, tuple(ints), den, entries)
+        _set(self, tuple(ints), den)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
-        """The coefficients as canonical Fractions: the caller's own, or built
-        from the numerators on first read."""
+        """The coefficients as canonical Fractions, built from the numerators
+        on first read and kept."""
         if self._coeffs is None:
             den = self._den
             _set_coeffs(self, tuple([Fraction(n, den) for n in self._ints]))
@@ -126,20 +126,20 @@ _set_ints, _set_den, _set_coeffs = (
     slot.__set__ for slot in (Polynomial._ints, Polynomial._den, Polynomial._coeffs))
 
 
-def _set(p: Polynomial, ints: tuple[int, ...], den: int,
-         cache: tuple[Fraction, ...] | None) -> None:
-    """Store the three slots through their descriptors' ``__set__``, which
-    skips the attribute lookup by name that ``object.__setattr__`` makes per
-    slot; it runs on every draw, shift and product."""
+def _set(p: Polynomial, ints: tuple[int, ...], den: int) -> None:
+    """Store the integers, with no Fractions built yet, through the slots'
+    ``__set__``, which skips the attribute lookup by name that
+    ``object.__setattr__`` makes per slot; it runs on every draw, shift and
+    product."""
     _set_ints(p, ints)
     _set_den(p, den)
-    _set_coeffs(p, cache)
+    _set_coeffs(p, None)
 
 
-def _from_cleared(ints: list[int], den: int) -> Polynomial:
+def _from_cleared(ints: Sequence[int], den: int) -> Polynomial:
     """The polynomial with coefficients ints[k] / den (den > 0), no Fraction built."""
     p = object.__new__(Polynomial)
-    _set(p, tuple(ints), den, None)
+    _set(p, tuple(ints), den)
     return p
 
 
@@ -235,7 +235,7 @@ def boundary_coeffs(p: Polynomial) -> BoundaryCoeffs:
     if m < 2:
         raise DomainError(f"boundary coefficients need degree >= 2, got {m}")
     s, den = p._cleared()
-    return BoundaryCoeffs(*[Fraction(v, den) for v in _scaled_boundary(s)], b_m=p.coeffs[m])
+    return BoundaryCoeffs(*[Fraction(v, den) for v in (*_scaled_boundary(s), s[m])])
 
 
 def _scaled_boundary(s: Sequence[int]) -> tuple[int, int, int, int]:
@@ -247,8 +247,8 @@ def _scaled_boundary(s: Sequence[int]) -> tuple[int, int, int, int]:
 
 def normalize(p: Polynomial) -> Polynomial:
     """Trim trailing zero coefficients; the zero polynomial stays (0,)."""
-    coeffs = p.coeffs
-    end = len(coeffs)
-    while end > 1 and coeffs[end - 1] == 0:
+    s, den = p._cleared()
+    end = len(s)
+    while end > 1 and s[end - 1] == 0:
         end -= 1
-    return Polynomial(coeffs[:end])
+    return _from_cleared(s[:end], den)

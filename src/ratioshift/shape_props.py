@@ -47,8 +47,9 @@ statuses with no Fraction or witness built, as a tuple in the order of the
 properties it is given (by default ``_LATTICE``), which is all the lattice
 audit, ``lemma2_preserved`` and a separation trial need. ``Status`` hashes
 by identity, so a tuple of statuses is a cheap dict key: a separation
-trial looks its audit and examples up by it. Witnesses quote the caller's
-own Fractions.
+trial looks its audit and examples up by it. A witness's values are built
+as Fractions from the integers at its indices alone, at most four of them,
+and a Fails detail reads only those values.
 
 Every Fails verdict carries a witness whose indices and values reproduce
 the violated inequality exactly; the witness layout per property is
@@ -158,10 +159,10 @@ def check_nonneg_nondecreasing(seq: Sequence[Fraction | int]) -> PropertyVerdict
     return _verdict("nonneg-nondecreasing", Polynomial(seq))
 
 
-def _nonneg_nondecreasing_detail(a: CoeffSeq, w: tuple[int, ...]) -> str:
+def _nonneg_nondecreasing_detail(v: CoeffSeq, w: tuple[int, ...]) -> str:
     if len(w) == 1:
-        return f"negative entry {render_rational(a[w[0]])} at index {w[0]}"
-    return f"descent {render_rational(a[w[0]])} > {render_rational(a[w[1]])} at indices {w}"
+        return f"negative entry {render_rational(v[0])} at index {w[0]}"
+    return f"descent {render_rational(v[0])} > {render_rational(v[1])} at indices {w}"
 
 
 def check_unimodal(seq: Sequence[Fraction | int]) -> PropertyVerdict:
@@ -284,7 +285,7 @@ def _ratio_monotone_w(s: Sequence[int]) -> tuple[int, ...] | None:
     return _chain_w(s, _ratio_links(len(s) - 1))
 
 
-def _ratio_detail(a: CoeffSeq, w: tuple[int, ...]) -> str:
+def _ratio_detail(v: CoeffSeq, w: tuple[int, ...]) -> str:
     # Chain A's ratios a_{m-i}/a_i have the larger index on top, chain B's the smaller.
     name = "A" if w[0] > w[1] else "B"
     if len(w) == 2:
@@ -309,18 +310,18 @@ def _no_internal_zeros_w(s: Sequence[int]) -> tuple[int, ...] | None:
 
 # One row per property, in the order of CHECKERS: its int-only finder (a
 # witness's indices, or None), whether it needs positive entries, and the
-# detail of its Fails verdict.
+# detail of its Fails verdict, from the witness's values v and indices w.
 _PROPS = {
     "nonneg-nondecreasing": (_nonneg_nondecreasing_witness, False, _nonneg_nondecreasing_detail),
-    "unimodal": (_unimodal_w, False, lambda a, w: (
+    "unimodal": (_unimodal_w, False, lambda v, w: (
         f"descent at ({w[0]}, {w[1]}) then ascent at ({w[2]}, {w[3]})")),
-    "spiral": (_spiral_w, True, lambda a, w: (
+    "spiral": (_spiral_w, True, lambda v, w: (
         f"chain link a_{w[0]} <= a_{w[1]} violated: "
-        f"{render_rational(a[w[0]])} > {render_rational(a[w[1]])}")),
-    "log-concave": (_log_concave_w, True, lambda a, w: (
-        f"discriminant at k={w[1]} is {render_rational(a[w[1]] ** 2 - a[w[2]] * a[w[0]])} < 0")),
+        f"{render_rational(v[0])} > {render_rational(v[1])}")),
+    "log-concave": (_log_concave_w, True, lambda v, w: (
+        f"discriminant at k={w[1]} is {render_rational(v[1] ** 2 - v[2] * v[0])} < 0")),
     "ratio-monotone": (_ratio_monotone_w, True, _ratio_detail),
-    "no-internal-zeros": (_no_internal_zeros_w, False, lambda a, w: (
+    "no-internal-zeros": (_no_internal_zeros_w, False, lambda v, w: (
         f"zero at index {w[1]} between nonzero entries at {w[0]} and {w[2]}")),
 }
 
@@ -340,20 +341,20 @@ _LATTICE = ("ratio-monotone", "spiral", "log-concave", "unimodal")
 
 def _verdict(prop: str, p: Polynomial) -> PropertyVerdict:
     """One property's verdict on p: its finder decides on the cleared
-    numerators, and only a verdict other than Holds builds a witness,
-    quoting ``p.coeffs`` (the caller's own entries), and a detail."""
-    s = p._cleared()[0]
+    numerators, and only a verdict other than Holds builds a witness and a
+    detail, from Fractions built at the witness's indices alone."""
+    s, den = p._cleared()
     find, positive_only, detail = _PROPS[prop]
     if positive_only and min(s) <= 0:
         i = next(i for i, v in enumerate(s) if v <= 0)
-        a = p.coeffs
-        return PropertyVerdict(prop, _NOT_APPLICABLE, Witness((i,), (a[i],)),
-                               f"nonpositive entry {render_rational(a[i])} at index {i}")
+        value = Fraction(s[i], den)
+        return PropertyVerdict(prop, _NOT_APPLICABLE, Witness((i,), (value,)),
+                               f"nonpositive entry {render_rational(value)} at index {i}")
     w = find(s)
     if w is None:
         return PropertyVerdict(prop, _HOLDS, None, "")
-    a = p.coeffs
-    return PropertyVerdict(prop, _FAILS, Witness(w, tuple([a[i] for i in w])), detail(a, w))
+    values = tuple([Fraction(s[i], den) for i in w])
+    return PropertyVerdict(prop, _FAILS, Witness(w, values), detail(values, w))
 
 
 def _lattice_statuses(s: Sequence[int], props: tuple[str, ...] = _LATTICE) -> tuple[Status, ...]:

@@ -40,7 +40,8 @@ from fractions import Fraction
 from typing import Sequence
 
 from .numeric_core import DomainError, as_rational, ratio_leq
-from .poly_ops import Polynomial, ShiftAlgorithm, _scaled_boundary, mul_by_x_plus_one, taylor_shift
+from .poly_ops import (Polynomial, ShiftAlgorithm, _from_cleared, _scaled_boundary,
+                       mul_by_x_plus_one, taylor_shift)
 from .shape_props import Status, _HOLDS, _lattice_statuses, _nonneg_nondecreasing_witness
 
 __all__ = [
@@ -151,20 +152,22 @@ def edge_inequality_holds(seq: Sequence[Fraction | int]) -> bool:
     return b0 * b_m_minus_2 <= b1 * b_m_minus_1
 
 
-def induction_decompose(p: Polynomial) -> tuple[Fraction, Polynomial]:
+def induction_decompose(p: Sequence[Fraction | int]) -> tuple[Fraction, Polynomial]:
     """Split P as a_0 + x * Q(x) with Q(x) = sum_k a_{k+1} x^k (degree m-1).
 
     Shifting both sides by one gives the replay identity
     P(x+1) = a_0 + (x+1) Q(x+1), checked by :func:`induction_replay_holds`.
     """
-    if p.degree < 1:
+    s, den = Polynomial(p)._cleared()
+    if len(s) < 2:
         raise DomainError("decomposition needs degree >= 1")
-    return p.coeffs[0], Polynomial(p.coeffs[1:])
+    return Fraction(s[0], den), _from_cleared(s[1:], den)
 
 
-def induction_replay_holds(p: Polynomial,
+def induction_replay_holds(p: Sequence[Fraction | int],
                            algo: ShiftAlgorithm = ShiftAlgorithm.HORNER_SYNTHETIC) -> bool:
     """Check P(x+1) = a_0 + (x+1) Q(x+1) coefficientwise, exactly."""
+    p = Polynomial(p)
     a0, q = induction_decompose(p)
     lhs = taylor_shift(p, 1, algo)
     rhs = mul_by_x_plus_one(taylor_shift(q, 1, algo))
@@ -172,12 +175,13 @@ def induction_replay_holds(p: Polynomial,
     return lhs.coeffs == reassembled
 
 
-def lemma2_preserved(b: Polynomial) -> bool:
+def lemma2_preserved(b: Sequence[Fraction | int]) -> bool:
     """Given ratio-monotone B, decide whether (x + 1) B(x) is ratio monotone.
 
     Raises HypothesisError if B itself is not ratio monotone. Expected true
     under the hypothesis.
     """
+    b = Polynomial(b)
     if _ratio_monotone_status(b) is not _HOLDS:
         raise HypothesisError("input polynomial is not ratio monotone")
     return _ratio_monotone_status(mul_by_x_plus_one(b)) is _HOLDS

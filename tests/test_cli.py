@@ -321,6 +321,15 @@ def test_verify_integral_float_failure_exits_one(capsys, m, x, error):
     assert err.count("\n") == 1
 
 
+def test_verify_integral_quadrature_not_converging_exits_one(capsys):
+    # At x = 1e12 Simpson refinement does not converge within its iteration
+    # limit: QuadratureError, exit 1, one line.
+    code, out, err = run(capsys, "verify-integral", "--m", "3", "--x", "1e12")
+    assert (code, out) == (1, "")
+    assert err.startswith("ratioshift: quadrature did not converge:")
+    assert err.count("\n") == 1
+
+
 # --- fuzz ---
 
 def test_fuzz_clean_campaign_exit_zero(capsys):

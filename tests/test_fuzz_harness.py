@@ -1,8 +1,10 @@
 import hashlib
+import io
 import itertools
 import json
 import math
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -208,7 +210,9 @@ def test_positive_and_lemma1_draws_match_randint_reference(bound, integer_only):
 def test_degree_draw_matches_reference(degree_range, trials):
     for seed in (0, 13, 2024):
         # A one-trial spec: a range of 2**300 degrees is drawn, never run.
-        spec = CampaignSpec(target="theorem1", trials=1, seed=seed, degree_range=degree_range)
+        # lemma1 draws no degree, so its spec alone takes a range past
+        # _MAX_DEGREE; the degree draw reads only the seed and the range.
+        spec = CampaignSpec(target="lemma1", trials=1, seed=seed, degree_range=degree_range)
         for trial in range(trials):
             assert fuzz_harness._pick_degree(spec, trial) == reference_degree(
                 seed, trial, *degree_range)
@@ -427,19 +431,40 @@ def test_separation_trial_builds_no_bookkeeping(monkeypatch):
     assert verdicts == []
     assert 1 < len(audited) == len(set(audited)) == len(fuzz_harness._LATTICE_ROWS)
     assert len(outcomes) == 2_000
-    kept = [o for o in outcomes if o.examples is not None]
-    assert all(o.examples for o in kept)  # a dict only where an example was kept
-    assert len(kept) == sum(report.coverage[kind] for kind in report.examples_found)
+    kept = [o[6] for o in outcomes if o[6] is not None]
+    assert all(kinds for kinds, _, _ in kept)  # kinds only where an example was kept
+    assert sum(len(kinds) for kinds, _, _ in kept) == sum(
+        report.coverage[kind] for kind in report.examples_found)
     assert all(report.examples_found.values())
-    # Built from all seven fields at once, each outcome is the clean trial's
-    # _TrialOutcome, its degree and bit lengths read off the rebuilt draw.
+    # Each outcome is the clean trial's plain tuple, its degree and bit
+    # lengths read off the rebuilt draw, and a kept example is that draw's
+    # own ints and denominator.
     spec = report.spec
     for trial, outcome in enumerate(outcomes):
         seq = fuzz_harness._draw_positive(spec, trial)
-        assert type(outcome) is fuzz_harness._TrialOutcome
-        assert outcome == fuzz_harness._TrialOutcome(
-            trial, True, seq.degree, fuzz_harness._bit_lengths(seq), examples=outcome.examples)
-        assert outcome.not_applicable is False and outcome.payload is None
+        assert type(outcome) is tuple
+        assert outcome == (trial, True, seq.degree, fuzz_harness._bit_lengths(seq),
+                           False, None, outcome[6])
+        assert outcome[6] is None or outcome[6][1:] == seq._cleared()
+
+
+class _NoGlobals(pickle.Unpickler):
+    """Loads only what needs no class or function: tuples, lists, dicts,
+    strings, ints, bools and None."""
+
+    def find_class(self, module, name):
+        raise AssertionError(f"the pickle names {module}.{name}")
+
+
+def test_separation_outcomes_pickle_as_plain_tuples():
+    # What a pool ships to the parent: plain tuples, each kept example as
+    # its kinds and the draw's ints and denominator, no Polynomial or Fraction.
+    spec = CampaignSpec(target="separation", trials=2_000, seed=8, degree_range=(2, 6))
+    block = [fuzz_harness._run_trial(spec, trial) for trial in range(spec.trials)]
+    assert sum(outcome[6] is not None for outcome in block) > 10
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = _NoGlobals(io.BytesIO(pickle.dumps(block, protocol))).load()
+        assert back == block and all(type(outcome) is tuple for outcome in back)
 
 
 @pytest.mark.parametrize("target, c", [("theorem1", 1), ("corollary", -1), ("separation", 1)])
@@ -536,6 +561,11 @@ def test_degree_past_any_list_is_refused_before_a_trial(target):
     top = fuzz_harness._MAX_DEGREE
     with pytest.raises(DomainError, match=f"degree range end {top + 1} is too large"):
         run_campaign(CampaignSpec(target=target, trials=1, seed=0, degree_range=(top + 1,) * 2))
+    # The spec itself is refused, so none past the bound can be built or serialised.
+    for end in (top + 1, 10 ** 20):
+        with pytest.raises(DomainError, match=f"^degree range end {end} is too large to draw "
+                           fr"\(at most {top}\)$"):
+            CampaignSpec(target=target, trials=1, seed=0, degree_range=(0, end))
     with pytest.raises(MemoryError):
         run_campaign(CampaignSpec(target=target, trials=1, seed=0, degree_range=(top, top)))
 

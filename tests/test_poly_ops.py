@@ -252,6 +252,18 @@ def test_shifted_polynomial_pickles_like_one_built_from_fractions():
         assert taylor_shift(back, 1) == taylor_shift(rebuilt, 1)
 
 
+def test_equal_polynomials_pickle_to_equal_bytes():
+    # A polynomial keeps none of the caller's Fraction objects, so pickle's
+    # memo cannot see one object passed twice.
+    half = Fraction(1, 2)
+    polys = [Polynomial([half, half]), Polynomial([Fraction(1, 2), Fraction(1, 2)]),
+             Polynomial([Fraction(2, 4), Fraction(3, 6)]),
+             taylor_shift(Polynomial([half, half]), 0)]
+    assert len(set(polys)) == 1
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert len({pickle.dumps(p, protocol) for p in polys}) == 1
+
+
 def test_polynomial_is_immutable():
     for p in (Polynomial((1, 2)), taylor_shift(Polynomial((1, 2)), Fraction(1, 3))):
         # FrozenInstanceError is an AttributeError.
@@ -271,7 +283,8 @@ def test_a_polynomial_passes_through_its_constructor():
     assert shifted._coeffs is None  # passing through built no Fraction
     for p in (Polynomial(values), Polynomial((1, 2, 3)), pickle.loads(pickle.dumps(shifted))):
         assert Polynomial(p) is p
-    assert all(a is b for a, b in zip(Polynomial(Polynomial(values)).coeffs, values))
+    rebuilt = Polynomial(Polynomial(values)).coeffs
+    assert rebuilt == tuple(values) and all(type(v) is Fraction for v in rebuilt)
     with pytest.raises(TypeError):
         Polynomial(None)
     with pytest.raises(DomainError, match="^a coefficient sequence needs at least one entry$"):
@@ -285,8 +298,9 @@ def test_coeffs_are_built_once():
 
 
 def test_polynomial_keeps_the_callers_fractions():
+    # Their values, as Fractions built from the cleared integers.
     values = [Fraction(1, 2), Fraction(3), Fraction(-4, 9)]
     p = Polynomial(values)
     taylor_shift(p, 1)
     boundary_coeffs(p)
-    assert all(a is b for a, b in zip(p.coeffs, values))
+    assert p.coeffs == tuple(values) and all(type(v) is Fraction for v in p.coeffs)

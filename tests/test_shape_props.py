@@ -539,9 +539,9 @@ def test_integer_checkers_match_fraction_reference(checker, reference):
         cleared = taylor_shift(Polynomial(seq), 0)
         assert checker(cleared) == verdict
         if verdict.witness is not None:
-            # Witness values are the caller's own Fraction objects.
-            assert all(v is seq[i] for i, v in zip(verdict.witness.indices,
-                                                    verdict.witness.values))
+            # Witness values are the caller's values, as Fractions.
+            assert all(v == seq[i] and type(v) is Fraction
+                       for i, v in zip(verdict.witness.indices, verdict.witness.values))
         statuses.add(verdict.status)
     # Only the checkers with a positivity precondition answer NotApplicable.
     needs_positive = reference in (reference_spiral, reference_log_concave,

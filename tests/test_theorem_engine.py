@@ -163,6 +163,19 @@ def test_induction_decompose_needs_degree_one():
         induction_decompose(Polynomial((3,)))
 
 
+@pytest.mark.parametrize("wrap", [list, Polynomial])
+def test_sequence_predicates_take_a_list_or_a_polynomial(wrap):
+    # The README lists them as sequence predicates; a list used to raise
+    # AttributeError.
+    assert lemma2_preserved(wrap([1, 2, 1])) is True
+    with pytest.raises(HypothesisError):
+        lemma2_preserved(wrap([1, 2]))
+    assert induction_replay_holds(wrap([1, 2, 3])) is True
+    a0, q = induction_decompose(wrap([1, Fraction(2, 3), 3]))
+    assert (a0, q) == (Fraction(1), Polynomial([Fraction(2, 3), 3]))
+    assert type(a0) is Fraction and all(type(v) is Fraction for v in q.coeffs)
+
+
 @pytest.mark.parametrize("algo", [ShiftAlgorithm.NAIVE_BINOMIAL,
                                   ShiftAlgorithm.HORNER_SYNTHETIC])
 def test_induction_replay_worked_example(algo):
@@ -320,7 +333,7 @@ def test_integer_predicates_match_fraction_reference():
         assert b == outcome(reference_boundary_coeffs, a)
         if isinstance(b, BoundaryCoeffs):
             assert all(type(v) is Fraction for v in b)
-            assert b.b_m is a[-1]  # the caller's own Fraction
+            assert b.b_m == a[-1]  # the caller's value, a Fraction as checked above
         report = outcome(lemma3_gap, a)
         assert report == outcome(reference_lemma3_gap, a)
         assert outcome(edge_inequality_holds, a) == outcome(reference_edge_inequality_holds, a)
