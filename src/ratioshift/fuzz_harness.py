@@ -24,9 +24,9 @@ failing verdicts and the example kinds it keeps:
 * ``separation``: random positive sequences, searching for a log-concave
   sequence that is not spiral and a spiral sequence that is not log-concave,
   while auditing the implication lattice on every input. A trial makes two
-  ``_draw`` calls (its degree, then every numerator and denominator in one
-  call), builds ints over one common denominator, and runs the four lattice
-  finders once to read their statuses as a tuple
+  ``_draw_run`` calls (its degree, then every numerator and denominator in
+  one call), builds ints over one common denominator, and runs the four
+  lattice finders once to read their statuses as a tuple
   (``shape_props._lattice_statuses``). The audit and the example kinds
   depend on those four statuses alone, so the trial reads them from one row
   of ``_LATTICE_ROWS``, keyed by that tuple: each of the at most 81 rows is
@@ -61,9 +61,11 @@ one stream of bits, named by the label "{seed}:{trial}:{name}" (``degree``,
 those of "…:1", "…:2" and so on, each read as a big-endian number from its
 lowest bit up. ``_draw`` takes every value from such a stream by CPython's
 randint rule: for n values, take k = n.bit_length() bits and redraw while
-the result is >= n. No trial builds a ``random.Random``. The degree has a
-stream of its own, so ``gen_nondecreasing_seq`` rebuilds a trial's input
-from its degree. Nondecreasing inputs are generated by sorting i.i.d. draws
+the result is >= n. ``_draw_run`` is the same rule on the same stream for a
+run of one repeated range, in one loop: the degree, separation's and
+lemma1's entries and lemma3's positive entries. No trial builds a
+``random.Random``. The degree has a stream of its own, so
+``gen_nondecreasing_seq`` rebuilds a trial's input from its degree. Nondecreasing inputs are generated by sorting i.i.d. draws
 (unbiased over multisets); the ratio that replaces the last entry when every
 draw is zero follows them in the stream, read whether it is used or not.
 Entries are rationals with numerator and denominator bounded by
@@ -239,20 +241,14 @@ class CampaignReport:
 
 def _draw(label: str, ranges: list[tuple[int, int]]) -> list[int]:
     """One value per (low, high) range, in order, by randint's rule on the bit
-    stream of ``label`` (module docstring).
-
-    n, k and the mask are computed again only when the range object changes:
-    a separation or lemma1 draw repeats one tuple, so it computes them once."""
+    stream of ``label`` (module docstring). A run of one repeated range is
+    ``_draw_run``'s."""
     out = []
     pool = avail = block = 0
-    last = None
-    for rng in ranges:
-        if rng is not last:
-            last = rng
-            low, high = rng
-            n = high - low + 1
-            k = n.bit_length()
-            mask = (1 << k) - 1
+    for low, high in ranges:
+        n = high - low + 1
+        k = n.bit_length()
+        mask = (1 << k) - 1
         r = n
         while r >= n:
             while avail < k:
@@ -267,17 +263,52 @@ def _draw(label: str, ranges: list[tuple[int, int]]) -> list[int]:
     return out
 
 
+def _draw_run(label: str, low: int, high: int, count: int) -> list[int]:
+    """``_draw(label, [(low, high)] * count)``: the same values from the same
+    stream. n, k and the mask are computed once, and the inner loop takes
+    each whole k-bit group a digest completes, with no per-value test of the
+    bits left."""
+    n = high - low + 1
+    k = n.bit_length()
+    mask = (1 << k) - 1
+    out = [low] * count  # a count no list can hold raises MemoryError here, at once
+    i = pool = avail = block = 0
+    while i < count:
+        name = f"{label}:{block}" if block else label
+        pool |= int.from_bytes(_sha256(name.encode()).digest(), "big") << avail
+        avail += 256
+        block += 1
+        for _ in range(avail // k):
+            r = pool & mask
+            pool >>= k
+            if r < n:
+                out[i] = low + r
+                i += 1
+                if i == count:
+                    return out
+        avail %= k
+    return out
+
+
 def _draw_ratios(label: str, lows: list[int], bound: int,
                  integer_only: bool) -> tuple[list[int], list[int]]:
     """One draw num/den per entry of ``lows``, num in [low, bound] and den in
-    [1, bound] (den 1 in integer-only mode), as numerators and denominators."""
-    den = (1, bound)  # numerators from 1 share it, so that _draw keeps its constants
-    nums = [den if low == 1 else (low, bound) for low in lows]
+    [1, bound] (den 1 in integer-only mode), as numerators and denominators.
+    When every low is 1 (lemma3's and lemma1's draws), every range is
+    [1, bound] and one ``_draw_run`` reads them all."""
+    count = len(lows)
+    if lows.count(1) == count:
+        flat = _draw_run(label, 1, bound, count if integer_only else 2 * count)
+    else:
+        nums = [(low, bound) for low in lows]
+        if integer_only:
+            ranges = nums
+        else:
+            ranges = [(1, bound)] * (2 * count)
+            ranges[::2] = nums
+        flat = _draw(label, ranges)
     if integer_only:
-        return _draw(label, nums), [1] * len(nums)
-    ranges = [den] * (2 * len(nums))
-    ranges[::2] = nums
-    flat = _draw(label, ranges)
+        return flat, [1] * count
     return flat[::2], flat[1::2]
 
 
@@ -338,13 +369,13 @@ def _gen_positive_seq(seed: int, trial: int, degree: int, bound: int,
     """Unsorted i.i.d. positive draws num/den, for the separation search, as
     ints s over L, the lcm of the drawn denominators: entry i is s[i]/L.
 
-    num and den both lie in [1, bound], so one ``_draw`` call over equal
-    ranges reads the stream ``_draw_ratios`` would: each numerator, then,
-    unless integer-only (den 1), its denominator."""
+    num and den both lie in [1, bound], so one ``_draw_run`` reads the
+    stream ``_draw_ratios`` would: each numerator, then, unless integer-only
+    (den 1), its denominator."""
     label = f"{seed}:{trial}:positive-seq"
     if integer_only:
-        return _from_cleared(_draw(label, [(1, bound)] * (degree + 1)), 1)
-    flat = _draw(label, [(1, bound)] * (2 * degree + 2))
+        return _from_cleared(_draw_run(label, 1, bound, degree + 1), 1)
+    flat = _draw_run(label, 1, bound, 2 * degree + 2)
     dens = flat[1::2]
     lcm = math.lcm(*dens)
     return _from_cleared([num * (lcm // den) for num, den in zip(flat[::2], dens)], lcm)
@@ -352,7 +383,8 @@ def _gen_positive_seq(seed: int, trial: int, degree: int, bound: int,
 
 def _pick_degree(spec: CampaignSpec, trial: int) -> int:
     """The trial's degree, uniform over ``spec.degree_range``."""
-    return _draw(f"{spec.seed}:{trial}:degree", [spec.degree_range])[0]
+    low, high = spec.degree_range
+    return _draw_run(f"{spec.seed}:{trial}:degree", low, high, 1)[0]
 
 
 def _render_seq(p: Polynomial) -> list[str]:

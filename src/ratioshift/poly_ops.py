@@ -3,8 +3,8 @@
 A polynomial is a fixed-length sequence of exact coefficients a_0..a_m in
 ascending degree, always held in one form: integer numerators over one
 positive common denominator. The constructor is the one place a sequence is
-coerced to exact rationals and cleared, once; every checker and predicate
-calls it on its input, and it returns a ``Polynomial`` as it is
+coerced to exact rationals and cleared, once; every checker, predicate and
+transform calls it on its input, and it returns a ``Polynomial`` as it is
 (``Polynomial(p) is p``). The integers are the only copy it keeps: the
 caller's entries are dropped once cleared, and ``coeffs``, the canonical
 Fractions, is built from the integers on first read and kept. So equal
@@ -70,7 +70,9 @@ class Polynomial:
         if not entries:
             raise DomainError("a coefficient sequence needs at least one entry")
         ints, den = clear_denominators(entries)
-        _set(self, tuple(ints), den)
+        _set_ints(self, tuple(ints))
+        _set_den(self, den)
+        _set_coeffs(self, None)
 
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
@@ -121,31 +123,28 @@ class Polynomial:
         self.__init__(state["coeffs"])
 
 
-# The slots' own setters: the frozen __setattr__ refuses every assignment.
+# The slots' own setters: the frozen __setattr__ refuses every assignment,
+# and each skips the attribute lookup by name that ``object.__setattr__``
+# makes per slot.
 _set_ints, _set_den, _set_coeffs = (
     slot.__set__ for slot in (Polynomial._ints, Polynomial._den, Polynomial._coeffs))
 
 
-def _set(p: Polynomial, ints: tuple[int, ...], den: int) -> None:
-    """Store the integers, with no Fractions built yet, through the slots'
-    ``__set__``, which skips the attribute lookup by name that
-    ``object.__setattr__`` makes per slot; it runs on every draw, shift and
-    product."""
-    _set_ints(p, ints)
+def _from_cleared(ints: Sequence[int], den: int) -> Polynomial:
+    """The polynomial with coefficients ints[k] / den (den > 0), no Fraction
+    built. It runs on every draw, shift and product, so it sets the slots
+    in its own frame."""
+    p = object.__new__(Polynomial)
+    _set_ints(p, tuple(ints))
     _set_den(p, den)
     _set_coeffs(p, None)
-
-
-def _from_cleared(ints: Sequence[int], den: int) -> Polynomial:
-    """The polynomial with coefficients ints[k] / den (den > 0), no Fraction built."""
-    p = object.__new__(Polynomial)
-    _set(p, tuple(ints), den)
     return p
 
 
-def taylor_shift(p: Polynomial, c: Fraction | int,
+def taylor_shift(p: Polynomial | Sequence[Fraction | int], c: Fraction | int,
                  algo: ShiftAlgorithm = ShiftAlgorithm.HORNER_SYNTHETIC) -> Polynomial:
     """Return B with B(x) = P(x + c), same representation length as P."""
+    p = Polynomial(p)
     c = as_rational(c)
     if algo is ShiftAlgorithm.NAIVE_BINOMIAL:
         return Polynomial(_shift_naive(p.coeffs, c))
@@ -209,10 +208,10 @@ def _shift_horner(ints: tuple[int, ...], den: int, c: Fraction) -> tuple[list[in
     return out, den
 
 
-def mul_by_x_plus_one(b: Polynomial) -> Polynomial:
+def mul_by_x_plus_one(b: Polynomial | Sequence[Fraction | int]) -> Polynomial:
     """Multiply by (x + 1): result coefficient k is a_{k-1} + a_k, summed on
     the cleared numerators over b's common denominator."""
-    s, den = b._cleared()
+    s, den = Polynomial(b)._cleared()
     return _from_cleared([lo + hi for lo, hi in zip((0, *s), (*s, 0))], den)
 
 
@@ -224,13 +223,14 @@ class BoundaryCoeffs(NamedTuple):
     b_m: Fraction
 
 
-def boundary_coeffs(p: Polynomial) -> BoundaryCoeffs:
+def boundary_coeffs(p: Polynomial | Sequence[Fraction | int]) -> BoundaryCoeffs:
     """Closed forms for coefficients 0, 1, m-2, m-1, m of P(x + 1).
 
     b_0 = sum a_k, b_1 = sum k a_k, b_{m-2} = a_{m-2} + (m-1) a_{m-1}
     + C(m,2) a_m, b_{m-1} = a_{m-1} + m a_m, b_m = a_m. Requires degree
     m >= 2 so the four index positions are distinct from the tail.
     """
+    p = Polynomial(p)
     m = p.degree
     if m < 2:
         raise DomainError(f"boundary coefficients need degree >= 2, got {m}")
@@ -245,9 +245,9 @@ def _scaled_boundary(s: Sequence[int]) -> tuple[int, int, int, int]:
             s[m - 2] + (m - 1) * s[m - 1] + binomial(m, 2) * s[m], s[m - 1] + m * s[m])
 
 
-def normalize(p: Polynomial) -> Polynomial:
+def normalize(p: Polynomial | Sequence[Fraction | int]) -> Polynomial:
     """Trim trailing zero coefficients; the zero polynomial stays (0,)."""
-    s, den = p._cleared()
+    s, den = Polynomial(p)._cleared()
     end = len(s)
     while end > 1 and s[end - 1] == 0:
         end -= 1

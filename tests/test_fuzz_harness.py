@@ -91,9 +91,10 @@ def test_gen_nondecreasing_seq_guards():
 
 
 # --- the draw primitive ---
-# Every drawn value comes from _draw, so every pinned report depends on it
-# running randint's rule on the label's stream; the reference rebuilds that
-# stream from hashlib and a string of its bits.
+# Every drawn value comes from _draw, or from _draw_run for a run of one
+# repeated range, so every pinned report depends on both running randint's
+# rule on the label's stream; the reference rebuilds that stream from
+# hashlib and a string of its bits.
 
 # The last four read k = 256, 256, 257 and 301 bits a draw: one whole digest, and more.
 _WIDTHS = [1, 2, 3, 4, 5, 7, 8, 9, 2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32,
@@ -107,8 +108,9 @@ def test_randints_is_randint_stream(width, low):
     high = low + width - 1
     for seed in range(200):
         label = f"{seed}:{seed % 7}:seq"
-        assert fuzz_harness._draw(label, [(low, high)] * 7) == reference_draws(
-            label, [(low, high)] * 7)
+        expected = reference_draws(label, [(low, high)] * 7)
+        assert fuzz_harness._draw(label, [(low, high)] * 7) == expected
+        assert fuzz_harness._draw_run(label, low, high, 7) == expected
 
 
 @pytest.mark.parametrize("low", [0, 1])
@@ -125,10 +127,10 @@ def test_randints_interleaves_numerator_and_denominator_ranges(low, bound):
             reference_draws(label, [(low, bound)] * 9), [1] * 9)
 
 
-def test_draw_constants_are_only_a_cache():
-    # _draw computes n, k and the mask again only when the range object
-    # changes; equal but distinct tuples, and two objects that alternate with
-    # different k, must give the values of a fresh computation per range.
+def test_draw_takes_each_range_as_it_comes():
+    # One repeated object, equal but distinct tuples, and two objects that
+    # alternate with different k must give the values of a fresh
+    # computation per range.
     one = (0, 127)
     equal = [(1, 10 ** 6) for _ in range(12)]
     small, wide = (0, 127), (1, 2 ** 31 - 1)
@@ -257,9 +259,11 @@ def test_each_trial_seeds_one_generator(monkeypatch, target):
     # its values come from one draw under one label (the degree, where drawn,
     # from its own), and no trial constructs a random.Random.
     calls = []
-    draw = fuzz_harness._draw
+    draw, draw_run = fuzz_harness._draw, fuzz_harness._draw_run
     monkeypatch.setattr(fuzz_harness, "_draw",
                         lambda label, ranges: calls.append(label) or draw(label, ranges))
+    monkeypatch.setattr(fuzz_harness, "_draw_run",
+                        lambda label, *run: calls.append(label) or draw_run(label, *run))
     monkeypatch.setattr(random.Random, "__init__",
                         lambda self, *args: pytest.fail("a trial constructed a random.Random"))
     report = run_campaign(CampaignSpec(target=target, trials=200, seed=8))
@@ -612,13 +616,13 @@ def test_report_json_is_serializable_and_shaped():
 
 # --- pinned report bytes ---
 # sha256 of report_json(spec), recomputed in one epoch: every value drawn
-# from its label's sha256 stream by _draw, which the reference tests above
-# rebuild from hashlib. The degrees did not move, and 4 of the 15 digests
-# kept their bytes: a clean report hashes only degree-driven counts and the
-# largest bit lengths. The same bytes on CPython 3.10 to 3.13 and with two
-# workers. The row comments name what each pin was first added to guard. A
-# change to any layer a campaign runs through, other than a new epoch argued
-# the same way, must leave these bytes alone.
+# from its label's sha256 stream by _draw or _draw_run, which the reference
+# tests above rebuild from hashlib. The degrees did not move, and 4 of the 15
+# digests kept their bytes: a clean report hashes only degree-driven counts
+# and the largest bit lengths. The same bytes on CPython 3.10 to 3.13 and
+# with two workers. The row comments name what each pin was first added to
+# guard. A change to any layer a campaign runs through, other than a new
+# epoch argued the same way, must leave these bytes alone.
 
 @pytest.mark.parametrize("spec, digest", [
     (CampaignSpec(target="theorem1", trials=60, seed=2024, degree_range=(2, 20)),
@@ -684,6 +688,27 @@ def test_package_import_leaves_openssl_unloaded():
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
     assert proc.stdout.split() == ["False", "False"]
+
+
+def test_sha256_falls_back_to_hashlib_with_the_same_reports():
+    # Without either builtin module the draws hash through hashlib, and the
+    # pinned separation report keeps its bytes.
+    src = str(Path(ratioshift.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    code = (
+        "import hashlib, json, sys\n"
+        "sys.modules['_sha2'] = sys.modules['_sha256'] = None\n"
+        "from ratioshift import fuzz_harness as fh\n"
+        "spec = fh.CampaignSpec(target='separation', trials=300, seed=2029,\n"
+        "                       degree_range=(2, 6), magnitude_bound=100)\n"
+        "d = fh.run_campaign(spec).to_json_dict()\n"
+        "d.pop('wall_time')\n"
+        "print(fh._sha256 is hashlib.sha256,\n"
+        "      hashlib.sha256(json.dumps(d, sort_keys=True).encode()).hexdigest())\n")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60, check=True)
+    assert proc.stdout.split() == [
+        "True", "02f372c6cc9f9cb1065c598d1ce6a34dc3e04ff85a934cc1c67148009aaad517"]
 
 
 # --- violation and finding paths ---

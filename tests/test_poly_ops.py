@@ -167,6 +167,17 @@ def test_normalize_trims_trailing_zeros():
     assert normalize(Polynomial((4,))).coeffs == (Fraction(4),)
 
 
+@pytest.mark.parametrize("wrap", [list, Polynomial])
+def test_transforms_take_a_list_or_a_polynomial(wrap):
+    # As every checker and predicate does; a list used to raise AttributeError.
+    values = [1, Fraction(2, 3), 3, 0]
+    for algo in ALGOS:
+        assert taylor_shift(wrap(values), 1, algo) == taylor_shift(Polynomial(values), 1, algo)
+    assert mul_by_x_plus_one(wrap(values)).coeffs == (1, Fraction(5, 3), Fraction(11, 3), 3, 0)
+    assert normalize(wrap(values)).coeffs == (1, Fraction(2, 3), 3)
+    assert boundary_coeffs(wrap(values)) == boundary_coeffs(Polynomial(values))
+
+
 # --- integer Horner kernel against the binomial oracle ---
 
 def assert_matches_oracle(coeffs, c):

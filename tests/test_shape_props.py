@@ -19,11 +19,16 @@ from ratioshift.shape_props import (
     PropertyVerdict,
     Status,
     Witness,
+    _CONCAVE_LINKS,
     _FLOOR_BITS,
+    _KEPT_TABLES,
     _lattice_statuses,
     _log_concave_w,
     _PROPS,
+    _RATIO_LINKS,
     _ratio_monotone_w,
+    _SPIRAL_LINKS,
+    _spiral_w,
     audit_implications,
     audit_statuses,
     check_log_concave,
@@ -191,6 +196,18 @@ def test_ratio_chain_indices_odd_degree():
     chain_a, chain_b = ratio_chain_indices(5)
     assert chain_a == [(5, 0), (4, 1), (3, 2)]
     assert chain_b == [(0, 4), (1, 3)]
+
+
+def test_link_tables_are_kept_for_the_first_degrees_only():
+    # Past the kept tables a lookup builds its table again: memory stays
+    # bounded, and the witnesses do not change.
+    for m in range(3, 3 + 2 * _KEPT_TABLES):
+        row = [1] * m + [2]
+        assert _ratio_monotone_w(row) == (m, 0, m - 1, 1)
+        assert _log_concave_w(row) == (m - 2, m - 1, m)
+        assert _spiral_w(row) == (m, 0)
+    for tables in (_RATIO_LINKS, _CONCAVE_LINKS, _SPIRAL_LINKS):
+        assert len(tables) == _KEPT_TABLES
 
 
 def test_ratio_monotone_holds():
