@@ -56,20 +56,28 @@ vacuous. A trial with a violation records no examples.
 Determinism: all per-trial randomness derives from sha256(seed, trial,
 label), so a report is identical regardless of execution parallelism, and
 every violation reproduces from (seed, trial index) alone. Each draw reads
-one stream of bits, named by the label "{seed}:{trial}:{name}" (``degree``,
-``seq``, ``positive-seq`` or ``lemma1``): the sha256 digest of the label, then
-those of "…:1", "…:2" and so on, each read as a big-endian number from its
-lowest bit up. ``_draw`` takes every value from such a stream by CPython's
+streams of bits, each named by a label "{seed}:{trial}:{name}" (``degree``,
+``seq`` and ``seq-den``, ``positive-seq`` or ``lemma1``): the sha256 digest
+of the label, then those of "…:1", "…:2" and so on, each read as a
+big-endian number from its lowest bit up. One reader, ``_draw_run``, takes
+every value, as a run of values in one range from one stream, by CPython's
 randint rule: for n values, take k = n.bit_length() bits and redraw while
-the result is >= n. ``_draw_run`` is the same rule on the same stream for a
-run of one repeated range, in one loop: the degree, separation's and
-lemma1's entries and lemma3's positive entries. No trial builds a
-``random.Random``. The degree has a stream of its own, so
-``gen_nondecreasing_seq`` rebuilds a trial's input from its degree. Nondecreasing inputs are generated by sorting i.i.d. draws
-(unbiased over multisets); the ratio that replaces the last entry when every
-draw is zero follows them in the stream, read whether it is used or not.
-Entries are rationals with numerator and denominator bounded by
-``magnitude_bound``, or integers in integer-only mode.
+the result is >= n. No trial builds a ``random.Random``. The degree has a
+stream of its own, so ``gen_nondecreasing_seq`` rebuilds a trial's input
+from its degree. The runs of a trial's values:
+
+* theorem1, lemma2, lemma3, corollary: the numerators, in [0, bound] (in
+  [1, bound] for lemma3), on ``seq``; then on ``seq-den``, in [1, bound],
+  the denominators, then the numerator and the denominator of the redraw,
+  or, in integer-only mode, the redraw's numerator alone;
+* separation (``positive-seq``) and lemma1: each numerator in [1, bound],
+  then, unless integer-only, its denominator in [1, bound].
+
+Nondecreasing inputs are generated by sorting i.i.d. draws (unbiased over
+multisets); the redraw is the ratio that replaces the last entry when every
+draw is zero, read whether it is used or not. Entries are rationals with
+numerator and denominator bounded by ``magnitude_bound``, or integers in
+integer-only mode.
 
 Besides the coverage counts, a report's ``stats`` say what the trials
 exercised: the degree histogram (string keys, in ascending order), the
@@ -131,8 +139,10 @@ __all__ = [
     "run_campaign",
 ]
 
-# The largest degree a campaign draws at: a draw lists two ranges per
-# coefficient and two for the redraw, at most sys.maxsize of them.
+# The largest degree a campaign draws at. The longest run a draw reads is
+# separation's, 2·(degree + 1) values, into a list sized before any value is
+# read; past sys.maxsize // 2 - 1 that list could not be sized at all, and
+# the bound keeps one degree below it.
 _MAX_DEGREE = sys.maxsize // 2 - 2
 
 
@@ -175,8 +185,8 @@ class CampaignSpec:
         if not 0 <= lo <= hi:
             raise DomainError(f"invalid degree range {self.degree_range}")
         object.__setattr__(self, "degree_range", (lo, hi))  # a list would be unhashable
-        # Past _MAX_DEGREE a draw's list of ranges is longer than a list can
-        # be (OverflowError); below it a huge degree runs out of memory.
+        # Within a degree past _MAX_DEGREE separation's run is longer than a
+        # list can be (OverflowError); below it a huge degree runs out of memory.
         # lemma1's sextuple draws no degree.
         if hi > _MAX_DEGREE and self.target != "lemma1":
             raise DomainError(f"degree range end {hi} is too large to draw "
@@ -239,35 +249,12 @@ class CampaignReport:
         }
 
 
-def _draw(label: str, ranges: list[tuple[int, int]]) -> list[int]:
-    """One value per (low, high) range, in order, by randint's rule on the bit
-    stream of ``label`` (module docstring). A run of one repeated range is
-    ``_draw_run``'s."""
-    out = []
-    pool = avail = block = 0
-    for low, high in ranges:
-        n = high - low + 1
-        k = n.bit_length()
-        mask = (1 << k) - 1
-        r = n
-        while r >= n:
-            while avail < k:
-                name = f"{label}:{block}" if block else label
-                pool |= int.from_bytes(_sha256(name.encode()).digest(), "big") << avail
-                avail += 256
-                block += 1
-            r = pool & mask
-            pool >>= k
-            avail -= k
-        out.append(low + r)
-    return out
-
-
 def _draw_run(label: str, low: int, high: int, count: int) -> list[int]:
-    """``_draw(label, [(low, high)] * count)``: the same values from the same
-    stream. n, k and the mask are computed once, and the inner loop takes
-    each whole k-bit group a digest completes, with no per-value test of the
-    bits left."""
+    """``count`` values in [low, high] from the bit stream of ``label``, by
+    randint's rule (module docstring); every drawn value comes from here.
+    n, k and the mask are computed once, and the inner loop takes each whole
+    k-bit group a digest completes, with no per-value test of the bits
+    left."""
     n = high - low + 1
     k = n.bit_length()
     mask = (1 << k) - 1
@@ -288,28 +275,6 @@ def _draw_run(label: str, low: int, high: int, count: int) -> list[int]:
                     return out
         avail %= k
     return out
-
-
-def _draw_ratios(label: str, lows: list[int], bound: int,
-                 integer_only: bool) -> tuple[list[int], list[int]]:
-    """One draw num/den per entry of ``lows``, num in [low, bound] and den in
-    [1, bound] (den 1 in integer-only mode), as numerators and denominators.
-    When every low is 1 (lemma3's and lemma1's draws), every range is
-    [1, bound] and one ``_draw_run`` reads them all."""
-    count = len(lows)
-    if lows.count(1) == count:
-        flat = _draw_run(label, 1, bound, count if integer_only else 2 * count)
-    else:
-        nums = [(low, bound) for low in lows]
-        if integer_only:
-            ranges = nums
-        else:
-            ranges = [(1, bound)] * (2 * count)
-            ranges[::2] = nums
-        flat = _draw(label, ranges)
-    if integer_only:
-        return flat, [1] * count
-    return flat[::2], flat[1::2]
 
 
 def gen_nondecreasing_seq(seed: int, trial: int, degree: int, bound: int,
@@ -349,9 +314,14 @@ def _gen_nondecreasing(seed: int, trial: int, degree: int, bound: int, integer_o
     the whole row and no division by it is needed. A zero entry reduces to
     0/1; when every entry is zero, L is 1 and the redraw, reduced the same
     way, alone sets the denominator."""
-    nums, dens = _draw_ratios(f"{seed}:{trial}:seq", [1 if positive else 0] * (degree + 1) + [1],
-                              bound, integer_only)
-    if not integer_only:  # else every den is 1 already
+    label = f"{seed}:{trial}:seq"
+    nums = _draw_run(label, 1 if positive else 0, bound, degree + 1)
+    if integer_only:  # the second run holds the redraw's numerator alone
+        nums += _draw_run(f"{label}-den", 1, bound, 1)
+        dens = [1] * (degree + 2)
+    else:  # the denominators, then the redraw's numerator and denominator
+        dens = _draw_run(f"{label}-den", 1, bound, degree + 3)
+        nums.append(dens.pop(-2))
         gcds = list(map(math.gcd, nums, dens))
         nums = [num // g for num, g in zip(nums, gcds)]
         dens = [d // g for d, g in zip(dens, gcds)]
@@ -369,9 +339,8 @@ def _gen_positive_seq(seed: int, trial: int, degree: int, bound: int,
     """Unsorted i.i.d. positive draws num/den, for the separation search, as
     ints s over L, the lcm of the drawn denominators: entry i is s[i]/L.
 
-    num and den both lie in [1, bound], so one ``_draw_run`` reads the
-    stream ``_draw_ratios`` would: each numerator, then, unless integer-only
-    (den 1), its denominator."""
+    num and den both lie in [1, bound], so one ``_draw_run`` reads them all:
+    each numerator, then, unless integer-only (den 1), its denominator."""
     label = f"{seed}:{trial}:positive-seq"
     if integer_only:
         return _from_cleared(_draw_run(label, 1, bound, degree + 1), 1)
@@ -404,8 +373,11 @@ def _draw_positive(spec: CampaignSpec, trial: int) -> Polynomial:
 
 def _draw_sextuple(spec: CampaignSpec, trial: int) -> Polynomial:
     """Positive (a, b, c, d, e, f) with a/b <= c/d <= e/f, for lemma1."""
-    nums, dens = _draw_ratios(f"{spec.seed}:{trial}:lemma1", [1] * 6, spec.magnitude_bound,
-                              spec.integer_only)
+    # Each numerator, then, unless integer-only, its denominator.
+    integer_only = spec.integer_only
+    flat = _draw_run(f"{spec.seed}:{trial}:lemma1", 1, spec.magnitude_bound,
+                     6 if integer_only else 12)
+    nums, dens = (flat, [1] * 6) if integer_only else (flat[::2], flat[1::2])
     b, d, f, *ratios = map(Fraction, nums, dens)
     r1, r2, r3 = sorted(ratios)
     return Polynomial((r1 * b, b, r2 * d, d, r3 * f, f))
@@ -526,31 +498,30 @@ _BIT_STATS = ("input_bits_max", "input_den_bits_max", "shifted_bits_max",
               "shifted_den_bits_max")
 
 
-def _bit_lengths(*polys: Polynomial) -> tuple[int, ...]:
-    """The bit lengths of the largest numerator and of the denominator of each
-    cleared form; two C passes find the largest, where a bit_length per int
-    would cost a theorem1 trial twice as much."""
-    out = []
-    for p in polys:
-        ints, den = p._cleared()
-        out += max(max(ints), -min(ints)).bit_length(), den.bit_length()
-    return tuple(out)
+def _bit_lengths(p: Polynomial) -> tuple[int, int]:
+    """The bit lengths of the largest numerator, by absolute value, and of the
+    denominator of ``p``'s cleared form; two C passes find the largest, where
+    a bit_length per int would cost a theorem1 trial twice as much."""
+    ints, den = p._cleared()
+    return max(max(ints), -min(ints)).bit_length(), den.bit_length()
 
 
 def _run_trial(spec: CampaignSpec, trial: int) -> tuple:
     """The trial's outcome, a plain tuple: (trial, exercised, degree, bits,
     not_applicable, payload, kept). bits is ``_bit_lengths`` of the draw and,
-    if any, its shift; payload is the rendered violation, or None; kept is
-    None, or (example kinds, the draw's ints, its denominator)."""
+    if any, of its shift; payload is the rendered violation, or None; kept
+    is None, or (example kinds, the draw's ints, its denominator)."""
     draw, shifts, check, min_degree, _ = _TARGETS[spec.target]
     seq = draw(spec, trial)
     ints, den = seq._cleared()
     degree = len(ints) - 1
+    # Every draw is nonnegative, so its largest int is its largest magnitude;
+    # a shift by c < 0 can have negative coefficients.
+    bits = max(ints).bit_length(), den.bit_length()
+    shifted = None
     if shifts:
         shifted = taylor_shift(seq, spec.shift_c)
-        bits = _bit_lengths(seq, shifted)
-    else:
-        shifted, bits = None, (max(max(ints), -min(ints)).bit_length(), den.bit_length())
+        bits += _bit_lengths(shifted)
     exercised = degree >= min_degree
     try:
         failed, kinds = check(seq, shifted)

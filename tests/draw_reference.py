@@ -47,3 +47,23 @@ def reference_ratios(label, lows, bound, integer_only):
     if integer_only:
         return [Fraction(v) for v in flat]
     return [Fraction(num, den) for num, den in zip(flat[::2], flat[1::2])]
+
+
+def reference_nondecreasing(seed, trial, degree, bound, positive, integer_only):
+    """A nondecreasing draw as Fractions: degree + 1 numerators in [low, bound]
+    (low 1 if ``positive``, else 0) from "{seed}:{trial}:seq"; then, from
+    "{seed}:{trial}:seq-den", in [1, bound], the degree + 1 denominators, the
+    redraw's numerator and the redraw's denominator, or, if ``integer_only``,
+    the redraw's numerator alone. The entries are sorted, and the redraw
+    replaces the last one when every entry is zero."""
+    nums = reference_draws(f"{seed}:{trial}:seq", [(1 if positive else 0, bound)] * (degree + 1))
+    if integer_only:
+        dens = [1] * (degree + 1)
+        redraw = Fraction(reference_draws(f"{seed}:{trial}:seq-den", [(1, bound)])[0])
+    else:
+        *dens, num, den = reference_draws(f"{seed}:{trial}:seq-den", [(1, bound)] * (degree + 3))
+        redraw = Fraction(num, den)
+    draws = sorted(Fraction(num, den) for num, den in zip(nums, dens))
+    if draws[-1] == 0:
+        draws[-1] = redraw
+    return draws

@@ -13,7 +13,12 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from draw_reference import reference_degree, reference_draws, reference_ratios
+from draw_reference import (
+    reference_degree,
+    reference_draws,
+    reference_nondecreasing,
+    reference_ratios,
+)
 
 import ratioshift
 from ratioshift import fuzz_harness, poly_ops
@@ -91,10 +96,10 @@ def test_gen_nondecreasing_seq_guards():
 
 
 # --- the draw primitive ---
-# Every drawn value comes from _draw, or from _draw_run for a run of one
-# repeated range, so every pinned report depends on both running randint's
-# rule on the label's stream; the reference rebuilds that stream from
-# hashlib and a string of its bits.
+# Every drawn value comes from _draw_run, a run of values in one range, so
+# every pinned report depends on it running randint's rule on the label's
+# stream; the reference rebuilds that stream from hashlib and a string of
+# its bits.
 
 # The last four read k = 256, 256, 257 and 301 bits a draw: one whole digest, and more.
 _WIDTHS = [1, 2, 3, 4, 5, 7, 8, 9, 2 ** 31 - 1, 2 ** 31, 2 ** 31 + 1, 2 ** 32 - 1, 2 ** 32,
@@ -109,35 +114,7 @@ def test_randints_is_randint_stream(width, low):
     for seed in range(200):
         label = f"{seed}:{seed % 7}:seq"
         expected = reference_draws(label, [(low, high)] * 7)
-        assert fuzz_harness._draw(label, [(low, high)] * 7) == expected
         assert fuzz_harness._draw_run(label, low, high, 7) == expected
-
-
-@pytest.mark.parametrize("low", [0, 1])
-@pytest.mark.parametrize("bound", [1, 2, 3, 4, 7, 8, 100, 127, 128, 10 ** 6, 10 ** 18])
-def test_randints_interleaves_numerator_and_denominator_ranges(low, bound):
-    # Each numerator's range, then, unless integer-only, the denominator's.
-    for seed in range(200):
-        label = f"{seed}:0:positive-seq"
-        expected = reference_draws(label, [(low, bound), (1, bound)] * 9)
-        assert fuzz_harness._draw(label, [(low, bound), (1, bound)] * 9) == expected
-        assert fuzz_harness._draw_ratios(label, [low] * 9, bound, False) == (
-            expected[::2], expected[1::2])
-        assert fuzz_harness._draw_ratios(label, [low] * 9, bound, True) == (
-            reference_draws(label, [(low, bound)] * 9), [1] * 9)
-
-
-def test_draw_takes_each_range_as_it_comes():
-    # One repeated object, equal but distinct tuples, and two objects that
-    # alternate with different k must give the values of a fresh
-    # computation per range.
-    one = (0, 127)
-    equal = [(1, 10 ** 6) for _ in range(12)]
-    small, wide = (0, 127), (1, 2 ** 31 - 1)
-    for seed in range(200):
-        label = f"{seed}:0:positive-seq"
-        for ranges in ([one] * 12, equal, [small, wide] * 6, [wide, small] * 6):
-            assert fuzz_harness._draw(label, ranges) == reference_draws(label, list(ranges))
 
 
 # A clean campaign's report hashes only its spec, degree-driven counts and the
@@ -146,20 +123,15 @@ def test_draw_takes_each_range_as_it_comes():
 
 @pytest.mark.parametrize("integer_only", [False, True])
 @pytest.mark.parametrize("positive", [False, True])
-@pytest.mark.parametrize("bound", [1, 2, 3, 100, 10 ** 6])
+# At 127 a numerator in [0, b] reads one bit more than one or a denominator in
+# [1, b]; at 128 all read eight.
+@pytest.mark.parametrize("bound", [1, 2, 3, 100, 127, 128, 10 ** 6])
 def test_gen_nondecreasing_seq_matches_randint_reference(bound, positive, integer_only):
     for trial in range(150):
         degree = trial % 9
-        # The positive ratio that replaces the last entry of an all-zero draw
-        # follows the main draws in the stream.
-        *draws, redraw = reference_ratios(f"13:{trial}:seq",
-                                          [1 if positive else 0] * (degree + 1) + [1],
-                                          bound, integer_only)
-        draws.sort()
-        if draws[-1] == 0:
-            draws[-1] = redraw
+        expected = reference_nondecreasing(13, trial, degree, bound, positive, integer_only)
         assert gen_nondecreasing_seq(13, trial, degree, bound, integer_only=integer_only,
-                                     positive=positive) == tuple(draws)
+                                     positive=positive) == tuple(expected)
 
 
 @pytest.mark.parametrize("integer_only", [False, True])
@@ -174,12 +146,7 @@ def test_nondecreasing_draw_is_cleared_as_its_fractions(bound, positive, integer
     # degree up to 64, as theorem1 campaigns draw.
     degrees = [trial % 9 for trial in range(150)] + list(range(9, 65))
     for trial, degree in enumerate(degrees):
-        *draws, redraw = reference_ratios(f"13:{trial}:seq",
-                                          [1 if positive else 0] * (degree + 1) + [1],
-                                          bound, integer_only)
-        draws.sort()
-        if draws[-1] == 0:
-            draws[-1] = redraw
+        draws = reference_nondecreasing(13, trial, degree, bound, positive, integer_only)
         ints, den = poly_ops.clear_denominators(draws)
         drawn = fuzz_harness._gen_nondecreasing(13, trial, degree, bound, integer_only, positive)
         assert drawn._cleared() == (tuple(ints), den)
@@ -249,19 +216,19 @@ def test_campaigns_draw_without_randint(monkeypatch):
             assert report.violations == []
 
 
-_VALUE_LABEL = {"theorem1": "seq", "lemma2": "seq", "lemma3": "seq", "corollary": "seq",
-                "lemma1": "lemma1", "separation": "positive-seq"}
+_VALUE_LABELS = {"theorem1": ("seq", "seq-den"), "lemma2": ("seq", "seq-den"),
+                 "lemma3": ("seq", "seq-den"), "corollary": ("seq", "seq-den"),
+                 "lemma1": ("lemma1",), "separation": ("positive-seq",)}
 
 
 @pytest.mark.parametrize("target", TARGETS)
 def test_each_trial_seeds_one_generator(monkeypatch, target):
-    # A trial's one generator is its sha256 stream keyed "{seed}:{trial}":
-    # its values come from one draw under one label (the degree, where drawn,
-    # from its own), and no trial constructs a random.Random.
+    # A trial draws only from the sha256 streams keyed "{seed}:{trial}": its
+    # values come from one run per label, in the order of its labels (the
+    # degree, where drawn, from its own), and no trial constructs a
+    # random.Random.
     calls = []
-    draw, draw_run = fuzz_harness._draw, fuzz_harness._draw_run
-    monkeypatch.setattr(fuzz_harness, "_draw",
-                        lambda label, ranges: calls.append(label) or draw(label, ranges))
+    draw_run = fuzz_harness._draw_run
     monkeypatch.setattr(fuzz_harness, "_draw_run",
                         lambda label, *run: calls.append(label) or draw_run(label, *run))
     monkeypatch.setattr(random.Random, "__init__",
@@ -269,7 +236,8 @@ def test_each_trial_seeds_one_generator(monkeypatch, target):
     report = run_campaign(CampaignSpec(target=target, trials=200, seed=8))
     assert report.violations == []
     values = [label for label in calls if not label.endswith(":degree")]
-    assert values == [f"8:{trial}:{_VALUE_LABEL[target]}" for trial in range(200)]
+    assert values == [f"8:{trial}:{name}" for trial in range(200)
+                      for name in _VALUE_LABELS[target]]
     degrees = [label for label in calls if label.endswith(":degree")]
     assert degrees in ([], [f"8:{trial}:degree" for trial in range(200)])
 
@@ -541,8 +509,9 @@ def test_parallel_run_reports_identically():
 
 
 @pytest.mark.parametrize("spec", [
-    # Findings at trials 5, 25, 27 and 36: payloads from four blocks of 7.
-    CampaignSpec(target="corollary", trials=60, seed=2024, degree_range=(2, 12),
+    # Findings at trials 73, 84, 103, 122, 123, 125, 142 and 149: payloads
+    # from six blocks of 7, three in one of them.
+    CampaignSpec(target="corollary", trials=150, seed=2024, degree_range=(2, 12),
                  shift_c=Fraction(1, 2), allow_c_below_one=True),
     # Both example kinds, one first found at trial 102, and degrees 0..3.
     CampaignSpec(target="separation", trials=300, seed=2029, degree_range=(0, 3),
@@ -560,8 +529,11 @@ def test_blocks_fold_into_the_one_block_report(monkeypatch, spec, jobs):
 
 @pytest.mark.parametrize("target", [t for t in TARGETS if t != "lemma1"])
 def test_degree_past_any_list_is_refused_before_a_trial(target):
-    # Past the bound a draw's list of ranges could not be built at all
-    # (OverflowError); at it the list is refused by size, at once.
+    # Within a degree past the bound separation's run of 2·(degree + 1)
+    # values could not be sized as a list at all (OverflowError). At it
+    # every draw's run is refused at once (MemoryError), only because
+    # _draw_run sizes its list before it reads a value: a run grown value by
+    # value would allocate until the process is killed.
     top = fuzz_harness._MAX_DEGREE
     with pytest.raises(DomainError, match=f"degree range end {top + 1} is too large"):
         run_campaign(CampaignSpec(target=target, trials=1, seed=0, degree_range=(top + 1,) * 2))
@@ -576,7 +548,7 @@ def test_degree_past_any_list_is_refused_before_a_trial(target):
 
 def test_gen_nondecreasing_seq_refuses_a_degree_past_any_list():
     # run_campaign's guard, before any list is built; 10**20 used to end in a
-    # bare OverflowError from the list of ranges.
+    # bare OverflowError from the list a draw sizes.
     for degree in (fuzz_harness._MAX_DEGREE + 1, 10 ** 20):
         with pytest.raises(DomainError, match=f"^degree {degree} is too large to draw"):
             gen_nondecreasing_seq(1, 0, degree, 10)
@@ -615,40 +587,43 @@ def test_report_json_is_serializable_and_shaped():
 
 
 # --- pinned report bytes ---
-# sha256 of report_json(spec), recomputed in one epoch: every value drawn
-# from its label's sha256 stream by _draw or _draw_run, which the reference
-# tests above rebuild from hashlib. The degrees did not move, and 4 of the 15
-# digests kept their bytes: a clean report hashes only degree-driven counts
-# and the largest bit lengths. The same bytes on CPython 3.10 to 3.13 and
-# with two workers. The row comments name what each pin was first added to
-# guard. A change to any layer a campaign runs through, other than a new
-# epoch argued the same way, must leave these bytes alone.
+# sha256 of report_json(spec): every value drawn from its label's sha256
+# stream by _draw_run, which the reference tests above rebuild from hashlib.
+# The last epoch, where a nondecreasing draw reads its numerators on "seq"
+# and the rest on "seq-den", recomputed 6 of the 15 digests once. The
+# degrees did not move, separation and lemma1 draw as before, an
+# integer-only nondecreasing draw keeps its numerators, and a clean report
+# hashes only degree-driven counts and the largest bit lengths. The same
+# bytes on CPython 3.10 to 3.13 and with two workers. The row comments name
+# what each pin was first added to guard. A change to any layer a campaign
+# runs through, other than a new epoch argued the same way, must leave these
+# bytes alone.
 
 @pytest.mark.parametrize("spec, digest", [
     (CampaignSpec(target="theorem1", trials=60, seed=2024, degree_range=(2, 20)),
-     "54b6d422f008cc211976eddabd23e3bd18df9762512b722271ba3681134b2299"),
+     "a88da8fbed10d925a92319c2e3f6a79bbefbc742e6f1e77c0b437de0b3d4a425"),
     (CampaignSpec(target="corollary", trials=60, seed=2024, degree_range=(2, 12),
                   shift_c=Fraction(3, 2)),
-     "819633f4f92db0c441be981f5ed23a1169ff637a705c2f7f097af56b8037171e"),
+     "456cd530ccf7c449cbf907d79a47cc723694bb168fd3b84f02932a74515bdd40"),
     (CampaignSpec(target="corollary", trials=60, seed=2024, degree_range=(2, 12),
                   shift_c=Fraction(1, 2), allow_c_below_one=True),
-     "e68d12450020031954284745f62ea39d8627010d08ae152bcc1accc6156c4eea"),
+     "c204c14db6d6c0604d8537a1e5667c29062f1074cd2f503897781d21d65f2374"),
     (CampaignSpec(target="separation", trials=300, seed=2029, degree_range=(2, 6),
                   magnitude_bound=100),
      "02f372c6cc9f9cb1065c598d1ce6a34dc3e04ff85a934cc1c67148009aaad517"),
     (CampaignSpec(target="lemma1", trials=60, seed=2024),
      "4dd1aeea99a8278a6bd83f617f08b42a12084912e3a8c971f0a8a1133602ad97"),
     (CampaignSpec(target="lemma2", trials=60, seed=2024, degree_range=(2, 12)),
-     "3d816878b49921a3bb87aa118518ffea974c9ad8901926844fe56915205dc984"),
+     "30b00cf9990020f140ebe980b2d7a662fdb1b88a4fe3b7ade57a7517554813fe"),
     (CampaignSpec(target="lemma3", trials=60, seed=2024, degree_range=(2, 12)),
-     "56c2ad0ed00274e81996db3d23a34a454a7e0a9c6aec726aa021516f951738b2"),
+     "bf3c88d8ae63ddf497c5a8a512e1598c9b29e8c31a44c09782972c62079c260b"),
     # Degrees below each target's minimum count as vacuous trials.
     (CampaignSpec(target="theorem1", trials=60, seed=2024, degree_range=(0, 3),
                   integer_only=True),
      "27f25e80f3b43b74e31bb256c758d84091f852834e3bb8e535f665c379edaed5"),
     (CampaignSpec(target="corollary", trials=60, seed=2024, degree_range=(0, 3),
                   shift_c=Fraction(3, 2)),
-     "6c379243ff6d0bdb825b7397d4c36bfe10d430884d6b44f6d041146992a05874"),
+     "14a8b572cdefae0e7d35431c04797115912b5d13277731ce5b448ff371fb5fd0"),
     # These three added when separation trials began to decide on the cleared draw.
     (CampaignSpec(target="separation", trials=300, seed=2029, degree_range=(2, 6),
                   magnitude_bound=100, integer_only=True),
