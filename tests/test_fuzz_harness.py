@@ -117,6 +117,31 @@ def test_randints_is_randint_stream(width, low):
         assert fuzz_harness._draw_run(label, low, high, 7) == expected
 
 
+@pytest.mark.parametrize("low", [0, 1])
+@pytest.mark.parametrize("bound", [1, 2, 3, 4, 7, 8, 100, 127, 128, 10 ** 6, 10 ** 18])
+def test_randints_interleaves_numerator_and_denominator_ranges(low, bound):
+    # Numerators in [low, bound], denominators in [1, bound]. At low 1 the
+    # two ranges are one, so a single run read in pairs is the read of each
+    # numerator's range, then its denominator's: separation and lemma1 draw
+    # so. At low 0 the ranges differ (in k too at bounds 1, 3, 7 and 127),
+    # so a nondecreasing draw reads its numerators on "seq" and the rest on
+    # "seq-den", and each ratio pairs numerator i with denominator i.
+    for seed in range(200):
+        label = f"{seed}:0:positive-seq"
+        if low == 1:
+            expected = reference_draws(label, [(low, bound), (1, bound)] * 9)
+            assert fuzz_harness._draw_run(label, 1, bound, 18) == expected
+            assert fuzz_harness._gen_positive_seq(seed, 0, 8, bound, False).coeffs == tuple(
+                map(Fraction, expected[::2], expected[1::2]))
+        drawn = fuzz_harness._gen_nondecreasing(seed, 0, 8, bound, False, low == 1)
+        nums = reference_draws(f"{seed}:0:seq", [(low, bound)] * 9)
+        dens = reference_draws(f"{seed}:0:seq-den", [(1, bound)] * 11)
+        ratios = sorted(map(Fraction, nums, dens))
+        if ratios[-1] == 0:
+            ratios[-1] = Fraction(*dens[-2:])
+        assert drawn.coeffs == tuple(ratios)
+
+
 # A clean campaign's report hashes only its spec, degree-driven counts and the
 # largest bit lengths, so the pins do not guard every drawn value. These
 # rebuild each input from the reference, as the draws are documented.
