@@ -23,10 +23,13 @@ Richardson error estimate, trusted from 16 panels on and capped in
 refinement depth. It is one loop, ``_simpson``, that streams each level's
 values into ``math.fsum`` in index order. A level is one generator,
 ``_folded_level``, that forms each midpoint and its folded integrand value
-in one frame, so a point costs one generator step. Where u^(4m+2) is too
-small to change 1 + u^(4m+2), the generator does not compute it: the
-numerator is exactly 1.0 there, so every value and every raised error is
-the literal formula's.
+in one frame, so a point costs one generator step. It steps the midpoint
+by ``u += h``, which is exact: a level of midpoints starts at 0 with
+h = 2^-j, j <= 21, so each is an odd multiple of 2^-(j+1) below 1, the
+float a + (i + 0.5) h would give, and an endpoint is a level of one point.
+Where u^(4m+2) is too small to change 1 + u^(4m+2), the generator does not
+compute it: the numerator is exactly 1.0 there, so every value and every
+raised error is the literal formula's.
 
 This is the only module that touches floating point, and only at its
 boundary: P_m(x) is evaluated by Horner's rule on integers (P_m's integer
@@ -64,7 +67,7 @@ _MIN_PANELS = 16
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive refinement failed to converge within the iteration cap."""
+    """Simpson panel doubling did not converge within the doubling cap."""
 
     def __init__(self, message: str, *, iterations: int, last_value: float,
                  last_error: float) -> None:
@@ -82,35 +85,35 @@ def integrand(t: float, x: float, m: int) -> float:
 
 
 def _folded_level(a: float, h: float, n: int, x: float, m: int) -> Iterator[float]:
-    """folded_integrand(u, x, m) at u = a + (i + 0.5) h for i < n, lazily and
-    in index order.
+    """folded_integrand(u, x, m) at u = a + (i + 0.5) h for i < n, n >= 1, lazily
+    and in index order. u steps by ``u += h`` up to last = a + (n - 0.5) h,
+    exactly on the only levels there are: a = 0 with h = 2^-j, j <= 21 (each u
+    an odd multiple of 2^-(j+1) below 1), and n = 1, where u = last = a. A NaN
+    u fails ``u < last`` and ends the level.
 
     Each value is the literal formula's tree, operation for operation, so it
     is bit-identical: ``**`` converts an int exponent to float anyway, and
     the product stays left-associative ((u^2 + 2x) u) u.
 
     ``u ** e`` is skipped while |u| <= t = 2^(-54/e) (e = 4m + 2 is even, so
-    u^e = |u|^e). There the exact u^e is at most t^e, which exceeds 2^-54
-    only by the rounding of t, a relative e 2^-52 or so. A faithful ``pow``
-    then returns less than 2^-53, half an ulp of 1.0, so 1.0 + u^e rounds to
-    1.0 and the numerator is exactly 1.0. The denominator's ``pow`` and the
-    division still run, so every value and every error, and the point that
-    raises it, are unchanged. Only the first loop tests u, and it skips only
-    points it tested; the second computes every value in full. In the
-    quadrature a = 0 <= h, so u never decreases with i (float + and * are
-    monotone) and the skipped points are the level's whole prefix below t.
+    u^e = |u|^e). There the exact u^e is at most t^e, which exceeds 2^-54 only
+    by the rounding of t, a relative e 2^-52 or so. A faithful ``pow`` then
+    returns less than 2^-53, half an ulp of 1.0, so 1.0 + u^e rounds to 1.0 and
+    the numerator is exactly 1.0. The denominator's ``pow`` and the division
+    still run, so every value and every error, and the point that raises it,
+    are unchanged. u only grows, so only the first loop tests it.
     """
     e, k, tx = float(4 * m + 2), float(m + 1), 2.0 * x
     t = 2.0 ** (-54.0 / e)
-    rest = iter(range(n))
-    for i in rest:
-        u = a + (i + 0.5) * h
-        if not -t <= u <= t:
-            yield (1.0 + u ** e) / ((u * u + tx) * u * u + 1.0) ** k
-            break
+    u, last = a + 0.5 * h, a + (n - 0.5) * h
+    while -t <= u <= t:
         yield 1.0 / ((u * u + tx) * u * u + 1.0) ** k
-    for i in rest:
-        u = a + (i + 0.5) * h
+        if not u < last:
+            return
+        u += h
+    yield (1.0 + u ** e) / ((u * u + tx) * u * u + 1.0) ** k
+    while u < last:
+        u += h
         yield (1.0 + u ** e) / ((u * u + tx) * u * u + 1.0) ** k
 
 

@@ -80,7 +80,6 @@ __all__ = [
     "check_ratio_monotone",
     "check_spiral",
     "check_unimodal",
-    "lattice_verdicts",
     "ratio_chain_indices",
     "spiral_chain_indices",
 ]
@@ -363,7 +362,7 @@ CHECKERS = {
     "no-internal-zeros": check_no_internal_zeros,
 }
 
-# The four properties the implication lattice relates, in verdict order.
+# The four properties the implication lattice relates, in status-tuple order.
 _LATTICE = ("ratio-monotone", "spiral", "log-concave", "unimodal")
 
 
@@ -408,12 +407,6 @@ _IMPLICATIONS = tuple((f"{a}=>{c}", a, c) for a, c in (
     ("log-concave", "unimodal"),
     ("spiral", "unimodal"),
 ))
-
-
-def lattice_verdicts(seq: Sequence[Fraction | int]) -> dict[str, PropertyVerdict]:
-    """The four verdicts the implication lattice relates, from one clearing."""
-    p = Polynomial(seq)
-    return {prop: _verdict(prop, p) for prop in _LATTICE}
 
 
 def audit_statuses(statuses: dict[str, Status]) -> list[tuple[str, bool]]:

@@ -9,7 +9,9 @@ Anchors come from integrals solvable by elementary means:
 so the quadrature is validated before it is trusted against the closed form.
 """
 
+import itertools
 import math
+import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -79,7 +81,7 @@ def _outcome(f, *args):
     """float.hex of f(*args), or the type and message of what it raised."""
     try:
         return f(*args).hex()
-    except (OverflowError, ZeroDivisionError) as exc:
+    except (OverflowError, ZeroDivisionError, QuadratureError) as exc:
         return type(exc), str(exc)
 
 
@@ -115,6 +117,25 @@ def test_folded_integrand_is_the_literal_formula_bit_for_bit():
             literal = _outcome(lambda: math.fsum(
                 _literal_folded(0.0 + (i + 0.5) * h, x, m) for i in range(n)))
             assert level == literal
+
+
+@pytest.mark.parametrize("m", [0, 14, 60])
+def test_level_yields_n_points_each_the_literal_value(m):
+    # The quadrature's levels: a = 0, h = 2^-j, n = 2^j. At m = 60 the
+    # numerator is skipped below u = 0.86, so a small level ends in the first
+    # loop; at m = 0 nearly every point is in the second.
+    for j in range(17):
+        n = 1 << j
+        h = 1.0 / n
+        for x in (-0.9, 0.3):
+            got = [v.hex() for v in _folded_level(0.0, h, n, x, m)]
+            assert got == [_literal_folded((i + 0.5) * h, x, m).hex() for i in range(n)]
+
+
+@pytest.mark.parametrize("h", [-0.0, 1.0])
+def test_level_at_nan_yields_one_value_and_stops(h):
+    values = list(itertools.islice(_folded_level(math.nan, h, 1, 0.3, 3), 3))
+    assert len(values) == 1 and math.isnan(values[0])
 
 
 def test_fold_matches_tail_on_samples():
@@ -170,7 +191,8 @@ def test_verify_identity_non_dyadic_x():
 
 # lhs and rhs as float.hex, recorded from the implementation that called
 # folded_integrand once per point and evaluated P_m(x) in Fractions: the
-# streamed Simpson loop and the integer closed form reproduce every bit.
+# streamed Simpson loop, its levels stepping u by h, and the integer closed
+# form reproduce every bit.
 # Near-grid points x + 1 = 10^-(k/5) of the benchmark, far x, m = 0 and 60,
 # and the tolerance miss near x = -1 that the benchmark's tests pin.
 _PINNED = [
@@ -215,6 +237,21 @@ def test_known_float_failures_are_pinned(m, error, message):
     with pytest.raises(error) as info:
         verify_identity(-0.999999, m, 1e-8)
     assert str(info.value) == message
+
+
+def test_quadrature_is_literal_simpson_bit_for_bit():
+    # simpson_refine builds each point as a + (i + 0.5) h and evaluates the
+    # literal formula there: the quadrature's stepped, prefix-skipping levels
+    # must give every bit, and every error, that it gives.
+    rng = random.Random(2026)
+    near = [(-1.0 + 10.0 ** -rng.uniform(0, 6), rng.randint(0, 60)) for _ in range(24)]
+    far = [(10.0 ** rng.uniform(-2, 2), rng.randint(0, 60)) for _ in range(24)]
+    pinned = [(x, m) for x, m, *_ in _PINNED] + [(-0.999999, 54), (-0.999999, 57)]
+    tol = 1e-10  # what verify_identity asks for at 1e-8
+    for x, m in near + far + pinned:
+        literal = _outcome(simpson_refine, lambda u: _literal_folded(u, x, m), 0.0, 1.0,
+                           tol / 2)
+        assert _outcome(quadrature_lhs, x, m, tol) == literal, (x, m)
 
 
 def test_verify_identity_json_shape():

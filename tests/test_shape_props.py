@@ -37,7 +37,6 @@ from ratioshift.shape_props import (
     check_ratio_monotone,
     check_spiral,
     check_unimodal,
-    lattice_verdicts,
     ratio_chain_indices,
     spiral_chain_indices,
 )
@@ -329,10 +328,10 @@ def test_checkers_follow_the_table():
         assert checker((1, 2)).prop == prop
 
 
-@pytest.mark.parametrize("entry", [*CHECKERS.values(), lattice_verdicts, audit_implications,
-                                   Polynomial, lemma3_gap, s1_sum, edge_inequality_holds],
-                         ids=[*CHECKERS, "lattice_verdicts", "audit_implications",
-                              "Polynomial", "lemma3_gap", "s1_sum", "edge_inequality_holds"])
+@pytest.mark.parametrize("entry", [*CHECKERS.values(), audit_implications, Polynomial,
+                                   lemma3_gap, s1_sum, edge_inequality_holds],
+                         ids=[*CHECKERS, "audit_implications", "Polynomial", "lemma3_gap",
+                              "s1_sum", "edge_inequality_holds"])
 def test_empty_sequence_is_a_value_error(entry):
     # One message, from Polynomial, the one place a sequence is coerced.
     with pytest.raises(ValueError, match="^a coefficient sequence needs at least one entry$"):
@@ -537,15 +536,6 @@ def _reference_inputs():
     (check_unimodal, reference_unimodal),
     (check_nonneg_nondecreasing, reference_nonneg_nondecreasing),
     (check_no_internal_zeros, reference_no_internal_zeros),
-    # lattice_verdicts decides its four properties on one shared view.
-    pytest.param(lambda seq: lattice_verdicts(seq)["spiral"], reference_spiral,
-                 id="lattice_verdicts-reference_spiral"),
-    pytest.param(lambda seq: lattice_verdicts(seq)["log-concave"], reference_log_concave,
-                 id="lattice_verdicts-reference_log_concave"),
-    pytest.param(lambda seq: lattice_verdicts(seq)["ratio-monotone"], reference_ratio_monotone,
-                 id="lattice_verdicts-reference_ratio_monotone"),
-    pytest.param(lambda seq: lattice_verdicts(seq)["unimodal"], reference_unimodal,
-                 id="lattice_verdicts-reference_unimodal"),
 ])
 def test_integer_checkers_match_fraction_reference(checker, reference):
     statuses = set()
@@ -582,13 +572,11 @@ def test_lattice_statuses_match_fraction_reference():
         expected = {prop: ref(seq).status for prop, ref in references.items()}
         assert _lattice_statuses(s, tuple(references)) == tuple(expected.values())
         statuses = _lattice_statuses(s)  # by position, in the lattice's order
-        assert list(lattice_verdicts(seq)) == lattice
         assert statuses == tuple(expected[prop] for prop in lattice)
         assert audit_implications(seq) == audit_statuses(dict(zip(lattice, statuses)))
         assert all(ok for _, ok in audit_implications(seq))
         cleared = taylor_shift(Polynomial(seq), 0)
         assert audit_implications(cleared) == audit_implications(seq)
-        assert lattice_verdicts(cleared) == lattice_verdicts(seq)
         # lemma2_preserved: a hypothesis error unless ratio monotone, else the
         # reference verdict of (x + 1) times the sequence.
         try:
