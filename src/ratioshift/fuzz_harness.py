@@ -29,13 +29,13 @@ failing verdicts and the example kinds it keeps:
   lattice finders once to read their statuses as a tuple
   (``shape_props._lattice_statuses``). The audit and the example kinds
   depend on those four statuses alone, so the trial reads them from one row
-  of ``_LATTICE_ROWS``, keyed by that tuple: each of the at most 81 rows is
-  built from ``audit_statuses`` and the target's examples on its key's
-  first use in a process. A clean trial builds no dict, runs no audit and
-  builds no verdict. Its outcome is a plain tuple of ints, bools and
-  strings: a trial that meets an example carries its row's kinds and the
-  draw's own ints and denominator, no ``Polynomial``, so a pool ships it
-  cheaply. Only a violation, and the first example of each kind, are
+  of ``_LATTICE_ROWS``, keyed by that tuple: a ``shape_props._LazyTable``
+  that builds each of the at most 81 rows with ``_lattice_row``, from
+  ``audit_statuses`` and the target's examples, on its key's first use in a
+  process. A clean trial builds no dict, runs no audit and builds no
+  verdict. Its outcome is a plain tuple of ints, bools and strings: a trial
+  that meets an example carries its row's kinds and the draw's own ints and
+  denominator, no ``Polynomial``, so a pool ships it cheaply. Only a violation, and the first example of each kind, are
   rendered as Fractions, with their verdicts.
 
 The nondecreasing draws (theorem1, lemma2, lemma3, corollary) are built
@@ -110,6 +110,7 @@ from .shape_props import (
     _FAILS,
     _HOLDS,
     _LATTICE,
+    _LazyTable,
     _lattice_statuses,
     _verdict as _lattice_verdict,
     audit_implications,  # noqa: F401  bench/layers.py wraps these two names here
@@ -430,27 +431,21 @@ def _check_corollary(seq, shifted) -> _CheckResult:
     return _failing(check_log_concave(shifted), check_no_internal_zeros(shifted))
 
 
-class _LatticeRows(dict):
-    """The separation check's result by status key (``_lattice_statuses``,
+def _lattice_row(key: tuple[Status, ...]) -> _CheckResult:
+    """The separation check's result for a status key (``_lattice_statuses``,
     in ``_LATTICE`` order): an inconsistent audit's failing ``implications``
     verdict and no example, or no verdict and the example kinds the statuses
-    give. A row is built from ``audit_statuses`` and the target's examples
-    on its key's first use, once per process; there are at most 3^4 = 81."""
-
-    def __missing__(self, key: tuple[Status, ...]) -> _CheckResult:
-        statuses = dict(zip(_LATTICE, key))
-        inconsistent = [name for name, ok in audit_statuses(statuses) if not ok]
-        if inconsistent:
-            row = (_verdict("implications", False,
-                            f"implication audit inconsistent: {inconsistent}"),), None
-        else:
-            row = (), tuple([kind for kind, holds, fails in _TARGETS["separation"].examples
-                             if statuses[holds] is _HOLDS and statuses[fails] is _FAILS]) or None
-        self[key] = row
-        return row
+    give, from ``audit_statuses`` and the target's examples."""
+    statuses = dict(zip(_LATTICE, key))
+    inconsistent = [name for name, ok in audit_statuses(statuses) if not ok]
+    if inconsistent:
+        return (_verdict("implications", False,
+                         f"implication audit inconsistent: {inconsistent}"),), None
+    return (), tuple([kind for kind, holds, fails in _TARGETS["separation"].examples
+                      if statuses[holds] is _HOLDS and statuses[fails] is _FAILS]) or None
 
 
-_LATTICE_ROWS = _LatticeRows()
+_LATTICE_ROWS = _LazyTable(_lattice_row)
 
 
 def _check_lattice(seq, shifted) -> _CheckResult:

@@ -127,11 +127,12 @@ def parse_rational(text: str) -> Fraction:
 def render_rational(value: Fraction | int) -> str:
     """Canonical text form: ``p/q`` with q > 0 and gcd 1, or ``p`` when q = 1.
 
-    Raises DomainError if p or q has more digits than the interpreter
-    converts to text.
+    The value is coerced by ``as_rational``, so a float or text raises
+    TypeError; raises DomainError if p or q has more digits than the
+    interpreter converts to text.
     """
     try:
-        return str(Fraction(value))
+        return str(as_rational(value))
     except ValueError as exc:
         raise _digits_limit_error("a rational", exc) from exc
 

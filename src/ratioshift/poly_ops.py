@@ -66,6 +66,8 @@ class Polynomial:
     def __init__(self, coeffs: Iterable[Fraction | int] | Polynomial) -> None:
         if coeffs is self:
             return
+        if isinstance(coeffs, (str, bytes, bytearray)):  # each would iterate as entries
+            raise TypeError(f"refusing {type(coeffs).__name__} as a coefficient sequence")
         entries = [as_rational(c) for c in coeffs]
         if not entries:
             raise DomainError("a coefficient sequence needs at least one entry")

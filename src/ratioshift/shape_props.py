@@ -42,14 +42,14 @@ A ``Polynomial`` is taken as it is; a sequence is coerced and cleared once,
 by that constructor. One table, ``_PROPS``, holds each property's int-only
 finder, whether it needs positive entries, and its Fails detail. Every
 checker is one call of ``_verdict`` on that polynomial, which builds a
-witness only when the property does not hold; ``_lattice_statuses`` reads
-statuses with no Fraction or witness built, as a tuple in the order of the
-properties it is given (by default ``_LATTICE``), which is all the lattice
-audit, ``lemma2_preserved`` and a separation trial need. ``Status`` hashes
-by identity, so a tuple of statuses is a cheap dict key: a separation
-trial looks its audit and examples up by it. A witness's values are built
-as Fractions from the integers at its indices alone, at most four of them,
-and a Fails detail reads only those values.
+witness only when the property does not hold. ``_lattice_statuses`` calls
+the four lattice finders by name and reads their statuses with no Fraction
+or witness built, as a tuple in ``_LATTICE`` order (ratio monotone, spiral,
+log-concave, unimodal), which is all the lattice audit and a separation
+trial need. ``Status`` hashes by identity, so a tuple of statuses is a
+cheap dict key: a separation trial looks its audit and examples up by it.
+A witness's values are built as Fractions from the integers at its indices
+alone, at most four of them, and a Fails detail reads only those values.
 
 Every Fails verdict carries a witness whose indices and values reproduce
 the violated inequality exactly; the witness layout per property is
@@ -187,27 +187,28 @@ def spiral_chain_indices(m: int) -> list[int]:
     return order
 
 
-_KEPT_TABLES = 128
+_KEPT_ENTRIES = 128
 
 
-class _LinkTables(dict):
-    """A finder's link table by degree m, built by ``build(m)`` on the first
-    lookup of m. A hit takes about 32 ns, where an ``lru_cache`` call took
-    53 (timeit, CPython 3.11), and a separation trial makes three. Only the
-    first _KEPT_TABLES tables are kept, as many as that cache held, so
-    memory stays bounded however many degrees a process checks; any other
-    is built on each lookup, for less than its finder's pass over a row that
-    holds."""
+class _LazyTable(dict):
+    """A dict that builds a key's value with ``build(key)`` on its first
+    lookup: each finder's link table by degree m, and a separation trial's
+    row by its four statuses (``fuzz_harness._LATTICE_ROWS``, 81 keys, all
+    kept). A hit takes about 32 ns, where an ``lru_cache`` call took 53
+    (timeit, CPython 3.11); a separation trial makes four. Only the first
+    _KEPT_ENTRIES values are kept, as many as that cache held, so memory
+    stays bounded however many degrees a process checks; any other is built
+    on each lookup, for less than its finder's pass over a row that holds."""
 
     def __init__(self, build) -> None:
         super().__init__()
         self.build = build
 
-    def __missing__(self, m: int) -> tuple:
-        table = self.build(m)
-        if len(self) < _KEPT_TABLES:
-            self[m] = table
-        return table
+    def __missing__(self, key):
+        value = self.build(key)
+        if len(self) < _KEPT_ENTRIES:
+            self[key] = value
+        return value
 
 
 def _spiral_table(m: int) -> tuple[tuple[int, int], ...]:
@@ -215,7 +216,7 @@ def _spiral_table(m: int) -> tuple[tuple[int, int], ...]:
     return tuple(zip(order, order[1:]))
 
 
-_SPIRAL_LINKS = _LinkTables(_spiral_table)
+_SPIRAL_LINKS = _LazyTable(_spiral_table)
 
 
 def check_spiral(seq: Sequence[Fraction | int]) -> PropertyVerdict:
@@ -269,7 +270,7 @@ def _concave_table(m: int) -> tuple:
     return ((tuple((k - 1, k, k, k + 1) for k in range(1, m)), ()),)
 
 
-_CONCAVE_LINKS = _LinkTables(_concave_table)
+_CONCAVE_LINKS = _LazyTable(_concave_table)
 
 
 def _log_concave_w(s: Sequence[int]) -> tuple[int, ...] | None:
@@ -295,7 +296,7 @@ def _ratio_table(m: int) -> tuple[tuple[tuple[tuple[int, ...], ...], tuple[int, 
                  for pairs in ratio_chain_indices(m) if pairs)
 
 
-_RATIO_LINKS = _LinkTables(_ratio_table)
+_RATIO_LINKS = _LazyTable(_ratio_table)
 
 
 def check_ratio_monotone(seq: Sequence[Fraction | int]) -> PropertyVerdict:
@@ -384,19 +385,18 @@ def _verdict(prop: str, p: Polynomial) -> PropertyVerdict:
     return PropertyVerdict(prop, _FAILS, Witness(w, values), detail(values, w))
 
 
-def _lattice_statuses(s: Sequence[int], props: tuple[str, ...] = _LATTICE) -> tuple[Status, ...]:
-    """The statuses of ``props``, by default the four lattice properties, on a
-    cleared sequence, as a tuple in that order; builds no Fraction, witness
-    or dict. A separation trial looks its row up by this tuple."""
-    out = []  # a loop: a comprehension's frame costs a trial 0.15 us on CPython 3.11
+def _lattice_statuses(s: Sequence[int]) -> tuple[Status, Status, Status, Status]:
+    """The statuses of the four lattice properties on a cleared sequence, in
+    ``_LATTICE`` order; builds no Fraction, witness or dict. A separation
+    trial looks its row up by this tuple."""
     if min(s) > 0:
-        for prop in props:
-            out.append(_HOLDS if _PROPS[prop][0](s) is None else _FAILS)
-    else:
-        for prop in props:
-            find, positive_only, _ = _PROPS[prop]
-            out.append(_NOT_APPLICABLE if positive_only else _HOLDS if find(s) is None else _FAILS)
-    return tuple(out)
+        return (_HOLDS if _ratio_monotone_w(s) is None else _FAILS,
+                _HOLDS if _spiral_w(s) is None else _FAILS,
+                _HOLDS if _log_concave_w(s) is None else _FAILS,
+                _HOLDS if _unimodal_w(s) is None else _FAILS)
+    # The first three need positive entries (their ``_PROPS`` rows say so).
+    return (_NOT_APPLICABLE, _NOT_APPLICABLE, _NOT_APPLICABLE,
+            _HOLDS if _unimodal_w(s) is None else _FAILS)
 
 
 # Implication lattice restated at checker level, each with its name. An antecedent

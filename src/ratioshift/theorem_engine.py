@@ -22,9 +22,9 @@ Each sequence predicate calls ``Polynomial`` on its input, which takes a
 ``Polynomial`` as it is and coerces and clears a sequence once, sums and
 compares its cleared numerators as plain ints, and builds one Fraction per
 returned value; their nondecreasing hypotheses are decided by the code behind
-``shape_props.check_nonneg_nondecreasing``. ``lemma2_preserved`` reads the
-ratio-monotone status off the cleared numerators of B and of (x + 1) B, and
-builds no Fraction.
+``shape_props.check_nonneg_nondecreasing``. ``lemma2_preserved`` decides
+ratio monotonicity (every entry positive, no failing link) on the cleared
+numerators of B and of (x + 1) B, and builds no Fraction.
 
 Hypothesis violations raise (``HypothesisError`` or ``DomainError``) while a
 false conclusion is returned as data, so a randomized campaign can prove it
@@ -42,7 +42,7 @@ from typing import Sequence
 from .numeric_core import DomainError, as_rational, ratio_leq
 from .poly_ops import (Polynomial, ShiftAlgorithm, _from_cleared, _scaled_boundary,
                        mul_by_x_plus_one, taylor_shift)
-from .shape_props import Status, _HOLDS, _lattice_statuses, _nonneg_nondecreasing_witness
+from .shape_props import _nonneg_nondecreasing_witness, _ratio_monotone_w
 
 __all__ = [
     "HypothesisError",
@@ -182,10 +182,11 @@ def lemma2_preserved(b: Sequence[Fraction | int]) -> bool:
     under the hypothesis.
     """
     b = Polynomial(b)
-    if _ratio_monotone_status(b) is not _HOLDS:
+    if not _ratio_monotone(b):
         raise HypothesisError("input polynomial is not ratio monotone")
-    return _ratio_monotone_status(mul_by_x_plus_one(b)) is _HOLDS
+    return _ratio_monotone(mul_by_x_plus_one(b))
 
 
-def _ratio_monotone_status(p: Polynomial) -> Status:
-    return _lattice_statuses(p._cleared()[0], ("ratio-monotone",))[0]
+def _ratio_monotone(p: Polynomial) -> bool:
+    s = p._cleared()[0]
+    return min(s) > 0 and _ratio_monotone_w(s) is None

@@ -35,6 +35,7 @@ from ratioshift.shape_props import (
     PropertyVerdict,
     Status,
     Witness,
+    _LazyTable,
     audit_statuses,
     check_log_concave,
     check_spiral,
@@ -421,7 +422,7 @@ def test_separation_trial_builds_no_bookkeeping(monkeypatch):
     monkeypatch.setattr(fuzz_harness, "audit_statuses",
                         lambda statuses: audited.append(tuple(statuses.values()))
                         or audit(statuses))
-    monkeypatch.setattr(fuzz_harness, "_LATTICE_ROWS", fuzz_harness._LatticeRows())
+    monkeypatch.setattr(fuzz_harness, "_LATTICE_ROWS", _LazyTable(fuzz_harness._lattice_row))
     report = run_campaign(CampaignSpec(target="separation", trials=2_000, seed=8,
                                        degree_range=(2, 6)))
     assert report.violations == []
@@ -826,7 +827,7 @@ def test_every_status_key_gives_the_audit_and_examples_row():
     # gives no verdict and each kind whose first property holds while its
     # second fails, in the target's order.
     lattice = ("ratio-monotone", "spiral", "log-concave", "unimodal")
-    rows = fuzz_harness._LatticeRows()
+    rows = _LazyTable(fuzz_harness._lattice_row)
     for key in itertools.product(Status, repeat=4):
         statuses = dict(zip(lattice, key))
         inconsistent = [name for name, ok in audit_statuses(statuses) if not ok]
@@ -850,7 +851,7 @@ def test_separation_inconsistent_audit_records_no_examples(monkeypatch):
     monkeypatch.setattr(fuzz_harness, "audit_statuses",
                         lambda statuses: [("spiral=>unimodal", False)])
     # Rows already built hold the real audit's outcome.
-    monkeypatch.setattr(fuzz_harness, "_LATTICE_ROWS", fuzz_harness._LatticeRows())
+    monkeypatch.setattr(fuzz_harness, "_LATTICE_ROWS", _LazyTable(fuzz_harness._lattice_row))
     spec = CampaignSpec(target="separation", trials=40, seed=7, degree_range=(2, 6))
     report = run_campaign(spec)
     assert len(report.violations) == 40

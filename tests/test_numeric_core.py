@@ -144,6 +144,15 @@ def test_render_canonical_form():
     assert render_rational(5) == "5"
 
 
+def test_render_refuses_float_and_text_before_any_conversion():
+    # Fraction(value) would render 1.5 as "3/2" and spend seconds on the
+    # 5,000,001-digit int of "1e5000000"; as_rational refuses both by type.
+    with pytest.raises(TypeError, match="float"):
+        render_rational(1.5)
+    with pytest.raises(TypeError, match="parse_rational"):
+        render_rational("1e5000000")
+
+
 # --- as_rational ---
 
 def test_as_rational_accepts_exact_types():

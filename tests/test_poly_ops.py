@@ -43,6 +43,13 @@ def test_polynomial_rejects_float_coefficients():
         Polynomial((1.5, 2))
 
 
+@pytest.mark.parametrize("text", ["12", b"12", bytearray(b"\x01\x02"), "", b""])
+def test_polynomial_rejects_text_as_a_whole(text):
+    # Iterated, bytes would be the entries 49, 50 (or 1, 2): refused as a whole.
+    with pytest.raises(TypeError, match=f"refusing {type(text).__name__} as a coefficient"):
+        Polynomial(text)
+
+
 def test_polynomial_evaluation_matches_power_sum():
     p = Polynomial((Fraction(1, 3), -2, 0, Fraction(5, 7)))
     for t in (Fraction(0), Fraction(1), Fraction(-3, 2), Fraction(7, 5)):
