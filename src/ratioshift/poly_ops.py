@@ -18,13 +18,16 @@ Two independent Taylor-shift algorithms are provided and must agree exactly:
 the naive binomial expansion on Fractions (the oracle) and repeated
 synthetic division (the fast default). Synthetic division runs on the
 integer numerators and returns integers over a new common denominator, so
-no Fraction is built until a caller reads ``coeffs``. The boundary closed
-forms are summed on the numerators too.
+no Fraction is built until a caller reads ``coeffs``. For a shift by 1/q
+it runs four passes per sweep of the list: the same additions on the same
+operands as one pass at a time, with a quarter of the list reads and
+writes. The boundary closed forms are summed on the numerators too.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping, Set
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -49,6 +52,12 @@ class ShiftAlgorithm(enum.Enum):
     HORNER_SYNTHETIC = "horner"
 
 
+# Refused as a whole coefficient sequence: iterated, text and bytes would be
+# read as entries (b"12" as 49, 50), a set in its own iteration order and a
+# mapping as its keys.
+_NOT_SEQUENCES = (str, bytes, bytearray, memoryview, Set, Mapping)
+
+
 class Polynomial:
     """Immutable power-basis polynomial; coeffs[k] multiplies x**k.
 
@@ -66,7 +75,7 @@ class Polynomial:
     def __init__(self, coeffs: Iterable[Fraction | int] | Polynomial) -> None:
         if coeffs is self:
             return
-        if isinstance(coeffs, (str, bytes, bytearray)):  # each would iterate as entries
+        if isinstance(coeffs, _NOT_SEQUENCES):
             raise TypeError(f"refusing {type(coeffs).__name__} as a coefficient sequence")
         entries = [as_rational(c) for c in coeffs]
         if not entries:
@@ -192,7 +201,28 @@ def _shift_horner(ints: tuple[int, ...], den: int, c: Fraction) -> tuple[list[in
     # the list: the same additions in the same order, one subscript fewer
     # per inner step.
     if p == 1:
-        for i in range(n - 1):
+        # Passes i..i+3 run as one sweep down the list: s0..s3 carry each
+        # pass's value at j + 1, and pass i + k + 1 adds pass i + k's new
+        # out[j], so only pass i + 3's value is written back. Pass i + k
+        # stops at j = i + k, hence the three-step tail. Every addition is
+        # one that four single passes make, on the same operands; only the
+        # list traffic is shared.
+        i = 0
+        while i + 4 < n:  # four passes left: i + 3 <= n - 2
+            s0 = s1 = s2 = s3 = out[-1]
+            for j in range(n - 2, i + 2, -1):
+                s0 = out[j] + s0
+                s1 = s0 + s1
+                s2 = s1 + s2
+                s3 = out[j] = s2 + s3
+            s0 = out[i + 2] + s0
+            s1 = s0 + s1
+            out[i + 2] = s1 + s2
+            s0 = out[i + 1] + s0
+            out[i + 1] = s0 + s1
+            out[i] = out[i] + s0
+            i += 4
+        for i in range(i, n - 1):  # the at most three passes left
             acc = out[-1]
             for j in range(n - 2, i - 1, -1):
                 acc = out[j] = out[j] + acc

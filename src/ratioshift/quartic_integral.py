@@ -44,7 +44,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator
 
-from .boros_moll import bm_polynomial
+from .boros_moll import _check_int, bm_polynomial
 from .numeric_core import DomainError
 
 __all__ = [
@@ -177,8 +177,7 @@ def _check_domain(x: float, m: int) -> None:
     # misread, and a float or bool m is no degree.
     if not isinstance(x, (int, float)) or isinstance(x, bool):
         raise TypeError(f"x must be an int or float, got {type(x).__name__}")
-    if not isinstance(m, int) or isinstance(m, bool):
-        raise TypeError(f"m must be an int, got {type(m).__name__}")
+    _check_int("m", m)
     if not -1 < x <= _X_MAX:
         raise DomainError(f"need finite x > -1 with 2x finite (x <= {_X_MAX!r}), got x = {x}")
     if m < 0:

@@ -35,6 +35,8 @@ TIMEOUT_S = 600
 _LATTICE_TEST = "tests/test_shape_props.py::test_lattice_statuses_match_fraction_reference"
 _DRAW_TEST = "tests/test_fuzz_harness.py::test_gen_nondecreasing_seq_matches_randint_reference"
 _STREAM_TEST = "tests/test_fuzz_harness.py::test_randints_is_randint_stream"
+_SHIFT_TEST = "tests/test_poly_ops.py::test_horner_matches_oracle_at_every_short_length"
+_ROW_TEST = "tests/test_boros_moll.py::test_row_recurrence_matches_coefficient_formula"
 
 
 class Mutant(NamedTuple):
@@ -123,6 +125,35 @@ MUTANTS = (
            "_draw_run(label, 1 if positive else 0, bound, degree + 1)",
            "_draw_run(label, 0, bound, degree + 1)",
            (_DRAW_TEST,)),
+    # A shift by 1/q runs its passes four per sweep, then the rest one by one.
+    # Loosened by one, the guard lets a sweep run with three passes left, and
+    # its fourth pass then has no step: that mutant is equivalent.
+    Mutant("shift sweep: guard loosened by two",
+           "src/ratioshift/poly_ops.py",
+           "while i + 4 < n:",
+           "while i + 2 < n:",
+           (_SHIFT_TEST,)),
+    Mutant("shift sweep: a tail step writes the wrong accumulator",
+           "src/ratioshift/poly_ops.py",
+           "out[i + 2] = s1 + s2",
+           "out[i + 2] = s1 + s3",
+           (_SHIFT_TEST,)),
+    Mutant("shift sweep: the single passes start one late",
+           "src/ratioshift/poly_ops.py",
+           "for i in range(i, n - 1):",
+           "for i in range(i + 1, n - 1):",
+           (_SHIFT_TEST,)),
+    # The Boros-Moll row steps from C(2m, m) by the ratio recurrence.
+    Mutant("bm row: the recurrence's (k + 1) changed",
+           "src/ratioshift/boros_moll.py",
+           "((2 * m - 2 * k - 1) * (k + 1))",
+           "((2 * m - 2 * k - 1) * (k + 2))",
+           (_ROW_TEST,)),
+    Mutant("bm row: started at C(2m, m - 1)",
+           "src/ratioshift/boros_moll.py",
+           "v = comb(2 * m, m)",
+           "v = comb(2 * m, m - 1)",
+           (_ROW_TEST,)),
 )
 
 

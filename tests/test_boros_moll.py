@@ -11,6 +11,7 @@ from fractions import Fraction
 import pytest
 
 from ratioshift.boros_moll import (
+    _bm_row,
     bm_coefficient,
     bm_polynomial,
     bm_ratio_identity,
@@ -92,6 +93,28 @@ def test_domain_guards():
         bm_shifted_seq(-1)
     with pytest.raises(DomainError):
         bm_ratio_identity(3, 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda v: bm_coefficient(v, 0), lambda v: bm_coefficient(1, v),
+    lambda v: bm_ratio_identity(v, 0), lambda v: bm_ratio_identity(2, v),
+    bm_shifted_seq, bm_polynomial,
+], ids=["coefficient-m", "coefficient-k", "ratio-m", "ratio-k", "shifted_seq", "polynomial"])
+@pytest.mark.parametrize("value", [True, False, 1.0, Fraction(1), "1"])
+def test_index_must_be_an_int(call, value):
+    # As verify_identity refuses them: True used to read as m = 1.
+    with pytest.raises(TypeError, match=f"must be an int, got {type(value).__name__}"):
+        call(value)
+
+
+def test_row_recurrence_matches_coefficient_formula():
+    # _bm_row steps by the ratio recurrence; bm_coefficient is the binomial
+    # formula, evaluated entry by entry.
+    for m in range(0, 301):
+        row, den = _bm_row(m)
+        assert den == 4 ** m
+        assert [Fraction(v, den) for v in row] == [bm_coefficient(m, k) for k in range(m + 1)]
+        assert all(type(v) is int for v in row)
 
 
 def moll_row(m):

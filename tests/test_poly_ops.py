@@ -24,6 +24,7 @@ from ratioshift.poly_ops import (
     normalize,
     taylor_shift,
 )
+from ratioshift.shape_props import check_unimodal
 
 ALGOS = (ShiftAlgorithm.NAIVE_BINOMIAL, ShiftAlgorithm.HORNER_SYNTHETIC)
 
@@ -48,6 +49,28 @@ def test_polynomial_rejects_text_as_a_whole(text):
     # Iterated, bytes would be the entries 49, 50 (or 1, 2): refused as a whole.
     with pytest.raises(TypeError, match=f"refusing {type(text).__name__} as a coefficient"):
         Polynomial(text)
+
+
+@pytest.mark.parametrize("values", [
+    {30, 1, 2}, frozenset({5, 1, 9}), set(),          # iterated in the set's own order
+    {3: 1, 1: 2}, {}.keys(), {0: 1}.keys(),           # iterated as the keys
+    memoryview(b"12"), memoryview(b""),               # iterated as the bytes 49, 50
+])
+def test_polynomial_rejects_unordered_and_byte_containers_as_a_whole(values):
+    name = type(values).__name__
+    with pytest.raises(TypeError, match=f"refusing {name} as a coefficient"):
+        Polynomial(values)
+    with pytest.raises(TypeError, match=f"refusing {name} as a coefficient"):
+        check_unimodal(values)  # every checker clears its input through Polynomial
+
+
+@pytest.mark.parametrize("values", [
+    [1, 2, 30], (1, 2, 30), range(1, 4), (v for v in (1, 2, 30)),
+    Polynomial((1, 2, 30)), {0: 1, 1: 2, 2: 30}.values(),
+])
+def test_polynomial_takes_ordered_iterables(values):
+    expected = tuple(values) if isinstance(values, range) else (1, 2, 30)
+    assert Polynomial(values).coeffs == expected
 
 
 def test_polynomial_evaluation_matches_power_sum():
@@ -205,6 +228,20 @@ def test_horner_matches_oracle_on_seeded_inputs():
         coeffs = [Fraction(rng.randint(-bound, bound), rng.randint(1, bound))
                   for _ in range(m + 1)]
         assert_matches_oracle(coeffs, shifts[trial % len(shifts)])
+
+
+@pytest.mark.parametrize("c", [1, Fraction(1, 3), -1, 2, Fraction(-3, 2), 0])
+def test_horner_matches_oracle_at_every_short_length(c):
+    # Lengths 1..13 give 0..12 passes: each residue of the pass count mod 4,
+    # with no four-pass sweep (length <= 4), with exactly one, and with a
+    # remainder after several. Entries mix zeros, signs and 10^40 sizes.
+    big = 10 ** 40
+    pool = (0, 1, -1, big, -big + 7, 3 * big + 1, Fraction(big, 7), Fraction(-5, 3), 0, 2)
+    for n in range(1, 14):
+        for offset in range(3):
+            coeffs = [pool[(offset + 3 * k) % len(pool)] for k in range(n)]
+            assert_matches_oracle(coeffs, c)
+            assert_matches_oracle([-v for v in coeffs], c)
 
 
 BIG = 7 ** 5917  # about 5,000 decimal digits, past the int/str conversion limit
