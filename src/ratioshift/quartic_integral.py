@@ -21,15 +21,24 @@ whose integrand is smooth and bounded for x > -1 (the denominator is
 Quadrature is iterated composite Simpson with panel doubling and a
 Richardson error estimate, trusted from 16 panels on and capped in
 refinement depth. It is one loop, ``_simpson``, that streams each level's
-values into ``math.fsum`` in index order. A level is one generator,
-``_folded_level``, that forms each midpoint and its folded integrand value
-in one frame, so a point costs one generator step. It steps the midpoint
-by ``u += h``, which is exact: a level of midpoints starts at 0 with
-h = 2^-j, j <= 21, so each is an odd multiple of 2^-(j+1) below 1, the
-float a + (i + 0.5) h would give, and an endpoint is a level of one point.
-Where u^(4m+2) is too small to change 1 + u^(4m+2), the generator does not
-compute it: the numerator is exactly 1.0 there, so every value and every
-raised error is the literal formula's.
+values into ``math.fsum`` from the level's larger end. A level is one
+generator, ``_folded_level``, that forms each midpoint and its folded
+integrand value in one frame, so a point costs one generator step. It steps
+the midpoint by ``u += h``, which is exact: a level of midpoints starts at
+0 with h = 2^-j, j <= 21, so each is an odd multiple of 2^-(j+1) below 1,
+the float a + (i + 0.5) h would give, and an endpoint is a level of one
+point. Where u^(4m+2) is too small to change 1 + u^(4m+2), the generator
+does not compute it: the numerator is exactly 1.0 there, so every value and
+every raised error is the literal formula's.
+
+Where the value at u = 1 exceeds the one at u = 0 and x + 1 >= 2^-30, the
+level is summed top-down instead, from ``_folded_level_down``, which yields
+the same values from u = 1 - 2^-(j+1) down by the exact step ``u -= h``:
+near x = -1, where the values grow by hundreds of orders of magnitude
+towards u = 1, fsum takes them in about half the time. fsum returns the
+correctly rounded exact sum in any order; the order decides only which
+error a failing level raises, so a top-down level that raises, or sums to
+2^1023 or more, is summed again in index order (see ``_fsum_level``).
 
 This is the only module that touches floating point, and only at its
 boundary: P_m(x) is evaluated by Horner's rule on integers (P_m's integer
@@ -117,13 +126,62 @@ def _folded_level(a: float, h: float, n: int, x: float, m: int) -> Iterator[floa
         yield (1.0 + u ** e) / ((u * u + tx) * u * u + 1.0) ** k
 
 
+def _folded_level_down(h: float, n: int, x: float, m: int) -> Iterator[float]:
+    """The values of ``_folded_level(0.0, h, n, x, m)`` in reverse: u starts at
+    (n - 0.5) h and steps by ``u -= h``, exact on the quadrature's levels
+    (h = 2^-j, j <= 21, every u an odd multiple of 2^-(j+1)), and the level
+    ends at u = -h/2, the first u below 0. The numerator's ``pow`` runs while
+    u > t and is skipped below, as in ``_folded_level``: t > 0, so a level
+    whose points all lie above t leaves the first loop at -h/2.
+    """
+    e, k, tx = float(4 * m + 2), float(m + 1), 2.0 * x
+    t = 2.0 ** (-54.0 / e)
+    u = (n - 0.5) * h
+    while u > t:
+        yield (1.0 + u ** e) / ((u * u + tx) * u * u + 1.0) ** k
+        u -= h
+    while u > 0.0:
+        yield 1.0 / ((u * u + tx) * u * u + 1.0) ** k
+        u -= h
+
+
 def folded_integrand(u: float, x: float, m: int) -> float:
     """Integrand after folding [1, inf) back onto [0, 1] via t -> 1/u."""
     return next(_folded_level(u, -0.0, 1, x, m))
 
 
-def _simpson(level: Callable[[float, float, int], Iterable[float]], a: float, b: float,
-             tol: float, max_doublings: int) -> float:
+_Level = Callable[[float, float, int], Iterable[float]]
+
+
+def _fsum_level(level: _Level, down: _Level | None, a: float, h: float, n: int) -> float:
+    """``math.fsum(level(a, h, n))``, summed from the last value down where
+    ``down`` is given and that gives the same float.
+
+    fsum returns the correctly rounded exact sum (Shewchuk, 1997), so the
+    order cannot move a finite result. It decides only which error a failing
+    level raises: fsum's intermediate overflow or the integrand's own, at
+    the first point that fails. ``down`` yields the same values in reverse,
+    each >= 0. If it raises nothing and its sum is below 2^1023, the exact
+    total is below 2^1023 plus half an ulp; in index order every partial sum
+    of values >= 0, and so every addition fsum makes, stays near or below
+    that total, short of overflow, and the integrand evaluates the same
+    points by the same formula, so it raises nowhere either: index order
+    gives the same float. Any other top-down outcome is summed again in
+    index order, which raises what the literal order raises.
+    """
+    if down is not None:
+        try:
+            s = math.fsum(down(a, h, n))
+        except ArithmeticError:
+            pass
+        else:
+            if s < 2.0 ** 1023:
+                return s
+    return math.fsum(level(a, h, n))
+
+
+def _simpson(level: _Level, a: float, b: float, tol: float, max_doublings: int,
+             down: _Level | None = None) -> float:
     """Composite Simpson with panel doubling until the Richardson estimate
     |S_2n - S_n| / 15 drops to ``tol`` relative to the value; S_2n must have
     at least ``_MIN_PANELS`` panels (2 ``_MIN_PANELS`` subintervals).
@@ -132,22 +190,26 @@ def _simpson(level: Callable[[float, float, int], Iterable[float]], a: float, b:
     index order. The endpoints are its h = -0.0 case: a + (i + 0.5) (-0.0)
     is a for every float a, signed zero included. Function evaluations are
     reused across refinements by building Simpson values from the trapezoid
-    ladder, S_2n = (4 T_2n - T_n) / 3. Each level stays lazy and
-    ``math.fsum`` takes it in index order: a level holds up to 2^21 points,
-    and the order decides which error a failing integrand raises first
-    (fsum's intermediate overflow or the integrand's own).
+    ladder, S_2n = (4 T_2n - T_n) / 3. Each level stays lazy, a level holds
+    up to 2^21 points, and ``math.fsum`` takes it from its larger end: where
+    the value at b exceeds the one at a and ``down`` is given, ``down(a, h, n)``
+    yields the level in reverse (see ``_fsum_level``); otherwise it takes
+    ``level`` in index order. Summing values that shrink along the iterator
+    is the cheaper order for fsum.
     """
     if not 0 < tol < math.inf:
         raise DomainError(f"tolerance must be finite and positive, got {tol}")
     fa, = level(a, -0.0, 1)
     fb, = level(b, -0.0, 1)
+    if not fb > fa:
+        down = None
     trap = 0.5 * (b - a) * (fa + fb)
     simpson_prev = None
     last_err = math.inf
     panels = 1
     for _ in range(max_doublings):
         h = (b - a) / panels
-        midsum = math.fsum(level(a, h, panels))
+        midsum = _fsum_level(level, down, a, h, panels)
         trap_next = 0.5 * (trap + h * midsum)
         simpson = (4.0 * trap_next - trap) / 3.0
         if simpson_prev is not None:
@@ -190,9 +252,16 @@ def quadrature_lhs(x: float, m: int, tol: float) -> float:
     Evaluated on the [0, 1] fold; estimated relative error at most ``tol``.
     """
     _check_domain(x, m)
+    # A level may be summed top-down only if its values are all >= 0. For
+    # x + 1 >= 2^-30 the exact denominator base (u^2 - 1)^2 + 2 (x + 1) u^2 is
+    # at least x + 1 on [0, 1], while its float evaluation, from operands of
+    # magnitude at most 2 (or all >= 0 for x >= 0), is off by a few ulps of 2,
+    # about 2^-50: the float base stays positive, so every value is >= 0.
+    down = ((lambda a, h, n: _folded_level_down(h, n, x, m))
+            if x + 1.0 >= 2.0 ** -30 else None)
     # Halve the requested tolerance so the estimate has headroom.
     return _simpson(lambda a, h, n: _folded_level(a, h, n, x, m), 0.0, 1.0, tol / 2.0,
-                    _MAX_DOUBLINGS)
+                    _MAX_DOUBLINGS, down)
 
 
 def closed_form_rhs(x: float, m: int) -> float:
@@ -205,6 +274,7 @@ def closed_form_rhs(x: float, m: int) -> float:
     the float. q is a power of two, 2^e, so its powers are left shifts.
     """
     _check_domain(x, m)
+    x = float(x)  # an int x is the float it rounds to, as in the quadrature
     coeffs, den = bm_polynomial(m)._cleared()
     p, q = x.as_integer_ratio()
     e = q.bit_length() - 1

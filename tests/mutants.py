@@ -37,6 +37,8 @@ _DRAW_TEST = "tests/test_fuzz_harness.py::test_gen_nondecreasing_seq_matches_ran
 _STREAM_TEST = "tests/test_fuzz_harness.py::test_randints_is_randint_stream"
 _SHIFT_TEST = "tests/test_poly_ops.py::test_horner_matches_oracle_at_every_short_length"
 _ROW_TEST = "tests/test_boros_moll.py::test_row_recurrence_matches_coefficient_formula"
+_LEVEL_TEST = "tests/test_quartic_integral.py::test_level_yields_n_points_each_the_literal_value"
+_QUADRATURE_TEST = "tests/test_quartic_integral.py::test_quadrature_is_literal_simpson_bit_for_bit"
 
 
 class Mutant(NamedTuple):
@@ -154,6 +156,59 @@ MUTANTS = (
            "v = comb(2 * m, m)",
            "v = comb(2 * m, m - 1)",
            (_ROW_TEST,)),
+    # Quadrature levels step u by h from a + h/2 to a + (n - 1/2) h and skip
+    # u^(4m+2) for |u| <= 2^(-54/(4m+2)). A level whose value at u = 1 is the
+    # larger is summed top-down, then again in index order if that raises or
+    # reaches 2^1023. Choosing the other order is equivalent (the same
+    # floats, summed slower), so it is not in the list.
+    Mutant("level: skip threshold 2^(-50/e)",
+           "src/ratioshift/quartic_integral.py",
+           "    t = 2.0 ** (-54.0 / e)\n    u, last = ",
+           "    t = 2.0 ** (-50.0 / e)\n    u, last = ",
+           ("tests/test_quartic_integral.py::"
+            "test_folded_integrand_is_the_literal_formula_bit_for_bit",)),
+    Mutant("level: one-sided skip test",
+           "src/ratioshift/quartic_integral.py",
+           "    while -t <= u <= t:\n",
+           "    while u <= t:\n",
+           ("tests/test_quartic_integral.py::"
+            "test_folded_integrand_is_the_literal_formula_bit_for_bit",)),
+    Mutant("level: starts at a + h",
+           "src/ratioshift/quartic_integral.py",
+           "u, last = a + 0.5 * h, a + (n - 0.5) * h",
+           "u, last = a + h, a + (n - 0.5) * h",
+           (_LEVEL_TEST,)),
+    Mutant("level: last point at a + n h",
+           "src/ratioshift/quartic_integral.py",
+           "u, last = a + 0.5 * h, a + (n - 0.5) * h",
+           "u, last = a + 0.5 * h, a + n * h",
+           (_LEVEL_TEST,)),
+    Mutant("level: the prefix loop runs past its last point",
+           "src/ratioshift/quartic_integral.py",
+           "        if not u < last:\n",
+           "        if u > last:\n",
+           (_LEVEL_TEST,)),
+    Mutant("top-down level: skip threshold 2^(-50/e)",
+           "src/ratioshift/quartic_integral.py",
+           "    t = 2.0 ** (-54.0 / e)\n    u = (n - 0.5) * h\n",
+           "    t = 2.0 ** (-50.0 / e)\n    u = (n - 0.5) * h\n",
+           (_LEVEL_TEST,)),
+    Mutant("top-down level: starts at (n + 0.5) h",
+           "src/ratioshift/quartic_integral.py",
+           "    u = (n - 0.5) * h\n",
+           "    u = (n + 0.5) * h\n",
+           (_LEVEL_TEST, _QUADRATURE_TEST)),
+    Mutant("top-down level: no index-order fallback",
+           "src/ratioshift/quartic_integral.py",
+           "        try:\n"
+           "            s = math.fsum(down(a, h, n))\n"
+           "        except ArithmeticError:\n"
+           "            pass\n"
+           "        else:\n"
+           "            if s < 2.0 ** 1023:\n"
+           "                return s\n",
+           "        return math.fsum(down(a, h, n))\n",
+           ("tests/test_quartic_integral.py::test_top_down_sum_is_the_index_order_sum",)),
 )
 
 

@@ -23,6 +23,8 @@ from ratioshift.numeric_core import DomainError
 from ratioshift.quartic_integral import (
     QuadratureError,
     _folded_level,
+    _folded_level_down,
+    _fsum_level,
     closed_form_rhs,
     folded_integrand,
     integrand,
@@ -85,6 +87,17 @@ def _outcome(f, *args):
         return type(exc), str(exc)
 
 
+def _values(values):
+    """float.hex of each value an iterable yields, then what it raised, if anything."""
+    out = []
+    try:
+        for v in values:
+            out.append(v.hex())
+    except (OverflowError, ZeroDivisionError) as exc:
+        out.append((type(exc), str(exc)))
+    return out
+
+
 def _literal_folded(u, x, m):
     return (1.0 + u ** (4 * m + 2)) / ((u * u + 2.0 * x) * u * u + 1.0) ** (m + 1)
 
@@ -121,15 +134,21 @@ def test_folded_integrand_is_the_literal_formula_bit_for_bit():
 
 @pytest.mark.parametrize("m", [0, 14, 60])
 def test_level_yields_n_points_each_the_literal_value(m):
-    # The quadrature's levels: a = 0, h = 2^-j, n = 2^j. At m = 60 the
-    # numerator is skipped below u = 0.86, so a small level ends in the first
-    # loop; at m = 0 nearly every point is in the second.
+    # The quadrature's levels: a = 0, h = 2^-j, n = 2^j, in index order and,
+    # from _folded_level_down, in reverse. At m = 60 the numerator is skipped
+    # below u = 0.86, so a small level ends in the first loop of one and the
+    # second of the other; at m = 0 nearly every point is past the skip. At
+    # x = -0.999999, m = 60 the denominator underflows to 0 near u = 1, so
+    # either order must stop with the literal error at the literal point.
     for j in range(17):
         n = 1 << j
         h = 1.0 / n
-        for x in (-0.9, 0.3):
-            got = [v.hex() for v in _folded_level(0.0, h, n, x, m)]
-            assert got == [_literal_folded((i + 0.5) * h, x, m).hex() for i in range(n)]
+        us = [(i + 0.5) * h for i in range(n)]
+        for x in (-0.9, 0.3, -0.999999):
+            assert _values(_folded_level(0.0, h, n, x, m)) == _values(
+                _literal_folded(u, x, m) for u in us)
+            assert _values(_folded_level_down(h, n, x, m)) == _values(
+                _literal_folded(u, x, m) for u in reversed(us))
 
 
 @pytest.mark.parametrize("h", [-0.0, 1.0])
@@ -240,18 +259,54 @@ def test_known_float_failures_are_pinned(m, error, message):
 
 
 def test_quadrature_is_literal_simpson_bit_for_bit():
-    # simpson_refine builds each point as a + (i + 0.5) h and evaluates the
-    # literal formula there: the quadrature's stepped, prefix-skipping levels
-    # must give every bit, and every error, that it gives.
+    # simpson_refine builds each point as a + (i + 0.5) h, evaluates the
+    # literal formula there and sums each level in index order: the
+    # quadrature's stepped, prefix-skipping levels, summed top-down where the
+    # value at u = 1 is the larger, must give every bit, and every error,
+    # that it gives.
     rng = random.Random(2026)
     near = [(-1.0 + 10.0 ** -rng.uniform(0, 6), rng.randint(0, 60)) for _ in range(24)]
     far = [(10.0 ** rng.uniform(-2, 2), rng.randint(0, 60)) for _ in range(24)]
     pinned = [(x, m) for x, m, *_ in _PINNED] + [(-0.999999, 54), (-0.999999, 57)]
+    # Near-boundary ops, whose levels are summed top-down.
+    top_down = [(-1.0 + 10.0 ** -rng.uniform(5, 6), rng.randint(40, 60)) for _ in range(8)]
+    # x + 1 = 10^-(k/5). At (k, m) = (28, 57), (29, 55..57) and (30, 53..55) a
+    # top-down level overflows or sums to 2^1023 or more, and is summed again
+    # in index order, which raises fsum's overflow; at (30, 56..57) the value
+    # at u = 1 divides by zero before any level; the others pass.
+    fallback = [(-1.0 + 10.0 ** (-k / 5), m) for k in (27, 28, 29, 30) for m in range(53, 58)]
+    # Below x + 1 = 2^-30 every level is summed in index order: here 20 of them.
+    unguarded = [(-1.0 + 2.0 ** -30.5, 0)]
     tol = 1e-10  # what verify_identity asks for at 1e-8
-    for x, m in near + far + pinned:
+    for x, m in near + far + pinned + top_down + fallback + unguarded:
         literal = _outcome(simpson_refine, lambda u: _literal_folded(u, x, m), 0.0, 1.0,
                            tol / 2)
         assert _outcome(quadrature_lhs, x, m, tol) == literal, (x, m)
+
+
+@pytest.mark.parametrize("values", [
+    [1.0, 2.0, 3.0],
+    [2.0 ** 1022, 2.0 ** 1023 - 2.0 ** 970],  # at least 2^1023, still finite
+    [1.0, math.inf],
+    [1e308, 1e308, ZeroDivisionError("float division by zero")],
+    [OverflowError("(34, 'Numerical result out of range')"), 1e308, 1e308],
+])
+def test_top_down_sum_is_the_index_order_sum(values):
+    # Whatever the top-down pass gives, _fsum_level must give what fsum gives
+    # in index order: in the last two, the first point to fail in index order
+    # is not the first top-down.
+    def level(a, h, n, order=lambda v: v):
+        for v in order(values):
+            if isinstance(v, Exception):
+                raise v
+            yield v
+
+    def down(a, h, n):
+        return level(a, h, n, reversed)
+
+    n = len(values)
+    assert _outcome(_fsum_level, level, down, 0.0, 1.0, n) == _outcome(
+        lambda: math.fsum(level(0.0, 1.0, n)))
 
 
 def test_verify_identity_json_shape():
@@ -290,6 +345,10 @@ def test_wrong_argument_types_are_refused_before_any_quadrature(check, x, m, mon
 
 def test_int_x_is_the_float_it_equals():
     assert verify_identity(2, 3, 1e-8) == verify_identity(2.0, 3, 1e-8)
+    # P_3 at the int 2^53 + 1 read 0x1.f6a7a29553862p-29, where the quadrature
+    # integrates at the float 2^53.
+    big = 2 ** 53 + 1
+    assert closed_form_rhs(big, 3).hex() == closed_form_rhs(float(big), 3).hex()
 
 
 @pytest.mark.parametrize("x, tol", [(math.inf, 1e-8), (math.nan, 1e-8),
