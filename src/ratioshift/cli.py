@@ -28,7 +28,7 @@ from pathlib import Path
 from . import __version__
 from .boros_moll import bm_polynomial, bm_shifted_seq
 from .fuzz_harness import TARGETS, CampaignSpec, run_campaign
-from .numeric_core import DomainError, ParseError, parse_rational, render_rational
+from .numeric_core import DomainError, ParseError, Rational, parse_rational, render_rational
 from .poly_ops import Polynomial, ShiftAlgorithm, taylor_shift
 from .quartic_integral import QuadratureError, verify_identity
 from .shape_props import CHECKERS
@@ -84,13 +84,20 @@ def _read_coefficients(path: str) -> list:
     return coeffs
 
 
-def _report(command: str, inputs: dict, results: list, started: float) -> dict:
+def _parse_c(text: str) -> Rational:
+    try:
+        return parse_rational(text)
+    except (ParseError, DomainError) as exc:
+        raise _UsageError(f"--c: {exc}") from exc
+
+
+def _report(args: argparse.Namespace, inputs: dict, results: list) -> dict:
     return {
-        "command": command,
+        "command": args.command,
         "version": __version__,
         "inputs": inputs,
         "results": results,
-        "timing": {"seconds": time.perf_counter() - started},
+        "timing": {"seconds": time.perf_counter() - args.started},
     }
 
 
@@ -100,11 +107,7 @@ def _emit(doc: dict) -> None:
 
 def _cmd_shift(args: argparse.Namespace) -> int:
     coeffs = _read_coefficients(args.file)
-    try:
-        c = parse_rational(args.c)
-    except (ParseError, DomainError) as exc:
-        raise _UsageError(f"--c: {exc}") from exc
-    shifted = taylor_shift(Polynomial(coeffs), c, ShiftAlgorithm(args.algo))
+    shifted = taylor_shift(Polynomial(coeffs), _parse_c(args.c), ShiftAlgorithm(args.algo))
     # Render every coefficient before printing any, so a coefficient too long
     # to render (DomainError, exit 2) leaves stdout empty.
     _print("\n".join([render_rational(value) for value in shifted.coeffs]))
@@ -112,7 +115,6 @@ def _cmd_shift(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     names = [p.strip() for p in args.props.split(",") if p.strip()]
     unknown = [n for n in names if n not in CHECKERS and n != "all"]
     if unknown:
@@ -126,35 +128,31 @@ def _cmd_check(args: argparse.Namespace) -> int:
     poly = Polynomial(coeffs)  # cleared once, for every checker
     verdicts = [CHECKERS[name](poly) for name in names]
     doc = _report(
-        "check",
+        args,
         {"file": args.file,
          "coefficients": [render_rational(v) for v in coeffs],
          "props": names},
         [v.to_json_dict() for v in verdicts],
-        started,
     )
     _emit(doc)
     return 0 if all(v.holds for v in verdicts) else 1
 
 
 def _cmd_boros_moll(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     if args.m < 0:
         raise _UsageError(f"--m must be >= 0, got {args.m}")
     basis = "power-basis" if args.power_basis else "coefficients"
     values = bm_polynomial(args.m).coeffs if args.power_basis else bm_shifted_seq(args.m)
     rendered = [render_rational(v) for v in values]
     if args.json:
-        _emit(_report("boros-moll", {"m": args.m, "mode": basis},
-                      [{"m": args.m, "basis": basis, "coefficients": rendered}],
-                      started))
+        _emit(_report(args, {"m": args.m, "mode": basis},
+                      [{"m": args.m, "basis": basis, "coefficients": rendered}]))
     else:
         _print("\n".join(rendered))
     return 0
 
 
 def _cmd_verify_integral(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
     if args.m < 0:
         raise _UsageError(f"--m must be >= 0, got {args.m}")
     try:
@@ -165,20 +163,14 @@ def _cmd_verify_integral(args: argparse.Namespace) -> int:
         print(f"ratioshift: the float check could not be completed: "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    doc = _report("verify-integral",
+    doc = _report(args,
                   {"m": args.m, "x": args.x, "tol": args.tol},
-                  [check.to_json_dict()],
-                  started)
+                  [check.to_json_dict()])
     _emit(doc)
     return 0 if check.passed else 1
 
 
 def _cmd_fuzz(args: argparse.Namespace) -> int:
-    started = time.perf_counter()
-    try:
-        shift_c = parse_rational(args.c)
-    except (ParseError, DomainError) as exc:
-        raise _UsageError(f"--c: {exc}") from exc
     spec = CampaignSpec(
         target=args.target,
         trials=args.trials,
@@ -186,11 +178,11 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         degree_range=(args.degree_min, args.degree_max),
         magnitude_bound=args.bound,
         integer_only=args.integer_only,
-        shift_c=shift_c,
+        shift_c=_parse_c(args.c),
         allow_c_below_one=args.allow_c_below_one,
     )
     report = run_campaign(spec, jobs=args.jobs)
-    doc = _report("fuzz", {"target": args.target}, [report.to_json_dict()], started)
+    doc = _report(args, {"target": args.target}, [report.to_json_dict()])
     _emit(doc)
     return 1 if report.violations else 0
 
@@ -260,6 +252,7 @@ def _glue_c_values(argv: list[str]) -> list[str]:
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(_glue_c_values(list(argv if argv is not None else sys.argv[1:])))
+    args.started = time.perf_counter()  # the clock of a report's "timing" block
     try:
         return args.func(args)
     # An input too large to hold, such as a campaign of degree 10**11, ends

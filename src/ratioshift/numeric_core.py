@@ -5,7 +5,9 @@ integers, and :class:`fractions.Fraction` keeps rationals in canonical form
 (positive denominator, gcd-reduced numerator), so those are the scalar types
 used throughout. This module adds the comparison and parsing primitives the
 rest of the package is built on. Every inequality between ratios is decided
-by cross-multiplication on exact integers, never by division.
+by cross-multiplication on exact integers, never by division. Text is read
+by one grammar, ``p``, ``p/q`` or a decimal in ASCII digits, and then by
+``Fraction``, which takes everything the grammar does.
 """
 
 from __future__ import annotations
@@ -75,9 +77,12 @@ def clear_denominators(values: Sequence[Fraction]) -> tuple[list[int], int]:
     return [n * (lcm // d) for n, d in pairs], lcm
 
 
-_INTEGER_RE = re.compile(r"[+-]?[0-9]+\Z")
-_FRACTION_RE = re.compile(r"([+-]?[0-9]+)/([0-9]+)\Z")
-_DECIMAL_RE = re.compile(r"([+-]?)([0-9]*)\.([0-9]*)\Z")
+# The one grammar: p, p/q, or a decimal with a digit on at least one side of
+# the point, in ASCII digits. Fraction reads whatever matches, and refuses
+# nothing of it but a zero denominator and a number past the interpreter's
+# digit limit; the gate keeps out what Fraction alone would also take:
+# exponents, underscores, spaces around "/" and non-ASCII digits.
+_RATIONAL_RE = re.compile(r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)\Z")
 
 
 def _digits_limit_error(what: str, exc: ValueError) -> DomainError:
@@ -86,42 +91,27 @@ def _digits_limit_error(what: str, exc: ValueError) -> DomainError:
     return DomainError(f"{what} is too long to convert: {exc}")
 
 
-def _int(digits: str) -> int:
-    try:
-        return int(digits)
-    except ValueError as exc:
-        raise _digits_limit_error(f"a {len(digits)}-digit integer", exc) from exc
-
-
 def parse_rational(text: str) -> Fraction:
     """Parse ``p``, ``p/q``, or a decimal literal into an exact Fraction.
 
-    Decimals are scaled by a power of ten, never routed through floating
-    point, so e.g. ``"0.1"`` is exactly 1/10. A literal with more digits
-    than the interpreter converts raises DomainError.
+    A literal must match one grammar, ``_RATIONAL_RE``, before
+    ``Fraction`` reads it. Decimals are scaled by a power of ten, never
+    routed through floating point, so e.g. ``"0.1"`` is exactly 1/10. A
+    zero denominator, or a literal with more digits than the interpreter
+    converts, raises DomainError.
     """
     stripped = text.strip()
-    if not stripped:
-        raise ParseError("empty rational literal", 0)
-    if _INTEGER_RE.match(stripped):
-        return Fraction(_int(stripped))
-    m = _FRACTION_RE.match(stripped)
-    if m:
-        num, den = _int(m.group(1)), _int(m.group(2))
-        if den == 0:
-            raise DomainError(f"zero denominator in {stripped!r}")
-        return Fraction(num, den)
-    m = _DECIMAL_RE.match(stripped)
-    if m:
-        sign, whole, frac = m.groups()
-        if not whole and not frac:
-            raise ParseError(f"no digits in decimal literal {stripped!r}", 0)
-        value = Fraction(_int(whole or "0") * 10 ** len(frac) + _int(frac or "0"),
-                         10 ** len(frac))
-        return -value if sign == "-" else value
-    # Report the first character that cannot appear in a literal, if any.
-    pos = next((i for i, ch in enumerate(stripped) if ch not in "+-/.0123456789"), 0)
-    raise ParseError(f"malformed rational literal {stripped!r}", pos)
+    if not _RATIONAL_RE.match(stripped):
+        # Report the first character that cannot appear in a literal, if any
+        # (position 0 for an empty one).
+        pos = next((i for i, ch in enumerate(stripped) if ch not in "+-/.0123456789"), 0)
+        raise ParseError(f"malformed rational literal {stripped!r}", pos)
+    try:
+        return Fraction(stripped)
+    except ZeroDivisionError as exc:
+        raise DomainError(f"zero denominator in {stripped!r}") from exc
+    except ValueError as exc:
+        raise _digits_limit_error(f"a {len(stripped)}-character literal", exc) from exc
 
 
 def render_rational(value: Fraction | int) -> str:

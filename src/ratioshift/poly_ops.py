@@ -21,7 +21,9 @@ integer numerators and returns integers over a new common denominator, so
 no Fraction is built until a caller reads ``coeffs``. For a shift by 1/q
 it runs four passes per sweep of the list: the same additions on the same
 operands as one pass at a time, with a quarter of the list reads and
-writes. The boundary closed forms are summed on the numerators too.
+writes. The at most three passes left, and every pass of any other shift,
+run in the one single-pass loop. The boundary closed forms are summed on
+the numerators too.
 """
 
 from __future__ import annotations
@@ -200,14 +202,14 @@ def _shift_horner(ints: tuple[int, ...], den: int, c: Fraction) -> tuple[list[in
     # wrote, out[j + 1], in the local acc rather than indexing it back out of
     # the list: the same additions in the same order, one subscript fewer
     # per inner step.
+    i = 0
     if p == 1:
         # Passes i..i+3 run as one sweep down the list: s0..s3 carry each
         # pass's value at j + 1, and pass i + k + 1 adds pass i + k's new
         # out[j], so only pass i + 3's value is written back. Pass i + k
         # stops at j = i + k, hence the three-step tail. Every addition is
         # one that four single passes make, on the same operands; only the
-        # list traffic is shared.
-        i = 0
+        # list traffic is shared. The at most three passes left run below.
         while i + 4 < n:  # four passes left: i + 3 <= n - 2
             s0 = s1 = s2 = s3 = out[-1]
             for j in range(n - 2, i + 2, -1):
@@ -222,12 +224,8 @@ def _shift_horner(ints: tuple[int, ...], den: int, c: Fraction) -> tuple[list[in
             out[i + 1] = s0 + s1
             out[i] = out[i] + s0
             i += 4
-        for i in range(i, n - 1):  # the at most three passes left
-            acc = out[-1]
-            for j in range(n - 2, i - 1, -1):
-                acc = out[j] = out[j] + acc
-    elif p != 0:
-        for i in range(n - 1):
+    if p != 0:
+        for i in range(i, n - 1):  # from 0, or where the sweeps stopped
             acc = out[-1]
             for j in range(n - 2, i - 1, -1):
                 acc = out[j] = out[j] + p * acc

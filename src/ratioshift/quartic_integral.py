@@ -180,11 +180,12 @@ def _fsum_level(level: _Level, down: _Level | None, a: float, h: float, n: int) 
     return math.fsum(level(a, h, n))
 
 
-def _simpson(level: _Level, a: float, b: float, tol: float, max_doublings: int,
+def _simpson(level: _Level, a: float, b: float, tol: float,
              down: _Level | None = None) -> float:
     """Composite Simpson with panel doubling until the Richardson estimate
     |S_2n - S_n| / 15 drops to ``tol`` relative to the value; S_2n must have
-    at least ``_MIN_PANELS`` panels (2 ``_MIN_PANELS`` subintervals).
+    at least ``_MIN_PANELS`` panels (2 ``_MIN_PANELS`` subintervals), within
+    ``_MAX_DOUBLINGS`` doublings.
 
     ``level(a, h, n)`` yields the integrand at a + (i + 0.5) h for i < n, in
     index order. The endpoints are its h = -0.0 case: a + (i + 0.5) (-0.0)
@@ -207,7 +208,7 @@ def _simpson(level: _Level, a: float, b: float, tol: float, max_doublings: int,
     simpson_prev = None
     last_err = math.inf
     panels = 1
-    for _ in range(max_doublings):
+    for _ in range(_MAX_DOUBLINGS):
         h = (b - a) / panels
         midsum = _fsum_level(level, down, a, h, panels)
         trap_next = 0.5 * (trap + h * midsum)
@@ -220,18 +221,17 @@ def _simpson(level: _Level, a: float, b: float, tol: float, max_doublings: int,
         trap, simpson_prev, panels = trap_next, simpson, panels * 2
     raise QuadratureError(
         "Simpson refinement did not converge",
-        iterations=max_doublings,
+        iterations=_MAX_DOUBLINGS,
         last_value=simpson_prev if simpson_prev is not None else trap,
         last_error=last_err,
     )
 
 
-def simpson_refine(f: Callable[[float], float], a: float, b: float, tol: float,
-                   max_doublings: int = _MAX_DOUBLINGS) -> float:
+def simpson_refine(f: Callable[[float], float], a: float, b: float, tol: float) -> float:
     """Integrate the scalar ``f`` over [a, b] to relative tolerance ``tol``
     by composite Simpson with panel doubling (see ``_simpson``)."""
     return _simpson(lambda a, h, n: (f(a + (i + 0.5) * h) for i in range(n)),
-                    a, b, tol, max_doublings)
+                    a, b, tol)
 
 
 def _check_domain(x: float, m: int) -> None:
@@ -261,7 +261,7 @@ def quadrature_lhs(x: float, m: int, tol: float) -> float:
             if x + 1.0 >= 2.0 ** -30 else None)
     # Halve the requested tolerance so the estimate has headroom.
     return _simpson(lambda a, h, n: _folded_level(a, h, n, x, m), 0.0, 1.0, tol / 2.0,
-                    _MAX_DOUBLINGS, down)
+                    down)
 
 
 def closed_form_rhs(x: float, m: int) -> float:

@@ -35,6 +35,7 @@ TIMEOUT_S = 600
 _LATTICE_TEST = "tests/test_shape_props.py::test_lattice_statuses_match_fraction_reference"
 _DRAW_TEST = "tests/test_fuzz_harness.py::test_gen_nondecreasing_seq_matches_randint_reference"
 _STREAM_TEST = "tests/test_fuzz_harness.py::test_randints_is_randint_stream"
+_PARSE_TEST = "tests/test_numeric_core.py::test_parse_rational_rejects"
 _SHIFT_TEST = "tests/test_poly_ops.py::test_horner_matches_oracle_at_every_short_length"
 _ROW_TEST = "tests/test_boros_moll.py::test_row_recurrence_matches_coefficient_formula"
 _LEVEL_TEST = "tests/test_quartic_integral.py::test_level_yields_n_points_each_the_literal_value"
@@ -127,9 +128,10 @@ MUTANTS = (
            "_draw_run(label, 1 if positive else 0, bound, degree + 1)",
            "_draw_run(label, 0, bound, degree + 1)",
            (_DRAW_TEST,)),
-    # A shift by 1/q runs its passes four per sweep, then the rest one by one.
-    # Loosened by one, the guard lets a sweep run with three passes left, and
-    # its fourth pass then has no step: that mutant is equivalent.
+    # A shift by 1/q runs its passes four per sweep, then the rest in the
+    # general single-pass loop. Loosened by one, the guard lets a sweep run
+    # with three passes left, and its fourth pass then has no step: that
+    # mutant is equivalent.
     Mutant("shift sweep: guard loosened by two",
            "src/ratioshift/poly_ops.py",
            "while i + 4 < n:",
@@ -145,6 +147,23 @@ MUTANTS = (
            "for i in range(i, n - 1):",
            "for i in range(i + 1, n - 1):",
            (_SHIFT_TEST,)),
+    Mutant("shift sweep: the passes left skipped",
+           "src/ratioshift/poly_ops.py",
+           "    if p != 0:\n",
+           "    if p not in (0, 1):\n",
+           (_SHIFT_TEST,)),
+    # parse_rational gates its text on one anchored ASCII grammar before
+    # Fraction reads it.
+    Mutant("parser: grammar unanchored",
+           "src/ratioshift/numeric_core.py",
+           r'|\.[0-9]+)\Z")',
+           r'|\.[0-9]+)")',
+           (_PARSE_TEST,)),
+    Mutant("parser: underscores taken as digits",
+           "src/ratioshift/numeric_core.py",
+           r"[+-]?(?:[0-9]+(?:/[0-9]+)?|[0-9]+\.[0-9]*|\.[0-9]+)\Z",
+           r"[+-]?(?:[0-9_]+(?:/[0-9_]+)?|[0-9_]+\.[0-9_]*|\.[0-9_]+)\Z",
+           (_PARSE_TEST,)),
     # The Boros-Moll row steps from C(2m, m) by the ratio recurrence.
     Mutant("bm row: the recurrence's (k + 1) changed",
            "src/ratioshift/boros_moll.py",

@@ -94,12 +94,24 @@ def test_ratio_leq_agrees_with_fraction_compare(pn, pd, qn, qd):
     ("-.5", Fraction(-1, 2)),
     ("2.", Fraction(2)),
     ("  12  ", Fraction(12)),
+    ("+.5", Fraction(1, 2)),
+    ("5.", Fraction(5)),
+    ("00012", Fraction(12)),
+    ("0/7", Fraction(0)),
 ])
 def test_parse_rational_accepts(text, value):
     assert parse_rational(text) == value
 
 
-@pytest.mark.parametrize("text", ["", "   ", "3//2", "abc", "1/2/3", "1e3", ".", "2-3"])
+@pytest.mark.parametrize("text", [
+    "", "   ", "3//2", "abc", "1/2/3", "1e3", ".", "2-3",
+    # Fraction alone reads each of these (underscores from Python 3.11, spaces
+    # around "/" from 3.12); the last two are a full-width 1 and an
+    # Arabic-Indic 3.
+    "1_000", "1 / 2", "1E3", "\uff11", "\u0663",
+    # Signs and a point without a digit, and a float word.
+    "+.", "-", "inf",
+])
 def test_parse_rational_rejects(text):
     with pytest.raises(ParseError):
         parse_rational(text)

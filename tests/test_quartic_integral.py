@@ -61,11 +61,11 @@ def test_simpson_requires_positive_tolerance():
         simpson_refine(math.exp, 0.0, 1.0, 0.0)
 
 
-def test_simpson_nonconvergence_raises_with_diagnostics():
+def test_simpson_nonconvergence_raises_with_diagnostics(monkeypatch):
+    monkeypatch.setattr(quartic_integral, "_MAX_DOUBLINGS", 3)
     with pytest.raises(QuadratureError) as info:
         # Tolerance unreachable with two doublings of a rough integrand.
-        simpson_refine(lambda t: abs(t - 1.0 / 3.0) ** 0.5, 0.0, 1.0, 1e-14,
-                       max_doublings=3)
+        simpson_refine(lambda t: abs(t - 1.0 / 3.0) ** 0.5, 0.0, 1.0, 1e-14)
     err = info.value
     assert err.iterations == 3
     assert math.isfinite(err.last_value)
