@@ -18,13 +18,18 @@ them. The row is built from C(2m, m) by the ratio recurrence above, one
 exact multiply and divide per entry; ``bm_coefficient`` evaluates the
 binomial formula itself and is the independent reference for the row. No
 floating point anywhere. Every m and k must be an int (not a bool).
+
+``BmRatioCheck`` is a NamedTuple: immutable, unpackable, and compared and
+hashed as the tuple of its fields. An m whose row of m + 1 entries no list
+could hold is a ``DomainError``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from .numeric_core import DomainError, binomial
 from .poly_ops import Polynomial, _from_cleared, taylor_shift
@@ -36,6 +41,10 @@ __all__ = [
     "bm_ratio_identity",
     "bm_shifted_seq",
 ]
+
+# The row is a list of m + 1 entries, and no list is longer than
+# sys.maxsize // 8; math.comb would raise OverflowError only past sys.maxsize.
+_MAX_M = sys.maxsize // 8 - 1
 
 
 def _check_int(name: str, value: object) -> None:
@@ -55,8 +64,7 @@ def bm_coefficient(m: int, k: int) -> Fraction:
                     2 ** (2 * m - k))
 
 
-@dataclass(frozen=True)
-class BmRatioCheck:
+class BmRatioCheck(NamedTuple):
     """Both sides of the consecutive-coefficient ratio identity."""
 
     lhs: Fraction
@@ -91,6 +99,8 @@ def _bm_row(m: int) -> tuple[list[int], int]:
     _check_int("m", m)
     if m < 0:
         raise DomainError(f"need m >= 0, got {m}")
+    if m > _MAX_M:
+        raise DomainError(f"m = {m} is too large (at most {_MAX_M})")
     v = comb(2 * m, m)
     row = [v]
     for k in range(m):

@@ -254,6 +254,11 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(_glue_c_values(list(argv if argv is not None else sys.argv[1:])))
     args.started = time.perf_counter()  # the clock of a report's "timing" block
     try:
+        # argparse reads an option value of "--" (--c=--, or --c -- once
+        # glued) as an empty list; no option takes a list.
+        for dest, value in vars(args).items():
+            if isinstance(value, list):
+                raise _UsageError(f"--{dest.replace('_', '-')}: '--' is not a value")
         return args.func(args)
     # An input too large to hold, such as a campaign of degree 10**11, ends
     # in a MemoryError, which seldom carries a message.

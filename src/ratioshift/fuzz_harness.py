@@ -88,6 +88,12 @@ ints a trial holds and gathered with the coverage and examples, one block of
 trials at a time: each block's outcomes are split into columns in one pass
 and folded into running totals. Like every field but ``wall_time`` they are
 deterministic.
+
+``CampaignSpec`` and ``CampaignReport`` are NamedTuples: immutable,
+unpackable, and compared as the tuples of their fields (a report holds
+dicts and lists, so it does not hash). A spec checks and normalises its
+fields whenever one is built: by its constructor, ``_make``, ``_replace``,
+or unpickling in a pool worker.
 """
 
 from __future__ import annotations
@@ -97,7 +103,6 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import partial
 from typing import Callable, NamedTuple, Sequence
@@ -154,58 +159,73 @@ def _require(name: str, value, kind: type = int) -> None:
         raise DomainError(f"{name} must be {kind.__name__}, got {value!r}")
 
 
-@dataclass(frozen=True)
-class CampaignSpec:
-    """Identity of a campaign; two runs with equal specs report identically."""
-
+class _SpecFields(NamedTuple):
     target: str
     trials: int
     seed: int
-    degree_range: tuple[int, int] = (2, 16)
-    magnitude_bound: int = 10 ** 6
-    integer_only: bool = False
-    shift_c: Fraction = Fraction(1)
-    allow_c_below_one: bool = False
+    degree_range: tuple[int, int]
+    magnitude_bound: int
+    integer_only: bool
+    shift_c: Fraction
+    allow_c_below_one: bool
 
-    def __post_init__(self) -> None:
-        if self.target not in TARGETS:
-            raise DomainError(f"unknown target {self.target!r}, expected one of {TARGETS}")
+
+class CampaignSpec(_SpecFields):
+    """Identity of a campaign; two runs with equal specs report identically.
+
+    The fields live on a private NamedTuple, which cannot define ``__new__``
+    in its own body; this subclass checks and normalises them there."""
+
+    __slots__ = ()
+
+    def __new__(cls, target: str, trials: int, seed: int,
+                degree_range: tuple[int, int] = (2, 16), magnitude_bound: int = 10 ** 6,
+                integer_only: bool = False, shift_c: Fraction = Fraction(1),
+                allow_c_below_one: bool = False) -> CampaignSpec:
+        if target not in TARGETS:
+            raise DomainError(f"unknown target {target!r}, expected one of {TARGETS}")
         try:
-            lo, hi = self.degree_range
+            lo, hi = degree_range
         except (TypeError, ValueError):
-            raise DomainError(f"degree range must be a pair, got {self.degree_range!r}") from None
+            raise DomainError(f"degree range must be a pair, got {degree_range!r}") from None
         for name, value, kind in (
-                ("trials", self.trials, int), ("seed", self.seed, int),
-                ("magnitude bound", self.magnitude_bound, int),
+                ("trials", trials, int), ("seed", seed, int),
+                ("magnitude bound", magnitude_bound, int),
                 ("degree range start", lo, int), ("degree range end", hi, int),
-                ("integer_only", self.integer_only, bool),
-                ("allow_c_below_one", self.allow_c_below_one, bool)):
+                ("integer_only", integer_only, bool),
+                ("allow_c_below_one", allow_c_below_one, bool)):
             _require(name, value, kind)
-        if self.trials < 1:
-            raise DomainError(f"trials must be >= 1, got {self.trials}")
+        if trials < 1:
+            raise DomainError(f"trials must be >= 1, got {trials}")
         if not 0 <= lo <= hi:
-            raise DomainError(f"invalid degree range {self.degree_range}")
-        object.__setattr__(self, "degree_range", (lo, hi))  # a list would be unhashable
+            raise DomainError(f"invalid degree range {degree_range}")
         # Within a degree past _MAX_DEGREE separation's run is longer than a
         # list can be (OverflowError); below it a huge degree runs out of memory.
         # lemma1's sextuple draws no degree.
-        if hi > _MAX_DEGREE and self.target != "lemma1":
+        if hi > _MAX_DEGREE and target != "lemma1":
             raise DomainError(f"degree range end {hi} is too large to draw "
                               f"(at most {_MAX_DEGREE})")
-        if self.target == "lemma3" and lo < 2:
+        if target == "lemma3" and lo < 2:
             raise DomainError("lemma3 campaigns need degree >= 2 (the gap references a_{m-2})")
-        if self.magnitude_bound < 1:
-            raise DomainError(f"magnitude bound must be >= 1, got {self.magnitude_bound}")
-        object.__setattr__(self, "shift_c", as_rational(self.shift_c))
-        if self.target != "corollary" and (self.shift_c != 1 or self.allow_c_below_one):
+        if magnitude_bound < 1:
+            raise DomainError(f"magnitude bound must be >= 1, got {magnitude_bound}")
+        shift_c = as_rational(shift_c)
+        if target != "corollary" and (shift_c != 1 or allow_c_below_one):
             raise DomainError(
-                f"{self.target} campaigns shift by 1 if at all; shift_c and "
+                f"{target} campaigns shift by 1 if at all; shift_c and "
                 "allow_c_below_one are for corollary campaigns")
-        if (self.target == "corollary" and self.shift_c < 1
-                and not self.allow_c_below_one):
+        if target == "corollary" and shift_c < 1 and not allow_c_below_one:
             raise DomainError(
                 "corollary campaigns enforce c >= 1; pass allow_c_below_one "
                 "for an exploratory run")
+        # A list degree range would be unhashable.
+        return super().__new__(cls, target, trials, seed, (lo, hi), magnitude_bound,
+                               integer_only, shift_c, allow_c_below_one)
+
+    @classmethod
+    def _make(cls, iterable) -> CampaignSpec:
+        # The NamedTuple's own _make, and _replace through it, skip __new__.
+        return cls(*iterable)
 
     def to_json_dict(self) -> dict:
         return {
@@ -224,18 +244,17 @@ class CampaignSpec:
         return self.target == "corollary" and self.shift_c < 1
 
 
-@dataclass
-class CampaignReport:
+class CampaignReport(NamedTuple):
     """Outcome of one campaign; wall_time is the only nondeterministic field."""
 
     spec: CampaignSpec
     trials_run: int
     coverage: dict[str, int]
     violations: list[dict]
-    findings: list[dict] = field(default_factory=list)
-    examples_found: dict[str, dict | None] = field(default_factory=dict)
-    stats: dict = field(default_factory=dict)
-    wall_time: float = 0.0
+    findings: list[dict]
+    examples_found: dict[str, dict | None]
+    stats: dict
+    wall_time: float
 
     def to_json_dict(self) -> dict:
         return {

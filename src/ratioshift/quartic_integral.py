@@ -44,14 +44,16 @@ This is the only module that touches floating point, and only at its
 boundary: P_m(x) is evaluated by Horner's rule on integers (P_m's integer
 numerators over their common denominator, x read as the exact ratio its
 float denotes) and converted to float by one correctly rounded division.
+
+``IntegralCheck`` is a NamedTuple: immutable, unpackable, and compared and
+hashed as the tuple of its fields.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .boros_moll import _check_int, bm_polynomial
 from .numeric_core import DomainError
@@ -286,8 +288,7 @@ def closed_form_rhs(x: float, m: int) -> float:
     return math.pi * p_m / (2.0 ** (m + 1.5) * (x + 1.0) ** (m + 0.5))
 
 
-@dataclass(frozen=True)
-class IntegralCheck:
+class IntegralCheck(NamedTuple):
     """One (m, x) comparison of quadrature against the closed form."""
 
     m: int

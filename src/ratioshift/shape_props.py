@@ -51,6 +51,9 @@ cheap dict key: a separation trial looks its audit and examples up by it.
 A witness's values are built as Fractions from the integers at its indices
 alone, at most four of them, and a Fails detail reads only those values.
 
+``Witness`` and ``PropertyVerdict`` are NamedTuples: immutable,
+unpackable, and compared and hashed as the tuples of their fields.
+
 Every Fails verdict carries a witness whose indices and values reproduce
 the violated inequality exactly; the witness layout per property is
 documented on each checker.
@@ -59,9 +62,8 @@ documented on each checker.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .numeric_core import render_rational
 from .poly_ops import Polynomial
@@ -103,8 +105,7 @@ class Status(enum.Enum):
 _HOLDS, _FAILS, _NOT_APPLICABLE = Status.HOLDS, Status.FAILS, Status.NOT_APPLICABLE
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(NamedTuple):
     """Indices into the sequence plus the exact values found there."""
 
     indices: tuple[int, ...]
@@ -117,8 +118,7 @@ class Witness:
         }
 
 
-@dataclass(frozen=True)
-class PropertyVerdict:
+class PropertyVerdict(NamedTuple):
     """Outcome of one property check on one sequence."""
 
     prop: str

@@ -31,13 +31,15 @@ false conclusion is returned as data, so a randomized campaign can prove it
 exercised a predicate instead of silently skipping it, and a hypothetical
 mathematical failure surfaces as a reproducible counterexample rather than
 an abort.
+
+``Lemma3Report`` is a NamedTuple: immutable, unpackable, and compared and
+hashed as the tuple of its fields.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .numeric_core import DomainError, as_rational, ratio_leq
 from .poly_ops import (Polynomial, ShiftAlgorithm, _from_cleared, _scaled_boundary,
@@ -75,8 +77,7 @@ def lemma1_holds(a: Fraction | int, b: Fraction | int, c: Fraction | int,
     return ratio_leq(a + c, b + d, e + c, f + d)
 
 
-@dataclass(frozen=True)
-class Lemma3Report:
+class Lemma3Report(NamedTuple):
     """Both sides of the nondecreasing-sequence inequality, exactly."""
 
     m: int

@@ -70,6 +70,18 @@ MUTANTS = (
            "    if min(s) >= 0:\n",
            (_LATTICE_TEST,)),
     # lemma2_preserved decides ratio monotonicity on the cleared ints.
+    # A positive-only property is not applicable on a zero entry.
+    Mutant("verdict: a zero entry taken as positive",
+           "src/ratioshift/shape_props.py",
+           "    if positive_only and min(s) <= 0:\n",
+           "    if positive_only and min(s) < 0:\n",
+           ("tests/test_shape_props.py::test_log_concave_not_applicable_on_zero",)),
+    # A separation row's example kinds: the first property holds, the second fails.
+    Mutant("separation examples: holds and fails swapped",
+           "src/ratioshift/fuzz_harness.py",
+           "if statuses[holds] is _HOLDS and statuses[fails] is _FAILS",
+           "if statuses[fails] is _HOLDS and statuses[holds] is _FAILS",
+           ("tests/test_fuzz_harness.py::test_separation_campaign_finds_and_counts_examples",)),
     Mutant("lemma2: a zero entry taken as positive",
            "src/ratioshift/theorem_engine.py",
            "return min(s) > 0 and _ratio_monotone_w(s) is None",
@@ -228,6 +240,12 @@ MUTANTS = (
            "                return s\n",
            "        return math.fsum(down(a, h, n))\n",
            ("tests/test_quartic_integral.py::test_top_down_sum_is_the_index_order_sum",)),
+    # argparse reads an option value of "--" as an empty list.
+    Mutant("cli: '--' taken as an option value",
+           "src/ratioshift/cli.py",
+           "            if isinstance(value, list):\n",
+           "            if False:\n",
+           ("tests/test_cli.py::test_dashdash_as_an_option_value_is_usage_error",)),
 )
 
 

@@ -6,6 +6,7 @@ recurrence; the two constructions share no code path beyond binomial().
 """
 
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,15 @@ def test_domain_guards():
         bm_shifted_seq(-1)
     with pytest.raises(DomainError):
         bm_ratio_identity(3, 3)
+
+
+@pytest.mark.parametrize("call", [bm_shifted_seq, bm_polynomial])
+def test_m_past_any_row_is_domain_error(call):
+    # A row of m + 1 entries past any list's length; math.comb used to end
+    # in an OverflowError traceback on `ratioshift boros-moll --m 10**60`.
+    for m in (sys.maxsize // 8, 10 ** 60):
+        with pytest.raises(DomainError, match="too large"):
+            call(m)
 
 
 @pytest.mark.parametrize("call", [

@@ -9,6 +9,7 @@ import io
 import json
 import math
 import os
+import random
 import re
 import signal
 import subprocess
@@ -234,6 +235,34 @@ def test_check_prop_list_order_preserved(poly_file, capsys):
     assert names == ["unimodal", "spiral"]
 
 
+# C(200, k) 2^600 ties every ratio link exactly, so the checkers' floor view
+# proves none of them and the exact products decide: it holds. One unit more
+# on the last entry breaks chain A's first link. 2^k 3^(200-k) 2^600 ties
+# every log-concave link exactly: it holds again. One unit less on entry 100
+# breaks link 100 alone.
+_TIE = [math.comb(200, k) << 600 for k in range(201)]
+_GEO = [2 ** k * 3 ** (200 - k) << 600 for k in range(201)]
+
+
+@pytest.mark.parametrize("row, props, indices", [
+    (_TIE, "ratio-monotone,log-concave", None),
+    (_TIE[:-1] + [_TIE[-1] + 1], "ratio-monotone,log-concave", [200, 0, 199, 1]),
+    (_GEO, "log-concave", None),
+    ([v - (k == 100) for k, v in enumerate(_GEO)], "log-concave", [99, 100, 101]),
+], ids=["tie", "broken", "geo", "geo_broken"])
+def test_check_decides_exact_ties_by_the_exact_products(poly_file, capsys, row, props,
+                                                        indices):
+    path = poly_file(" ".join(map(str, row)) + "\n")
+    code, out, _ = run(capsys, "check", "--props", props, path)
+    results = json.loads(out)["results"]
+    if indices is None:
+        assert code == 0
+        assert all(r["status"] == "holds" for r in results)
+    else:
+        assert code == 1
+        assert results[0]["witness"]["indices"] == indices
+
+
 # --- boros-moll ---
 
 def test_boros_moll_row(capsys):
@@ -370,6 +399,27 @@ def test_fuzz_prints_stats_inside_the_report(capsys):
     assert "seconds" in doc["timing"]
 
 
+# Separation trials read their audit and examples from a table of rows,
+# keyed by the four statuses, that each process builds for itself, and every
+# draw reads runs of one range each in one loop: a pool of two must report
+# what one process does.
+@pytest.mark.parametrize("target, argv", [
+    ("separation", ("--trials", "20000", "--degree-max", "6")),
+    *((target, ("--trials", "5000"))
+      for target in ("lemma3", "lemma1", "theorem1", "lemma2", "corollary")),
+])
+def test_fuzz_reports_the_same_with_one_or_two_jobs(capsys, target, argv):
+    reports = []
+    for jobs in ("1", "2"):
+        code, out, _ = run(capsys, "fuzz", "--target", target, "--seed", "7", *argv,
+                           "--jobs", jobs)
+        results = json.loads(out)["results"]
+        for result in results:
+            result.pop("wall_time")
+        reports.append((code, results))
+    assert reports[0] == reports[1]
+
+
 def test_fuzz_corollary_small_c_needs_flag(capsys):
     code, _, err = run(capsys, "fuzz", "--target", "corollary", "--trials", "10",
                        "--seed", "1", "--c", "1/2")
@@ -433,6 +483,27 @@ def test_fuzz_unknown_target_usage_error(capsys):
         main(["fuzz", "--target", "nope", "--trials", "5"])
     assert info.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("option, argv", [
+    ("--c", ("shift", "FILE", "--c=--")), ("--c", ("shift", "FILE", "--c", "--")),
+    ("--algo", ("shift", "FILE", "--c", "1", "--algo=--")),
+    ("--props", ("check", "FILE", "--props=--")),
+    ("--m", ("boros-moll", "--m=--")),
+    ("--m", ("verify-integral", "--m=--", "--x", "1")),
+    ("--x", ("verify-integral", "--m", "1", "--x=--")),
+    ("--tol", ("verify-integral", "--m", "1", "--x", "1", "--tol=--")),
+    ("--target", ("fuzz", "--target=--")),
+    ("--c", ("fuzz", "--target", "lemma1", "--c", "--")),
+    ("--trials", ("fuzz", "--target", "lemma1", "--trials=--")),
+])
+def test_dashdash_as_an_option_value_is_usage_error(poly_file, capsys, option, argv):
+    # argparse hands an option value of "--" to the program as an empty
+    # list, which used to end in an AttributeError or TypeError traceback.
+    path = poly_file("1 2 3\n")
+    code, out, err = run(capsys, *[path if a == "FILE" else a for a in argv])
+    assert (code, out) == (2, "")
+    assert err == f"ratioshift: error: {option}: '--' is not a value\n"
 
 
 # --- parser-level behavior ---
@@ -552,6 +623,99 @@ def test_any_argv_ends_in_an_exit_code(argv, content):
         assert out.getvalue() == ""
         assert err.getvalue().startswith("ratioshift: error: ")
         assert err.getvalue().count("\n") == 1
+
+
+# --- a seeded fuzz of main, standard library only ---
+# Every subcommand, with up to two of its options given a value from the
+# edge pool and the rest from small valid pools, and coefficient files of
+# valid, edge and random tokens. Trials, degrees and m stay small. The edge
+# pool's 60-digit number is withheld where it names an amount of work: as
+# --trials or --jobs it would run for ages or start a pool, and as --x the
+# quadrature runs all its doublings before it gives up.
+
+_SIXTY = "1" * 60
+_EDGE = ["--", "-", "0/0", "1/0", "nan", "inf", "\ufeff1", _SIXTY, "-3", "true"]
+_WORK = {"--trials", "--jobs", "--x"}
+_SEEDED_OPTIONS = {
+    "shift": {"--c": ["1", "-3/2", "0", "2/3"], "--algo": ["horner", "naive"]},
+    "check": {"--props": ["all", "log-concave", "ratio-monotone,spiral",
+                          "unimodal,no-internal-zeros,nonneg-nondecreasing"]},
+    "boros-moll": {"--m": [str(m) for m in range(13)]},
+    "verify-integral": {"--m": [str(m) for m in range(13)],
+                        "--x": ["2.0", "-0.5", "0", "-0.99", "1e3"],
+                        "--tol": ["1e-8", "1e-3"]},
+    "fuzz": {"--target": list(TARGETS), "--trials": ["1", "3", "5"],
+             "--seed": ["0", "7"], "--degree-min": ["0", "2"],
+             "--degree-max": ["3", "5", "8"], "--bound": ["1", "10", "1000000"],
+             "--c": ["1", "1", "3/2"], "--jobs": ["1"]},
+}
+_ALWAYS_GIVEN = {"--c", "--props", "--m", "--x", "--target", "--trials"}
+_SEEDED_FLAGS = {"boros-moll": ("--power-basis", "--json"),
+                 "fuzz": ("--integer-only", "--allow-c-below-one")}
+_JSON_COMMANDS = {"check", "verify-integral", "fuzz"}
+
+
+def _seeded_case(rng):
+    """One argument list (``FILE`` for the coefficient file) and the file's
+    bytes."""
+    command = rng.choice(list(_SEEDED_OPTIONS))
+    argv = [command]
+    options = _SEEDED_OPTIONS[command]
+    edged = rng.sample(list(options), min(len(options), rng.choice([0, 0, 1, 1, 2])))
+    for option, pool in options.items():
+        if option in _ALWAYS_GIVEN or rng.random() < 0.7:
+            if option in edged:
+                pool = [v for v in _EDGE if not (v == _SIXTY and option in _WORK)]
+            value = rng.choice(pool)
+            argv += [f"{option}={value}"] if rng.random() < 0.2 else [option, value]
+    argv += [flag for flag in _SEEDED_FLAGS.get(command, ()) if rng.random() < 0.3]
+    if command in ("shift", "check"):
+        argv.insert(rng.choice([1, len(argv)]), "FILE")
+    kind = rng.randrange(4)
+    if kind == 0:  # valid rationals
+        tokens = [f"{rng.randint(-5, 50)}/{rng.randint(1, 9)}" for _ in range(rng.randint(1, 9))]
+    elif kind == 1:  # valid entries with one edge token among them
+        tokens = [str(rng.randint(0, 9)) for _ in range(rng.randint(0, 8))]
+        tokens.insert(rng.randint(0, len(tokens)), rng.choice(_EDGE))
+    elif kind == 2:  # a nondecreasing row, maybe with a 60-digit entry
+        tokens = sorted((rng.choice([str(rng.randint(1, 99)), _SIXTY])
+                         for _ in range(rng.randint(1, 9))), key=int)
+    else:  # random bytes
+        return argv, bytes(rng.randrange(256) for _ in range(rng.randint(0, 30)))
+    sep = rng.choice([" ", "\n", " # note\n"])
+    return argv, ("\ufeff" * (rng.random() < 0.1) + sep.join(tokens)).encode()
+
+
+def test_seeded_argv_ends_in_an_exit_code(tmp_path):
+    rng = random.Random(31)
+    path = tmp_path / "coeffs.txt"
+    commands = set()
+    for _ in range(400):
+        argv, content = _seeded_case(rng)
+        path.write_bytes(content)
+        argv = [str(path) if a == "FILE" else a for a in argv]
+        commands.add(argv[0])
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse: a usage line, then its error
+                assert exc.code == 2, argv
+                assert out.getvalue() == "", argv
+                assert ": error: " in err.getvalue().splitlines()[-1], argv
+                continue
+        assert code in (0, 1, 2), argv
+        if code == 2:
+            assert out.getvalue() == "", argv
+            assert err.getvalue().startswith("ratioshift: error: "), argv
+            assert err.getvalue().count("\n") == 1, argv
+        elif argv[0] in _JSON_COMMANDS or "--json" in argv:
+            if code == 1 and out.getvalue() == "":  # a float check not completed
+                assert argv[0] == "verify-integral", argv
+                assert err.getvalue().count("\n") == 1, argv
+            else:
+                assert json.loads(out.getvalue())["command"] == argv[0], argv
+    assert commands == set(_SEEDED_OPTIONS)
 
 
 # --- the console script: failed writes and interrupts ---
