@@ -249,16 +249,25 @@ def _glue_c_values(argv: list[str]) -> list[str]:
     return glued
 
 
+def _refuse_dashdash_values(argv: list[str]) -> None:
+    # An option value of "--" (--c=--, or --c -- once glued) reaches the
+    # program as an empty list from older argparse (3.11, 3.12.1) and as the
+    # string "--" from newer (3.12.10, 3.13); refuse it before parsing, so
+    # every version says the same. Where a bare "--" ends the options
+    # differs between versions too, so every token is checked.
+    for arg in argv:
+        option, sep, value = arg.partition("=")
+        if option.startswith("--") and sep and value == "--":
+            raise _UsageError(f"{option}: '--' is not a value")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    args = parser.parse_args(_glue_c_values(list(argv if argv is not None else sys.argv[1:])))
-    args.started = time.perf_counter()  # the clock of a report's "timing" block
+    argv = _glue_c_values(list(argv if argv is not None else sys.argv[1:]))
     try:
-        # argparse reads an option value of "--" (--c=--, or --c -- once
-        # glued) as an empty list; no option takes a list.
-        for dest, value in vars(args).items():
-            if isinstance(value, list):
-                raise _UsageError(f"--{dest.replace('_', '-')}: '--' is not a value")
+        _refuse_dashdash_values(argv)
+        args = parser.parse_args(argv)
+        args.started = time.perf_counter()  # the clock of a report's "timing" block
         return args.func(args)
     # An input too large to hold, such as a campaign of degree 10**11, ends
     # in a MemoryError, which seldom carries a message.

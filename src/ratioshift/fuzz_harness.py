@@ -370,10 +370,10 @@ def _gen_positive_seq(seed: int, trial: int, degree: int, bound: int,
     return _from_cleared([num * (lcm // den) for num, den in zip(flat[::2], dens)], lcm)
 
 
-def _pick_degree(spec: CampaignSpec, trial: int) -> int:
-    """The trial's degree, uniform over ``spec.degree_range``."""
-    low, high = spec.degree_range
-    return _draw_run(f"{spec.seed}:{trial}:degree", low, high, 1)[0]
+def _pick_degree(seed: int, trial: int, degree_range: tuple[int, int]) -> int:
+    """The trial's degree, uniform over ``degree_range``."""
+    low, high = degree_range
+    return _draw_run(f"{seed}:{trial}:degree", low, high, 1)[0]
 
 
 def _render_seq(p: Polynomial) -> list[str]:
@@ -381,22 +381,24 @@ def _render_seq(p: Polynomial) -> list[str]:
     return [render_rational(v) for v in p.coeffs]
 
 
-def _draw_nondecreasing(spec: CampaignSpec, trial: int, positive: bool = False) -> Polynomial:
-    return _gen_nondecreasing(spec.seed, trial, _pick_degree(spec, trial), spec.magnitude_bound,
-                              spec.integer_only, positive)
+# A draw takes the spec's fields, not the spec: _run_trial reads them once.
+def _draw_nondecreasing(seed: int, trial: int, degree_range: tuple[int, int], bound: int,
+                        integer_only: bool, positive: bool = False) -> Polynomial:
+    return _gen_nondecreasing(seed, trial, _pick_degree(seed, trial, degree_range), bound,
+                              integer_only, positive)
 
 
-def _draw_positive(spec: CampaignSpec, trial: int) -> Polynomial:
-    return _gen_positive_seq(spec.seed, trial, _pick_degree(spec, trial),
-                             spec.magnitude_bound, spec.integer_only)
+def _draw_positive(seed: int, trial: int, degree_range: tuple[int, int], bound: int,
+                   integer_only: bool) -> Polynomial:
+    return _gen_positive_seq(seed, trial, _pick_degree(seed, trial, degree_range), bound,
+                             integer_only)
 
 
-def _draw_sextuple(spec: CampaignSpec, trial: int) -> Polynomial:
+def _draw_sextuple(seed: int, trial: int, degree_range: tuple[int, int], bound: int,
+                   integer_only: bool) -> Polynomial:
     """Positive (a, b, c, d, e, f) with a/b <= c/d <= e/f, for lemma1."""
     # Each numerator, then, unless integer-only, its denominator.
-    integer_only = spec.integer_only
-    flat = _draw_run(f"{spec.seed}:{trial}:lemma1", 1, spec.magnitude_bound,
-                     6 if integer_only else 12)
+    flat = _draw_run(f"{seed}:{trial}:lemma1", 1, bound, 6 if integer_only else 12)
     nums, dens = (flat, [1] * 6) if integer_only else (flat[::2], flat[1::2])
     b, d, f, *ratios = map(Fraction, nums, dens)
     r1, r2, r3 = sorted(ratios)
@@ -484,7 +486,7 @@ class _Target(NamedTuple):
     property's name, with underscores for hyphens.
     """
 
-    draw: Callable[[CampaignSpec, int], Polynomial]
+    draw: Callable[[int, int, tuple[int, int], int, bool], Polynomial]
     shifts: bool
     check: Callable[[Polynomial, Polynomial | None], _CheckResult]
     min_degree: int = 0
@@ -525,8 +527,9 @@ def _run_trial(spec: CampaignSpec, trial: int) -> tuple:
     not_applicable, payload, kept). bits is ``_bit_lengths`` of the draw and,
     if any, of its shift; payload is the rendered violation, or None; kept
     is None, or (example kinds, the draw's ints, its denominator)."""
-    draw, shifts, check, min_degree, _ = _TARGETS[spec.target]
-    seq = draw(spec, trial)
+    target, _, seed, degree_range, bound, integer_only, shift_c, _ = spec
+    draw, shifts, check, min_degree, _ = _TARGETS[target]
+    seq = draw(seed, trial, degree_range, bound, integer_only)
     ints, den = seq._cleared()
     degree = len(ints) - 1
     # Every draw is nonnegative, so its largest int is its largest magnitude;
@@ -534,14 +537,14 @@ def _run_trial(spec: CampaignSpec, trial: int) -> tuple:
     bits = max(ints).bit_length(), den.bit_length()
     shifted = None
     if shifts:
-        shifted = taylor_shift(seq, spec.shift_c)
+        shifted = taylor_shift(seq, shift_c)
         bits += _bit_lengths(shifted)
     exercised = degree >= min_degree
     try:
         failed, kinds = check(seq, shifted)
     except HypothesisError as exc:
         exercised = False
-        failed = [PropertyVerdict(spec.target, Status.NOT_APPLICABLE, None,
+        failed = [PropertyVerdict(target, Status.NOT_APPLICABLE, None,
                                   f"generator produced a hypothesis violation: {exc}")]
     if failed:
         # Rendered only for a failing trial: rendering every trial's input
@@ -549,7 +552,7 @@ def _run_trial(spec: CampaignSpec, trial: int) -> tuple:
         payload = {"trial": trial, "input": _render_seq(seq),
                    "verdicts": [v.to_json_dict() for v in failed]}
         if shifted is not None:
-            payload["shift_c"] = render_rational(spec.shift_c)
+            payload["shift_c"] = render_rational(shift_c)
             payload["shifted"] = _render_seq(shifted)
         return (trial, exercised, degree, bits,
                 any(v.status is Status.NOT_APPLICABLE for v in failed), payload, None)

@@ -69,7 +69,6 @@ MUTANTS = (
            "    if min(s) > 0:\n",
            "    if min(s) >= 0:\n",
            (_LATTICE_TEST,)),
-    # lemma2_preserved decides ratio monotonicity on the cleared ints.
     # A positive-only property is not applicable on a zero entry.
     Mutant("verdict: a zero entry taken as positive",
            "src/ratioshift/shape_props.py",
@@ -82,6 +81,7 @@ MUTANTS = (
            "if statuses[holds] is _HOLDS and statuses[fails] is _FAILS",
            "if statuses[fails] is _HOLDS and statuses[holds] is _FAILS",
            ("tests/test_fuzz_harness.py::test_separation_campaign_finds_and_counts_examples",)),
+    # lemma2_preserved decides ratio monotonicity on the cleared ints.
     Mutant("lemma2: a zero entry taken as positive",
            "src/ratioshift/theorem_engine.py",
            "return min(s) > 0 and _ratio_monotone_w(s) is None",
@@ -240,11 +240,11 @@ MUTANTS = (
            "                return s\n",
            "        return math.fsum(down(a, h, n))\n",
            ("tests/test_quartic_integral.py::test_top_down_sum_is_the_index_order_sum",)),
-    # argparse reads an option value of "--" as an empty list.
+    # argparse reads an option value of "--" as an empty list, or as "--".
     Mutant("cli: '--' taken as an option value",
            "src/ratioshift/cli.py",
-           "            if isinstance(value, list):\n",
-           "            if False:\n",
+           "        if option.startswith(\"--\") and sep and value == \"--\":\n",
+           "        if False:\n",
            ("tests/test_cli.py::test_dashdash_as_an_option_value_is_usage_error",)),
 )
 

@@ -181,8 +181,6 @@ def test_nondecreasing_draw_is_cleared_as_its_fractions(bound, positive, integer
 @pytest.mark.parametrize("integer_only", [False, True])
 @pytest.mark.parametrize("bound", [1, 3, 100, 10 ** 6])
 def test_positive_and_lemma1_draws_match_randint_reference(bound, integer_only):
-    spec = CampaignSpec(target="lemma1", trials=1, seed=13, magnitude_bound=bound,
-                        integer_only=integer_only)
     for trial in range(150):
         expected = reference_ratios(f"13:{trial}:positive-seq", [1] * (trial % 9 + 1), bound,
                                     integer_only)
@@ -190,7 +188,7 @@ def test_positive_and_lemma1_draws_match_randint_reference(bound, integer_only):
         assert list(drawn.coeffs) == expected
         b, d, f, *ratios = reference_ratios(f"13:{trial}:lemma1", [1] * 6, bound, integer_only)
         r1, r2, r3 = sorted(ratios)
-        assert fuzz_harness._draw_sextuple(spec, trial).coeffs == (
+        assert fuzz_harness._draw_sextuple(13, trial, (2, 16), bound, integer_only).coeffs == (
             r1 * b, b, r2 * d, d, r3 * f, f)
 
 
@@ -204,12 +202,9 @@ def test_positive_and_lemma1_draws_match_randint_reference(bound, integer_only):
 ])
 def test_degree_draw_matches_reference(degree_range, trials):
     for seed in (0, 13, 2024):
-        # A one-trial spec: a range of 2**300 degrees is drawn, never run.
-        # lemma1 draws no degree, so its spec alone takes a range past
-        # _MAX_DEGREE; the degree draw reads only the seed and the range.
-        spec = CampaignSpec(target="lemma1", trials=1, seed=seed, degree_range=degree_range)
+        # A range of 2**300 degrees is drawn, never run.
         for trial in range(trials):
-            assert fuzz_harness._pick_degree(spec, trial) == reference_degree(
+            assert fuzz_harness._pick_degree(seed, trial, degree_range) == reference_degree(
                 seed, trial, *degree_range)
 
 
@@ -218,8 +213,8 @@ def test_degree_draw_matches_reference(degree_range, trials):
     ((0, 2), 13.82),  # 2 degrees of freedom
 ])
 def test_degree_draw_is_uniform(degree_range, critical):
-    spec = CampaignSpec(target="theorem1", trials=1, seed=2024, degree_range=degree_range)
-    counts = Counter(fuzz_harness._pick_degree(spec, trial) for trial in range(30_000))
+    counts = Counter(fuzz_harness._pick_degree(2024, trial, degree_range)
+                     for trial in range(30_000))
     low, high = degree_range
     assert set(counts) == set(range(low, high + 1))
     expected = 30_000 / len(counts)
@@ -439,7 +434,8 @@ def test_separation_trial_builds_no_bookkeeping(monkeypatch):
     # own ints and denominator.
     spec = report.spec
     for trial, outcome in enumerate(outcomes):
-        seq = fuzz_harness._draw_positive(spec, trial)
+        seq = fuzz_harness._draw_positive(spec.seed, trial, spec.degree_range,
+                                          spec.magnitude_bound, spec.integer_only)
         assert type(outcome) is tuple
         assert outcome == (trial, True, seq.degree, fuzz_harness._bit_lengths(seq),
                            False, None, outcome[6])
