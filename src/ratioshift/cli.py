@@ -91,18 +91,14 @@ def _parse_c(text: str) -> Rational:
         raise _UsageError(f"--c: {exc}") from exc
 
 
-def _report(args: argparse.Namespace, inputs: dict, results: list) -> dict:
-    return {
+def _emit(args: argparse.Namespace, inputs: dict, results: list) -> None:
+    _print(json.dumps({
         "command": args.command,
         "version": __version__,
         "inputs": inputs,
         "results": results,
         "timing": {"seconds": time.perf_counter() - args.started},
-    }
-
-
-def _emit(doc: dict) -> None:
-    _print(json.dumps(doc, indent=2))
+    }, indent=2))
 
 
 def _cmd_shift(args: argparse.Namespace) -> int:
@@ -127,14 +123,11 @@ def _cmd_check(args: argparse.Namespace) -> int:
     coeffs = _read_coefficients(args.file)
     poly = Polynomial(coeffs)  # cleared once, for every checker
     verdicts = [CHECKERS[name](poly) for name in names]
-    doc = _report(
-        args,
-        {"file": args.file,
-         "coefficients": [render_rational(v) for v in coeffs],
-         "props": names},
-        [v.to_json_dict() for v in verdicts],
-    )
-    _emit(doc)
+    _emit(args,
+          {"file": args.file,
+           "coefficients": [render_rational(v) for v in coeffs],
+           "props": names},
+          [v.to_json_dict() for v in verdicts])
     return 0 if all(v.holds for v in verdicts) else 1
 
 
@@ -145,8 +138,8 @@ def _cmd_boros_moll(args: argparse.Namespace) -> int:
     values = bm_polynomial(args.m).coeffs if args.power_basis else bm_shifted_seq(args.m)
     rendered = [render_rational(v) for v in values]
     if args.json:
-        _emit(_report(args, {"m": args.m, "mode": basis},
-                      [{"m": args.m, "basis": basis, "coefficients": rendered}]))
+        _emit(args, {"m": args.m, "mode": basis},
+              [{"m": args.m, "basis": basis, "coefficients": rendered}])
     else:
         _print("\n".join(rendered))
     return 0
@@ -163,10 +156,7 @@ def _cmd_verify_integral(args: argparse.Namespace) -> int:
         print(f"ratioshift: the float check could not be completed: "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
-    doc = _report(args,
-                  {"m": args.m, "x": args.x, "tol": args.tol},
-                  [check.to_json_dict()])
-    _emit(doc)
+    _emit(args, {"m": args.m, "x": args.x, "tol": args.tol}, [check.to_json_dict()])
     return 0 if check.passed else 1
 
 
@@ -182,8 +172,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
         allow_c_below_one=args.allow_c_below_one,
     )
     report = run_campaign(spec, jobs=args.jobs)
-    doc = _report(args, {"target": args.target}, [report.to_json_dict()])
-    _emit(doc)
+    _emit(args, {"target": args.target}, [report.to_json_dict()])
     return 1 if report.violations else 0
 
 

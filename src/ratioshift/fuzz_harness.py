@@ -228,16 +228,12 @@ class CampaignSpec(_SpecFields):
         return cls(*iterable)
 
     def to_json_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "trials": self.trials,
-            "seed": self.seed,
-            "degree_range": list(self.degree_range),
-            "magnitude_bound": self.magnitude_bound,
-            "integer_only": self.integer_only,
-            "shift_c": render_rational(self.shift_c),
-            "allow_c_below_one": self.allow_c_below_one,
-        }
+        """The fields in order, keyed by name; ``degree_range`` as a list and
+        ``shift_c`` as its ``p/q`` string."""
+        d = self._asdict()
+        d["degree_range"] = list(self.degree_range)
+        d["shift_c"] = render_rational(self.shift_c)
+        return d
 
     @property
     def exploratory(self) -> bool:
@@ -257,16 +253,11 @@ class CampaignReport(NamedTuple):
     wall_time: float
 
     def to_json_dict(self) -> dict:
-        return {
-            "spec": self.spec.to_json_dict(),
-            "trials_run": self.trials_run,
-            "coverage": self.coverage,
-            "violations": self.violations,
-            "findings": self.findings,
-            "examples_found": self.examples_found,
-            "stats": self.stats,
-            "wall_time": self.wall_time,
-        }
+        """The fields in order, keyed by name; ``spec`` as its own
+        ``to_json_dict()``."""
+        d = self._asdict()
+        d["spec"] = self.spec.to_json_dict()
+        return d
 
 
 def _draw_run(label: str, low: int, high: int, count: int) -> list[int]:

@@ -300,15 +300,10 @@ class IntegralCheck(NamedTuple):
     passed: bool
 
     def to_json_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "x": self.x,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "rel_err": self.rel_err,
-            "tol": self.tol,
-            "pass": self.passed,
-        }
+        """The fields in order, keyed by name; ``passed`` is keyed ``pass``."""
+        d = self._asdict()
+        d["pass"] = d.pop("passed")
+        return d
 
 
 def verify_identity(x: float, m: int, tol: float) -> IntegralCheck:

@@ -40,6 +40,7 @@ _SHIFT_TEST = "tests/test_poly_ops.py::test_horner_matches_oracle_at_every_short
 _ROW_TEST = "tests/test_boros_moll.py::test_row_recurrence_matches_coefficient_formula"
 _LEVEL_TEST = "tests/test_quartic_integral.py::test_level_yields_n_points_each_the_literal_value"
 _QUADRATURE_TEST = "tests/test_quartic_integral.py::test_quadrature_is_literal_simpson_bit_for_bit"
+_REPORT_TEST = "tests/test_records.py::test_report_is_the_fields_in_order_and_survives_json"
 
 
 class Mutant(NamedTuple):
@@ -219,6 +220,11 @@ MUTANTS = (
            "        if not u < last:\n",
            "        if u > last:\n",
            (_LEVEL_TEST,)),
+    Mutant("level: a NaN u spins",
+           "src/ratioshift/quartic_integral.py",
+           "    while u < last:\n",
+           "    while not u >= last:\n",
+           ("tests/test_quartic_integral.py::test_level_at_nan_yields_one_value_and_stops",)),
     Mutant("top-down level: skip threshold 2^(-50/e)",
            "src/ratioshift/quartic_integral.py",
            "    t = 2.0 ** (-54.0 / e)\n    u = (n - 0.5) * h\n",
@@ -246,6 +252,23 @@ MUTANTS = (
            "        if option.startswith(\"--\") and sep and value == \"--\":\n",
            "        if False:\n",
            ("tests/test_cli.py::test_dashdash_as_an_option_value_is_usage_error",)),
+    # A report is its record's fields in order, keyed by name; each key or
+    # value it renders differently has one line of its own.
+    Mutant("report: passed not renamed pass",
+           "src/ratioshift/quartic_integral.py",
+           "        d[\"pass\"] = d.pop(\"passed\")\n",
+           "",
+           (f"{_REPORT_TEST}[IntegralCheck]",)),
+    Mutant("report: degree_range left a tuple",
+           "src/ratioshift/fuzz_harness.py",
+           "        d[\"degree_range\"] = list(self.degree_range)\n",
+           "",
+           (f"{_REPORT_TEST}[CampaignSpec]",)),
+    Mutant("report: spec left unrendered",
+           "src/ratioshift/fuzz_harness.py",
+           "        d[\"spec\"] = self.spec.to_json_dict()\n",
+           "",
+           (f"{_REPORT_TEST}[CampaignReport]",)),
 )
 
 

@@ -550,12 +550,20 @@ def test_blocks_fold_into_the_one_block_report(monkeypatch, spec, jobs):
 
 
 @pytest.mark.parametrize("target", [t for t in TARGETS if t != "lemma1"])
-def test_degree_past_any_list_is_refused_before_a_trial(target):
+def test_degree_past_any_list_is_refused_before_a_trial(monkeypatch, target):
     # Within a degree past the bound separation's run of 2·(degree + 1)
     # values could not be sized as a list at all (OverflowError). At it
     # every draw's run is refused at once (MemoryError), only because
     # _draw_run sizes its list before it reads a value: a run grown value by
-    # value would allocate until the process is killed.
+    # value would allocate until the process is killed. So at the bound
+    # every digest but the degree's raises, and such a run fails at once.
+    real_sha256 = fuzz_harness._sha256
+
+    def degree_digest_only(data):
+        if not data.endswith(b":degree"):
+            raise AssertionError(f"digest of {data!r} before the run's list was sized")
+        return real_sha256(data)
+
     top = fuzz_harness._MAX_DEGREE
     with pytest.raises(DomainError, match=f"degree range end {top + 1} is too large"):
         run_campaign(CampaignSpec(target=target, trials=1, seed=0, degree_range=(top + 1,) * 2))
@@ -564,6 +572,7 @@ def test_degree_past_any_list_is_refused_before_a_trial(target):
         with pytest.raises(DomainError, match=f"^degree range end {end} is too large to draw "
                            fr"\(at most {top}\)$"):
             CampaignSpec(target=target, trials=1, seed=0, degree_range=(0, end))
+    monkeypatch.setattr(fuzz_harness, "_sha256", degree_digest_only)
     with pytest.raises(MemoryError):
         run_campaign(CampaignSpec(target=target, trials=1, seed=0, degree_range=(top, top)))
 

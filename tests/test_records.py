@@ -1,11 +1,12 @@
-"""The package's result records: their repr, equality, hashing, pickling and
-immutability.
+"""The package's result records: their repr, equality, hashing, pickling,
+immutability and JSON reports.
 
 Each record is a NamedTuple. The reprs below are the strings the package
 has always printed, and a ``--jobs 2`` pool ships records between processes
 by pickle, so each must come back equal.
 """
 
+import json
 import pickle
 from fractions import Fraction
 
@@ -117,3 +118,33 @@ def test_spec_replace_and_make_check_their_fields():
         spec._replace(trials=0)
     with pytest.raises(DomainError, match="unknown target"):
         CampaignSpec._make(("nope", *spec[1:]))
+
+
+_SPEC_JSON = {"target": "corollary", "trials": 3, "seed": 7, "degree_range": [2, 3],
+              "magnitude_bound": 1000000, "integer_only": False, "shift_c": "3/2",
+              "allow_c_below_one": False}
+
+# Each report's (key, value) pairs in order. IntegralCheck, CampaignSpec and
+# CampaignReport key them by the record's field names, renaming only passed.
+_REPORTS = {
+    "Witness": [("indices", [1]), ("values", ["0"])],
+    "PropertyVerdict": [("property", "log-concave"), ("status", "not-applicable"),
+                        ("witness", {"indices": [1], "values": ["0"]}),
+                        ("detail", "nonpositive entry 0 at index 1")],
+    "IntegralCheck": [("m", 1), ("x", 0.5), ("lhs", 0.6045997880700239),
+                      ("rhs", 0.6045997880780726), ("rel_err", 1.3312397718345216e-11),
+                      ("tol", 1e-08), ("pass", True)],
+    "CampaignSpec": list(_SPEC_JSON.items()),
+    "CampaignReport": [("spec", _SPEC_JSON), ("trials_run", 3),
+                       ("coverage", {"non_vacuous_trials": 3}), ("violations", []),
+                       ("findings", []), ("examples_found", {}),
+                       ("stats", {"degrees": {"2": 1, "3": 2}}), ("wall_time", 0.0)],
+}
+
+
+@pytest.mark.parametrize("name", _REPORTS)
+def test_report_is_the_fields_in_order_and_survives_json(name):
+    d = _RECORDS[name][0]().to_json_dict()
+    assert list(d.items()) == _REPORTS[name]
+    # A tuple or a record left in the report would come back as a list.
+    assert json.loads(json.dumps(d)) == d
