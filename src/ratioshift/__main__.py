@@ -1,20 +1,40 @@
 """``python -m ratioshift``, and the console script's target.
 
-``run`` imports the CLI inside an interrupt handler: the package's
-``__init__`` loads no module, so an interrupt while any of them loads ends
-as one after them does, in exit 130 with one line on stderr.
+``run`` is the console script: ``cli.main``, then stdout flushed. Besides
+the exit codes ``main`` returns, it owns two, each with one line on stderr
+instead of a traceback: 2 when stdout cannot be written (a closed pipe, a
+full disk), and 130 on an interrupt. It imports the CLI inside its
+interrupt handler: the package's ``__init__`` loads no module, so an
+interrupt while any of them loads ends as one after them does.
 """
 
+import os
 import sys
 
 
 def run() -> None:
     try:
-        from .cli import entry
+        from .cli import _OutputError, main
+        try:
+            try:
+                code = main()
+            except SystemExit as exc:  # argparse: --help, --version, usage errors
+                code = exc.code
+            try:
+                sys.stdout.flush()  # buffered output that cannot be written fails here
+            except OSError as exc:
+                raise _OutputError from exc
+        except _OutputError:
+            # Python flushes stdout again at exit, which would fail again;
+            # point it at devnull first, as the signal module's note on
+            # SIGPIPE shows.
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            print("ratioshift: error: cannot write output", file=sys.stderr)
+            code = 2
     except KeyboardInterrupt:
         print("ratioshift: interrupted", file=sys.stderr)
-        sys.exit(130)
-    entry()
+        code = 130
+    sys.exit(code)
 
 
 if __name__ == "__main__":

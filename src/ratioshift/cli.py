@@ -9,17 +9,17 @@ quartic-integral fields are decimal floats.
 Coefficient files are whitespace- or newline-separated rational tokens
 (``p``, ``p/q``, or an exact decimal); ``#`` starts a comment.
 
-The console script (``__main__.run``, which imports this module and calls
-``entry``) adds two exits of its own: 2 when stdout cannot be written (a
-closed pipe, a full disk), and 130 on an interrupt, each with one line on
-stderr.
+``main`` returns these codes, or leaves through argparse's own
+``SystemExit`` (0 for ``--help`` and ``--version``, 2 for a usage error).
+The console script is ``__main__.run``: it calls ``main`` and owns two
+exits of its own, 2 when stdout cannot be written (a closed pipe, a full
+disk) and 130 on an interrupt, each with one line on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import re
 import sys
 import time
@@ -33,7 +33,7 @@ from .poly_ops import Polynomial, ShiftAlgorithm, taylor_shift
 from .quartic_integral import QuadratureError, verify_identity
 from .shape_props import CHECKERS
 
-__all__ = ["entry", "main"]
+__all__ = ["main"]
 
 
 class _UsageError(Exception):
@@ -41,7 +41,7 @@ class _UsageError(Exception):
 
 
 class _OutputError(Exception):
-    """Stdout could not be written; ``entry`` maps it to exit code 2."""
+    """Stdout could not be written; ``__main__.run`` maps it to exit code 2."""
 
 
 def _print(text: str) -> None:
@@ -156,6 +156,9 @@ def _cmd_verify_integral(args: argparse.Namespace) -> int:
         print(f"ratioshift: the float check could not be completed: "
               f"{type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
+    except QuadratureError as exc:
+        print(f"ratioshift: quadrature did not converge: {exc}", file=sys.stderr)
+        return 1
     _emit(args, {"m": args.m, "x": args.x, "tol": args.tol}, [check.to_json_dict()])
     return 0 if check.passed else 1
 
@@ -226,36 +229,30 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _glue_c_values(argv: list[str]) -> list[str]:
-    # argparse treats "-3/2" after "--c" as an unknown flag, so fold the
-    # value into the option token before parsing.
+def _argv_for_parser(argv: list[str]) -> list[str]:
+    """argv with each ``--c X`` glued into ``--c=X``: argparse treats "-3/2"
+    after "--c" as an unknown flag. An option value of "--" (``--c=--``, or
+    ``--c --`` once glued) reaches the program as an empty list from older
+    argparse (3.11, 3.12.1) and as the string "--" from newer (3.12.10,
+    3.13), so it is refused here, and every version says the same. Where a
+    bare "--" ends the options differs between versions too, so every token
+    is checked."""
     glued = []
     for arg in argv:
         if glued and glued[-1] == "--c":
-            glued[-1] = f"--c={arg}"
+            glued[-1] = arg = f"--c={arg}"
         else:
             glued.append(arg)
-    return glued
-
-
-def _refuse_dashdash_values(argv: list[str]) -> None:
-    # An option value of "--" (--c=--, or --c -- once glued) reaches the
-    # program as an empty list from older argparse (3.11, 3.12.1) and as the
-    # string "--" from newer (3.12.10, 3.13); refuse it before parsing, so
-    # every version says the same. Where a bare "--" ends the options
-    # differs between versions too, so every token is checked.
-    for arg in argv:
         option, sep, value = arg.partition("=")
         if option.startswith("--") and sep and value == "--":
             raise _UsageError(f"{option}: '--' is not a value")
+    return glued
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
-    argv = _glue_c_values(list(argv if argv is not None else sys.argv[1:]))
     try:
-        _refuse_dashdash_values(argv)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_argv_for_parser(sys.argv[1:] if argv is None else argv))
         args.started = time.perf_counter()  # the clock of a report's "timing" block
         return args.func(args)
     # An input too large to hold, such as a campaign of degree 10**11, ends
@@ -263,31 +260,3 @@ def main(argv: list[str] | None = None) -> int:
     except (_UsageError, DomainError, ParseError, MemoryError) as exc:
         print(f"ratioshift: error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
-    except QuadratureError as exc:
-        print(f"ratioshift: quadrature did not converge: {exc}", file=sys.stderr)
-        return 1
-
-
-def entry() -> None:
-    """The console script: ``main``, then stdout flushed. A failed write to
-    stdout ends in exit 2 and an interrupt in exit 130, each with one line
-    on stderr instead of a traceback."""
-    try:
-        try:
-            code = main()
-        except SystemExit as exc:  # argparse: --help, --version, usage errors
-            code = exc.code
-        try:
-            sys.stdout.flush()  # buffered output that cannot be written fails here
-        except OSError as exc:
-            raise _OutputError from exc
-    except _OutputError:
-        # Python flushes stdout again at exit, which would fail again; point
-        # it at devnull first, as the signal module's note on SIGPIPE shows.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        print("ratioshift: error: cannot write output", file=sys.stderr)
-        code = 2
-    except KeyboardInterrupt:
-        print("ratioshift: interrupted", file=sys.stderr)
-        code = 130
-    sys.exit(code)

@@ -224,7 +224,7 @@ def _simpson(level: _Level, a: float, b: float, tol: float,
     raise QuadratureError(
         "Simpson refinement did not converge",
         iterations=_MAX_DOUBLINGS,
-        last_value=simpson_prev if simpson_prev is not None else trap,
+        last_value=simpson_prev,
         last_error=last_err,
     )
 

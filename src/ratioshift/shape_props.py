@@ -194,10 +194,11 @@ class _LazyTable(dict):
     """A dict that builds a key's value with ``build(key)`` on its first
     lookup: each finder's link table by degree m, and a separation trial's
     row by its four statuses (``fuzz_harness._LATTICE_ROWS``, 81 keys, all
-    kept). A hit takes about 32 ns, where an ``lru_cache`` call took 53
+    kept). A hit takes about 32 ns, where an ``lru_cache`` call takes 53
     (timeit, CPython 3.11); a separation trial makes four. Only the first
-    _KEPT_ENTRIES values are kept, as many as that cache held, so memory
-    stays bounded however many degrees a process checks; any other is built
+    _KEPT_ENTRIES values are kept, so memory stays bounded however many
+    degrees a process checks; that is more than the 81 rows, and more than
+    the 63 degrees a theorem1 campaign draws (2..64). Any other key is built
     on each lookup, for less than its finder's pass over a row that holds."""
 
     def __init__(self, build) -> None:
@@ -236,8 +237,9 @@ def _spiral_w(s: Sequence[int]) -> tuple[int, ...] | None:
 # trials (seed 7, degree 2..64) at 64 bits, and at 16; a wider view proves
 # links closer to a tie. Below the gate a row of 3..7 entries pays the link
 # table, a call frame and one ``t is s`` test a link: about 20% more per
-# finder call than the two exact loops this replaced (80-160 ns on 380-700 ns;
-# timeit, both interleaved in one process, best of 40, CPython 3.11).
+# finder call than a loop of exact products written out for each property
+# (80-160 ns on 380-700 ns; timeit, both interleaved in one process, best of
+# 40, CPython 3.11), the price of one finder for both chains.
 _FLOOR_BITS = 64
 
 

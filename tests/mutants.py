@@ -252,6 +252,19 @@ MUTANTS = (
            "        if option.startswith(\"--\") and sep and value == \"--\":\n",
            "        if False:\n",
            ("tests/test_cli.py::test_dashdash_as_an_option_value_is_usage_error",)),
+    # The console script maps an interrupt, also one while the package
+    # loads, to exit 130, and a stdout it cannot flush to exit 2.
+    Mutant("console: an interrupt not caught",
+           "src/ratioshift/__main__.py",
+           "    except KeyboardInterrupt:\n",
+           "    except ArithmeticError:\n",
+           ("tests/test_cli.py::"
+            "test_interrupt_while_the_package_loads_is_one_line_and_exit_130",)),
+    Mutant("console: a failed flush ignored",
+           "src/ratioshift/__main__.py",
+           "            raise _OutputError from exc\n",
+           "            pass\n",
+           ("tests/test_cli.py::test_closed_pipe_is_one_line_and_exit_two",)),
     # A report is its record's fields in order, keyed by name; each key or
     # value it renders differently has one line of its own.
     Mutant("report: passed not renamed pass",

@@ -14,19 +14,15 @@ import re
 import signal
 import subprocess
 import sys
-import tempfile
 import time
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import ratioshift
 from ratioshift import cli, poly_ops
 from ratioshift.cli import main
 from ratioshift.fuzz_harness import TARGETS
-from ratioshift.shape_props import CHECKERS
 
 
 @pytest.fixture
@@ -529,119 +525,25 @@ def test_version_flag(capsys):
 
 
 # --- any argv: an exit code, never an exception ---
-# argv is built from the real subcommands and flags, values near and past
-# their limits, junk tokens and coefficient files of any bytes. main returns
-# 0, 1 or 2; only argparse's own exits (usage errors, --help, --version)
-# leave it, as SystemExit with 2 or 0, which entry maps the same way. Every
-# number is bounded (degree <= 8, trials <= 5, m <= 20) so no example runs a
-# long campaign or quadrature.
-
-def _mostly(valid, *invalid):
-    """Tokens drawn from ``valid`` three times in four, else from ``invalid``."""
-    return st.sampled_from([*valid, *valid, *valid, *invalid])
-
-
-# C(12, k) 2^600: every ratio link an exact tie, long and wide enough for the
-# finders' floor view; one unit more on a_12 breaks chain A's first link.
-_WIDE = [math.comb(12, k) << 600 for k in range(13)]
-
-_FILES = st.one_of(
-    st.binary(max_size=40),
-    st.sampled_from([b"1/0", "\uff11\uff12 \uff13".encode(), b"1" * 4301, b"", b"# only\n",
-                     b"1 2 3", b"0 1 0 2", b"-1/2 3 0.25", b"1e5 2", b"\xff\xfe1",
-                     *(" ".join(map(str, row)).encode()
-                       for row in (_WIDE, _WIDE[:-1] + [_WIDE[-1] + 1]))]),
-    st.lists(st.fractions(max_denominator=50).map(str), min_size=1, max_size=9)
-    .map(lambda tokens: " ".join(tokens).encode()),
-)
-
-_RATIONALS = _mostly(["1", "-3/2", "0", "2/3", "1/2", "3", "-0.25"],
-                     "1/0", "abc", "\uff11", "1" + "0" * 400)
-_UP_TO = {n: [str(k) for k in range(n + 1)] for n in (5, 8, 20)}
-_OPTIONS = {
-    "shift": {"--c": _RATIONALS, "--algo": _mostly(["horner", "naive"], "fft")},
-    "check": {"--props": st.lists(_mostly([*CHECKERS, "all"], "foo", ""),
-                                  min_size=1, max_size=3).map(",".join)},
-    "boros-moll": {"--m": _mostly(_UP_TO[20], "-1", "x", "1.5")},
-    "verify-integral": {
-        "--m": _mostly(_UP_TO[20], "-1", "x", "1.5"),
-        "--x": _mostly(["2.0", "-0.5", "0", "-0.99", "1e3", "1e-300"],
-                       "1e80", "1e308", "-1", "-2", "nan", "inf", "x"),
-        "--tol": _mostly(["1e-8", "1e-3"], "0", "-1", "nan", "inf", "x"),
-    },
-    "fuzz": {
-        "--target": _mostly(TARGETS, "nope"),
-        "--trials": _mostly(_UP_TO[5], "-1", "x"),
-        "--seed": _mostly(_UP_TO[8], "-3"),
-        "--degree-min": _mostly(_UP_TO[5], "-2", "8"),
-        "--degree-max": _mostly(_UP_TO[8][4:], "-1", "0"),
-        "--bound": _mostly(["1", "2", "10", "1000000"], "0", "-1"),
-        # A --c other than 1 is an error outside corollary.
-        "--c": _mostly(["1", "1", "3/2"], "1/2", "-3/2", "0", "x"),
-        "--jobs": _mostly(["1"], "0", "-1"),
-    },
-}
-_FLAGS = {"boros-moll": ("--power-basis", "--json"),
-          "fuzz": ("--integer-only", "--allow-c-below-one")}
-_JUNK = st.sampled_from(["--", "-", "--bogus", "--help", "--version", "--m", "-1", "nan",
-                         "\uff11", ""])
-_USUALLY = _mostly([True], False)
-_ALMOST_ALWAYS = _mostly([True] * 6, False)  # what is required is left out 1 time in 19
-_REQUIRED = ("--c", "--props", "--m", "--x", "--target")
-
-
-@st.composite
-def _argv(draw):
-    command = draw(_mostly(list(_OPTIONS), "nope", ""))
-    argv = [command]
-    optional = st.booleans() if command == "fuzz" else _USUALLY  # fuzz has the most
-    for option, values in _OPTIONS.get(command, {}).items():
-        if draw(_ALMOST_ALWAYS if option in _REQUIRED else optional):
-            argv += [option, draw(values)]
-    argv += [flag for flag in _FLAGS.get(command, ()) if draw(st.booleans())]
-    if command in ("shift", "check") and draw(_ALMOST_ALWAYS):
-        argv.append(draw(_mostly(["FILE"], "missing.txt", ".")))
-    if not draw(_USUALLY):  # a junk token, one time in four
-        argv.insert(draw(st.integers(0, len(argv))), draw(_JUNK))
-    return argv
-
-
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(_argv(), _FILES)
-def test_any_argv_ends_in_an_exit_code(argv, content):
-    out, err = io.StringIO(), io.StringIO()
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "coeffs.txt")
-        with open(path, "wb") as f:
-            f.write(content)
-        argv = [path if a == "FILE" else os.path.join(tmp, a) if a == "missing.txt" else a
-                for a in argv]
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            try:
-                code = main(argv)
-            except SystemExit as exc:
-                assert exc.code in (0, 2)
-                return
-    assert code in (0, 1, 2)
-    if code == 2:
-        # An input error prints one line and nothing on stdout.
-        assert out.getvalue() == ""
-        assert err.getvalue().startswith("ratioshift: error: ")
-        assert err.getvalue().count("\n") == 1
-
-
-# --- a seeded fuzz of main, standard library only ---
-# Every subcommand, with up to two of its options given a value from the
-# edge pool and the rest from small valid pools, and coefficient files of
-# valid, edge and random tokens. Trials, degrees and m stay small. The edge
-# pool's 60-digit number is withheld where it names an amount of work: as
-# --trials or --jobs it would run for ages or start a pool, and as --x the
-# quadrature runs all its doublings before it gives up.
+# A seeded fuzz of main, standard library only. Each case is a subcommand
+# with up to two of its options given a value from the edge pool; each other
+# option takes a value from a small valid pool, or one time in five from its
+# own invalid values (fft, 1.5, 1e80, 1e308, -2, a --degree-min above every
+# --degree-max). A required option is left out one time in twenty, and in
+# 15% of the cases a junk token, --help and --version among them, goes
+# anywhere. The coefficient file holds valid, edge, random or special bytes,
+# or is missing, or is a directory. main returns 0, 1 or 2; only argparse's
+# own exits (usage errors, --help, --version) leave it, as SystemExit with 2
+# or 0, which __main__.run passes on. Trials, degrees and m stay small, and
+# --trials is always given, since its default is 1,000. The edge pool's
+# 60-digit number is withheld where it names an amount of work: as --trials
+# or --jobs it would run for ages or start a pool, and as --x the quadrature
+# runs all its doublings before it gives up.
 
 _SIXTY = "1" * 60
 _EDGE = ["--", "-", "0/0", "1/0", "nan", "inf", "\ufeff1", _SIXTY, "-3", "true"]
 _WORK = {"--trials", "--jobs", "--x"}
-_SEEDED_OPTIONS = {
+_OPTIONS = {
     "shift": {"--c": ["1", "-3/2", "0", "2/3"], "--algo": ["horner", "naive"]},
     "check": {"--props": ["all", "log-concave", "ratio-monotone,spiral",
                           "unimodal,no-internal-zeros,nonneg-nondecreasing"]},
@@ -652,31 +554,45 @@ _SEEDED_OPTIONS = {
     "fuzz": {"--target": list(TARGETS), "--trials": ["1", "3", "5"],
              "--seed": ["0", "7"], "--degree-min": ["0", "2"],
              "--degree-max": ["3", "5", "8"], "--bound": ["1", "10", "1000000"],
-             "--c": ["1", "1", "3/2"], "--jobs": ["1"]},
+             "--c": ["1", "1", "3/2", "1/2"], "--jobs": ["1"]},
 }
-_ALWAYS_GIVEN = {"--c", "--props", "--m", "--x", "--target", "--trials"}
-_SEEDED_FLAGS = {"boros-moll": ("--power-basis", "--json"),
-                 "fuzz": ("--integer-only", "--allow-c-below-one")}
+_INVALID = {"--algo": ["fft"], "--m": ["1.5"], "--x": ["1e80", "1e308", "-2"],
+            "--degree-min": ["-2", "8"]}
+_REQUIRED = {"--c", "--props", "--m", "--x", "--target"}
+_FLAGS = {"boros-moll": ("--power-basis", "--json"),
+          "fuzz": ("--integer-only", "--allow-c-below-one")}
+_JUNK = ["--", "-", "--bogus", "--help", "--version", "--m", "-1", "nan", "\uff11", ""]
+# C(12, k) 2^600: every ratio link an exact tie, long and wide enough for the
+# finders' floor view; one unit more on a_12 breaks chain A's first link.
+_WIDE = [math.comb(12, k) << 600 for k in range(13)]
+_SPECIAL_FILES = [b"1/0", "\uff11\uff12 \uff13".encode(), b"1" * 4301, b"", b"# only\n",
+                  b"1e5 2", b"\xff\xfe1",
+                  *(" ".join(map(str, row)).encode()
+                    for row in (_WIDE, _WIDE[:-1] + [_WIDE[-1] + 1]))]
 _JSON_COMMANDS = {"check", "verify-integral", "fuzz"}
 
 
 def _seeded_case(rng):
-    """One argument list (``FILE`` for the coefficient file) and the file's
-    bytes."""
-    command = rng.choice(list(_SEEDED_OPTIONS))
+    """The subcommand, one argument list (``FILE`` for the coefficient
+    file, ``MISSING`` for a file that is not there) and the file's bytes."""
+    command = rng.choice(list(_OPTIONS))
     argv = [command]
-    options = _SEEDED_OPTIONS[command]
+    options = _OPTIONS[command]
     edged = rng.sample(list(options), min(len(options), rng.choice([0, 0, 1, 1, 2])))
     for option, pool in options.items():
-        if option in _ALWAYS_GIVEN or rng.random() < 0.7:
+        if option == "--trials" or rng.random() < (0.95 if option in _REQUIRED else 0.7):
             if option in edged:
                 pool = [v for v in _EDGE if not (v == _SIXTY and option in _WORK)]
+            elif option in _INVALID and rng.random() < 0.2:
+                pool = _INVALID[option]
             value = rng.choice(pool)
             argv += [f"{option}={value}"] if rng.random() < 0.2 else [option, value]
-    argv += [flag for flag in _SEEDED_FLAGS.get(command, ()) if rng.random() < 0.3]
-    if command in ("shift", "check"):
-        argv.insert(rng.choice([1, len(argv)]), "FILE")
-    kind = rng.randrange(4)
+    argv += [flag for flag in _FLAGS.get(command, ()) if rng.random() < 0.3]
+    if command in ("shift", "check") and rng.random() < 0.95:
+        argv.insert(rng.choice([1, len(argv)]), rng.choice(["FILE"] * 8 + ["MISSING", "."]))
+    if rng.random() < 0.15:
+        argv.insert(rng.randint(0, len(argv)), rng.choice(_JUNK))
+    kind = rng.randrange(5)
     if kind == 0:  # valid rationals
         tokens = [f"{rng.randint(-5, 50)}/{rng.randint(1, 9)}" for _ in range(rng.randint(1, 9))]
     elif kind == 1:  # valid entries with one edge token among them
@@ -685,54 +601,64 @@ def _seeded_case(rng):
     elif kind == 2:  # a nondecreasing row, maybe with a 60-digit entry
         tokens = sorted((rng.choice([str(rng.randint(1, 99)), _SIXTY])
                          for _ in range(rng.randint(1, 9))), key=int)
-    else:  # random bytes
-        return argv, bytes(rng.randrange(256) for _ in range(rng.randint(0, 30)))
+    elif kind == 3:  # random bytes
+        return command, argv, bytes(rng.randrange(256) for _ in range(rng.randint(0, 30)))
+    else:  # a special file
+        return command, argv, rng.choice(_SPECIAL_FILES)
     sep = rng.choice([" ", "\n", " # note\n"])
-    return argv, ("\ufeff" * (rng.random() < 0.1) + sep.join(tokens)).encode()
+    return command, argv, ("\ufeff" * (rng.random() < 0.1) + sep.join(tokens)).encode()
 
 
 def test_seeded_argv_ends_in_an_exit_code(tmp_path):
     rng = random.Random(31)
     path = tmp_path / "coeffs.txt"
-    commands = set()
-    for _ in range(400):
-        argv, content = _seeded_case(rng)
+    files = {"FILE": str(path), "MISSING": str(tmp_path / "missing.txt")}
+    commands, codes = set(), set()
+    for _ in range(600):
+        command, argv, content = _seeded_case(rng)
         path.write_bytes(content)
-        argv = [str(path) if a == "FILE" else a for a in argv]
-        commands.add(argv[0])
+        argv = [files.get(a, a) for a in argv]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             try:
                 code = main(argv)
-            except SystemExit as exc:  # argparse: a usage line, then its error
-                assert exc.code == 2, argv
-                assert out.getvalue() == "", argv
-                assert ": error: " in err.getvalue().splitlines()[-1], argv
-                continue
-        assert code in (0, 1, 2), argv
-        if code == 2:
+            except SystemExit as exc:
+                code = f"exit {exc.code}"
+        commands.add(command)
+        codes.add(code)
+        if code == "exit 0":  # --help or --version
+            assert out.getvalue() and err.getvalue() == "", argv
+        elif code == "exit 2":  # argparse: a usage line, then its error
+            assert out.getvalue() == "", argv
+            assert ": error: " in err.getvalue().splitlines()[-1], argv
+        elif code == 2:
             assert out.getvalue() == "", argv
             assert err.getvalue().startswith("ratioshift: error: "), argv
             assert err.getvalue().count("\n") == 1, argv
-        elif argv[0] in _JSON_COMMANDS or "--json" in argv:
+        elif command in _JSON_COMMANDS or "--json" in argv:
+            assert code in (0, 1), argv
             if code == 1 and out.getvalue() == "":  # a float check not completed
-                assert argv[0] == "verify-integral", argv
+                assert command == "verify-integral", argv
                 assert err.getvalue().count("\n") == 1, argv
             else:
-                assert json.loads(out.getvalue())["command"] == argv[0], argv
-    assert commands == set(_SEEDED_OPTIONS)
+                assert json.loads(out.getvalue())["command"] == command, argv
+        else:
+            assert code == 0, argv
+    assert commands == set(_OPTIONS)
+    assert codes == {0, 1, 2, "exit 0", "exit 2"}
 
 
 # --- the console script: failed writes and interrupts ---
-# main() returns exit codes to its caller; these run entry(), as the
-# installed console script does, in a fresh interpreter. With stdout
-# buffered (the default for a pipe or a file) a write fails when entry
-# flushes it; unbuffered, it fails in the write itself.
+# A failed write to stdout and an interrupt are exits that only the console
+# script, __main__.run, decides, so these tests launch it in a fresh
+# interpreter as `python -m ratioshift`. With stdout buffered (the default
+# for a pipe or a file) a write fails when run flushes it; unbuffered, it
+# fails in the write itself.
 
 _SRC = str(Path(ratioshift.__file__).resolve().parent.parent)
 
 
-def _entry(*argv, unbuffered=False, **popen):
+def _console(*argv, unbuffered=False, **popen):
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env["PYTHONPATH"] = _SRC
     if unbuffered:
@@ -753,7 +679,7 @@ def _entry(*argv, unbuffered=False, **popen):
 def test_closed_pipe_is_one_line_and_exit_two(argv, unbuffered):
     # As `ratioshift boros-moll --m 400 | head -c 10`, with the reader gone
     # before the first write, so the write fails whatever its size.
-    proc = _entry(*argv, unbuffered=unbuffered, stdout=subprocess.PIPE)
+    proc = _console(*argv, unbuffered=unbuffered, stdout=subprocess.PIPE)
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
     assert proc.returncode == 2
@@ -765,7 +691,7 @@ def test_closed_pipe_is_one_line_and_exit_two(argv, unbuffered):
 def test_full_device_is_one_line_and_exit_two(poly_file, unbuffered):
     path = poly_file("2\n2\n2\n")
     with open("/dev/full", "w") as full:
-        proc = _entry("check", "--props", "all", path, unbuffered=unbuffered, stdout=full)
+        proc = _console("check", "--props", "all", path, unbuffered=unbuffered, stdout=full)
         _, err = proc.communicate(timeout=60)
     assert proc.returncode == 2
     assert err == "ratioshift: error: cannot write output\n"
@@ -774,7 +700,7 @@ def test_full_device_is_one_line_and_exit_two(poly_file, unbuffered):
 def test_interrupt_is_one_line_and_exit_130():
     # A campaign far longer than the test, interrupted once it runs; the
     # timeout bounds it if the interrupt were lost.
-    proc = _entry("fuzz", "--target", "theorem1", "--trials", str(10 ** 8),
+    proc = _console("fuzz", "--target", "theorem1", "--trials", str(10 ** 8),
                   stdout=subprocess.PIPE)
     try:
         time.sleep(1.5)  # past the imports, into the campaign
