@@ -23,7 +23,6 @@ import json
 import re
 import sys
 import time
-from pathlib import Path
 
 from . import __version__
 from .boros_moll import bm_polynomial, bm_shifted_seq
@@ -67,7 +66,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_coefficients(path: str) -> list:
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig") as file:
+            text = file.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _UsageError(f"cannot read {path}: {exc}") from exc
     coeffs = []

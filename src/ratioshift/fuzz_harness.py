@@ -415,8 +415,8 @@ def _failing(*verdicts: PropertyVerdict) -> _CheckResult:
 
 def _check_theorem1(seq, shifted) -> _CheckResult:
     # .coeffs clears again. Passing shifted more than doubles theorem1
-    # ops_per_s, but grows bench peak_rss_mb by 15-17%, past its 0.05 bound
-    # (ROADMAP item 1).
+    # ops_per_s, but bench/run.py keeps two floats per op, so peak_rss_mb
+    # would grow by 15-17%, past its 0.05 bound.
     return _failing(check_ratio_monotone(shifted.coeffs))
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import enum
 from collections.abc import Mapping, Set
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
@@ -124,10 +123,10 @@ class Polynomial:
         return f"Polynomial(coeffs={self.coeffs!r})"
 
     def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+        raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def __getstate__(self) -> dict:
         return {"coeffs": self.coeffs}

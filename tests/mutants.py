@@ -265,6 +265,14 @@ MUTANTS = (
            "            raise _OutputError from exc\n",
            "            pass\n",
            ("tests/test_cli.py::test_closed_pipe_is_one_line_and_exit_two",)),
+    # Importing the CLI loads neither dataclasses (and with it inspect) nor
+    # pathlib.
+    Mutant("imports: poly_ops loads dataclasses",
+           "src/ratioshift/poly_ops.py",
+           "import enum\n",
+           "import enum\nfrom dataclasses import FrozenInstanceError\n",
+           ("tests/test_fuzz_harness.py::"
+            "test_cli_import_leaves_openssl_random_and_dataclasses_unloaded",)),
     # A report is its record's fields in order, keyed by name; each key or
     # value it renders differently has one line of its own.
     Mutant("report: passed not renamed pass",

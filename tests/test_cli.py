@@ -4,6 +4,7 @@ Exit code contract: 0 when everything holds, 1 when a property fails or a
 verification misses its tolerance, 2 on usage or input errors.
 """
 
+import collections
 import contextlib
 import io
 import json
@@ -81,6 +82,15 @@ def test_shift_missing_file(capsys):
     code, _, err = run(capsys, "shift", "--c", "1", "/nonexistent/coeffs.txt")
     assert code == 2
     assert "cannot read" in err
+
+
+@pytest.mark.parametrize("path", ["", "."])
+def test_unreadable_path_is_one_cannot_read_line(capsys, path):
+    # open() names the path it could not read: '' for an empty one.
+    code, out, err = run(capsys, "check", "--props", "all", path)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"ratioshift: error: cannot read {path}: [Errno ")
+    assert err.endswith(f": {path!r}\n") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("argv", [("shift", "--c", "1"), ("check", "--props", "all")])
@@ -221,6 +231,13 @@ def test_check_unknown_property_beside_all_usage_error(poly_file, capsys, props)
     assert code == 2
     assert out == ""
     assert "unknown properties ['foo']" in err
+
+
+@pytest.mark.parametrize("props", [",", " , ,", ""])
+def test_check_without_a_property_is_usage_error(poly_file, capsys, props):
+    path = poly_file("1 2 3")
+    code, out, err = run(capsys, "check", "--props", props, path)
+    assert (code, out, err) == (2, "", "ratioshift: error: no properties requested\n")
 
 
 def test_check_prop_list_order_preserved(poly_file, capsys):
@@ -526,23 +543,36 @@ def test_version_flag(capsys):
 
 # --- any argv: an exit code, never an exception ---
 # A seeded fuzz of main, standard library only. Each case is a subcommand
-# with up to two of its options given a value from the edge pool; each other
-# option takes a value from a small valid pool, or one time in five from its
-# own invalid values (fft, 1.5, 1e80, 1e308, -2, a --degree-min above every
+# with up to two of its options given an edge value: four times in five
+# from a pool that fits the option's type (int-shaped for --m, --trials and
+# the other int options, float-shaped for --x and --tol, rational text for
+# --c, comma lists for --props), else from the general edge pool, which a
+# choice option (--algo, --target) always takes. Each other option takes a
+# value from a small valid pool, or one time in five from its own invalid
+# values (fft, 1.5, 1e80, 1e308, -2, a --degree-min above every
 # --degree-max). A required option is left out one time in twenty, and in
-# 15% of the cases a junk token, --help and --version among them, goes
+# 8% of the cases a junk token, --help and --version among them, goes
 # anywhere. The coefficient file holds valid, edge, random or special bytes,
 # or is missing, or is a directory. main returns 0, 1 or 2; only argparse's
 # own exits (usage errors, --help, --version) leave it, as SystemExit with 2
 # or 0, which __main__.run passes on. Trials, degrees and m stay small, and
-# --trials is always given, since its default is 1,000. The edge pool's
-# 60-digit number is withheld where it names an amount of work: as --trials
-# or --jobs it would run for ages or start a pool, and as --x the quadrature
-# runs all its doublings before it gives up.
+# --trials is always given, since its default is 1,000. The 60-digit number
+# is withheld where it names an amount of work: as --trials or --jobs it
+# would run for ages or start a pool, and as --x the quadrature runs all its
+# doublings before it gives up.
 
 _SIXTY = "1" * 60
 _EDGE = ["--", "-", "0/0", "1/0", "nan", "inf", "\ufeff1", _SIXTY, "-3", "true"]
 _WORK = {"--trials", "--jobs", "--x"}
+_INT_EDGE = ["0", "-3", _SIXTY]
+_FLOAT_EDGE = ["0", "-3", "nan", "inf", "1e-300"]
+_TYPED_EDGE = {
+    **dict.fromkeys(["--m", "--trials", "--seed", "--degree-min", "--degree-max",
+                     "--bound", "--jobs"], _INT_EDGE),
+    "--x": _FLOAT_EDGE, "--tol": _FLOAT_EDGE,
+    "--c": ["0", "-3", _SIXTY, "0/0", "1/0", "-7/2", "0.5"],
+    "--props": [",", "all,all", " spiral , unimodal "],
+}
 _OPTIONS = {
     "shift": {"--c": ["1", "-3/2", "0", "2/3"], "--algo": ["horner", "naive"]},
     "check": {"--props": ["all", "log-concave", "ratio-monotone,spiral",
@@ -572,9 +602,16 @@ _SPECIAL_FILES = [b"1/0", "\uff11\uff12 \uff13".encode(), b"1" * 4301, b"", b"# 
 _JSON_COMMANDS = {"check", "verify-integral", "fuzz"}
 
 
-def _seeded_case(rng):
+def _seeded_case(rng, drawn):
     """The subcommand, one argument list (``FILE`` for the coefficient
-    file, ``MISSING`` for a file that is not there) and the file's bytes."""
+    file, ``MISSING`` for a file that is not there) and the file's bytes.
+    Each value it takes from _EDGE, _INVALID or _JUNK goes into ``drawn`` as
+    (pool name, value)."""
+    def draw(name, pool):
+        value = rng.choice(pool)
+        drawn.add((name, value))
+        return value
+
     command = rng.choice(list(_OPTIONS))
     argv = [command]
     options = _OPTIONS[command]
@@ -582,22 +619,26 @@ def _seeded_case(rng):
     for option, pool in options.items():
         if option == "--trials" or rng.random() < (0.95 if option in _REQUIRED else 0.7):
             if option in edged:
-                pool = [v for v in _EDGE if not (v == _SIXTY and option in _WORK)]
+                typed = option in _TYPED_EDGE and rng.random() < 0.8
+                pool = _TYPED_EDGE[option] if typed else _EDGE
+                pool = [v for v in pool if not (v == _SIXTY and option in _WORK)]
+                value = rng.choice(pool) if typed else draw("edge", pool)
             elif option in _INVALID and rng.random() < 0.2:
-                pool = _INVALID[option]
-            value = rng.choice(pool)
+                value = draw("invalid", _INVALID[option])
+            else:
+                value = rng.choice(pool)
             argv += [f"{option}={value}"] if rng.random() < 0.2 else [option, value]
     argv += [flag for flag in _FLAGS.get(command, ()) if rng.random() < 0.3]
     if command in ("shift", "check") and rng.random() < 0.95:
         argv.insert(rng.choice([1, len(argv)]), rng.choice(["FILE"] * 8 + ["MISSING", "."]))
-    if rng.random() < 0.15:
-        argv.insert(rng.randint(0, len(argv)), rng.choice(_JUNK))
+    if rng.random() < 0.08:
+        argv.insert(rng.randint(0, len(argv)), draw("junk", _JUNK))
     kind = rng.randrange(5)
     if kind == 0:  # valid rationals
         tokens = [f"{rng.randint(-5, 50)}/{rng.randint(1, 9)}" for _ in range(rng.randint(1, 9))]
     elif kind == 1:  # valid entries with one edge token among them
         tokens = [str(rng.randint(0, 9)) for _ in range(rng.randint(0, 8))]
-        tokens.insert(rng.randint(0, len(tokens)), rng.choice(_EDGE))
+        tokens.insert(rng.randint(0, len(tokens)), draw("edge", _EDGE))
     elif kind == 2:  # a nondecreasing row, maybe with a 60-digit entry
         tokens = sorted((rng.choice([str(rng.randint(1, 99)), _SIXTY])
                          for _ in range(rng.randint(1, 9))), key=int)
@@ -613,9 +654,9 @@ def test_seeded_argv_ends_in_an_exit_code(tmp_path):
     rng = random.Random(31)
     path = tmp_path / "coeffs.txt"
     files = {"FILE": str(path), "MISSING": str(tmp_path / "missing.txt")}
-    commands, codes = set(), set()
+    commands, drawn, codes = set(), set(), collections.Counter()
     for _ in range(600):
-        command, argv, content = _seeded_case(rng)
+        command, argv, content = _seeded_case(rng, drawn)
         path.write_bytes(content)
         argv = [files.get(a, a) for a in argv]
         out, err = io.StringIO(), io.StringIO()
@@ -625,7 +666,7 @@ def test_seeded_argv_ends_in_an_exit_code(tmp_path):
             except SystemExit as exc:
                 code = f"exit {exc.code}"
         commands.add(command)
-        codes.add(code)
+        codes[code] += 1
         if code == "exit 0":  # --help or --version
             assert out.getvalue() and err.getvalue() == "", argv
         elif code == "exit 2":  # argparse: a usage line, then its error
@@ -645,7 +686,12 @@ def test_seeded_argv_ends_in_an_exit_code(tmp_path):
         else:
             assert code == 0, argv
     assert commands == set(_OPTIONS)
-    assert codes == {0, 1, 2, "exit 0", "exit 2"}
+    assert set(codes) == {0, 1, 2, "exit 0", "exit 2"}
+    # 179 of the 600 cases reach a verdict (exit 0 or 1): the floor has room
+    # for small changes to the pools.
+    assert codes[0] + codes[1] >= 150, codes
+    assert drawn >= {*(("edge", v) for v in _EDGE), *(("junk", v) for v in _JUNK),
+                     *(("invalid", v) for pool in _INVALID.values() for v in pool)}
 
 
 # --- the console script: failed writes and interrupts ---

@@ -1,4 +1,5 @@
 import hashlib
+import importlib
 import io
 import itertools
 import json
@@ -684,16 +685,29 @@ def test_report_bytes_pinned(spec, digest):
     assert hashlib.sha256(report_json(spec).encode()).hexdigest() == digest
 
 
-def test_package_import_leaves_openssl_unloaded():
+def test_cli_import_leaves_openssl_random_and_dataclasses_unloaded():
     # Trial draws use the builtin sha256, not hashlib, which loads OpenSSL,
-    # and no random.Random.
+    # and no random.Random. Polynomial raises a plain AttributeError and the
+    # CLI reads its file with open(), so neither dataclasses (which loads
+    # inspect) nor pathlib is imported.
     src = str(Path(ratioshift.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
-    code = "import sys, ratioshift.cli; print('_hashlib' in sys.modules, 'random' in sys.modules)"
+    unloaded = ("_hashlib", "random", "dataclasses", "inspect", "pathlib")
+    code = f"import sys, ratioshift.cli; print(*[m for m in {unloaded!r} if m in sys.modules])"
     # -S keeps site hooks, which may load anything, out of the picture.
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60, check=True)
-    assert proc.stdout.split() == ["False", "False"]
+    assert proc.stdout.split() == []
+
+
+@pytest.mark.parametrize("module", list(ratioshift._EXPORTS))
+def test_package_exports_are_in_their_modules_all(module):
+    # The package's table of names and each module's __all__ are kept in step
+    # by hand; a module may list more than the package exports.
+    mod = importlib.import_module(f"ratioshift.{module}")
+    for name in ratioshift._EXPORTS[module]:
+        assert name in mod.__all__
+        assert getattr(ratioshift, name) is getattr(mod, name)
 
 
 def test_sha256_falls_back_to_hashlib_with_the_same_reports():

@@ -7,7 +7,6 @@ points, which is an oracle independent of either coefficient recurrence.
 
 import pickle
 import random
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
@@ -108,6 +107,13 @@ def test_shift_by_zero_is_identity(algo):
 def test_shift_rejects_float_offset():
     with pytest.raises(TypeError):
         taylor_shift(Polynomial((1, 2)), 0.5)
+
+
+@pytest.mark.parametrize("algo", ["naive", "horner", None])
+def test_shift_refuses_an_algorithm_outside_the_enum(algo):
+    # The enum's values are the CLI's text; taylor_shift takes only members.
+    with pytest.raises(DomainError, match=f"^unknown shift algorithm {algo!r}$"):
+        taylor_shift(Polynomial((1, 2)), 1, algo)
 
 
 @given(coeff_lists, small_rationals)
@@ -319,15 +325,26 @@ def test_equal_polynomials_pickle_to_equal_bytes():
         assert len({pickle.dumps(p, protocol) for p in polys}) == 1
 
 
+@pytest.mark.parametrize("other", [(1, 2), [1, 2], (Fraction(1), Fraction(2)), 1])
+def test_polynomial_equals_no_other_type(other):
+    p = Polynomial((1, 2))
+    assert p.__eq__(other) is NotImplemented
+    assert p != other and not p == other and not other == p
+
+
 def test_polynomial_is_immutable():
+    # Plain AttributeError, as the records raise, not a subclass of it.
     for p in (Polynomial((1, 2)), taylor_shift(Polynomial((1, 2)), Fraction(1, 3))):
-        # FrozenInstanceError is an AttributeError.
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError) as assign:
             p.coeffs = (Fraction(0),)
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError) as add:
             p.other = 1
-        with pytest.raises(FrozenInstanceError):
+        with pytest.raises(AttributeError) as delete:
             del p.coeffs
+        assert [(type(i.value), str(i.value)) for i in (assign, add, delete)] == [
+            (AttributeError, "cannot assign to field 'coeffs'"),
+            (AttributeError, "cannot assign to field 'other'"),
+            (AttributeError, "cannot delete field 'coeffs'")]
         assert p.coeffs in ((Fraction(1), Fraction(2)), (Fraction(5, 3), Fraction(2)))
 
 
