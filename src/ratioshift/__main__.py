@@ -1,9 +1,10 @@
 """``python -m ratioshift``, and the console script's target.
 
-``run`` is the console script: ``cli.main``, then stdout flushed. Besides
-the exit codes ``main`` returns, it owns two, each with one line on stderr
-instead of a traceback: 2 when stdout cannot be written (a closed pipe, a
-full disk), and 130 on an interrupt. It imports the CLI inside its
+``run`` is the console script: it calls ``cli.main``. Besides the exit
+codes ``main`` returns, it owns two, each with one line on stderr instead
+of a traceback: 2 on ``cli._OutputError``, which ``cli._write`` raises
+when stdout cannot be written (a closed pipe, a full disk), and 130 on an
+interrupt. It imports the CLI inside its
 interrupt handler: the package's ``__init__`` loads no module, so an
 interrupt while any of them loads ends as one after them does.
 """
@@ -16,14 +17,9 @@ def run() -> None:
     try:
         from .cli import _OutputError, main
         try:
-            try:
-                code = main()
-            except SystemExit as exc:  # argparse: --help, --version, usage errors
-                code = exc.code
-            try:
-                sys.stdout.flush()  # buffered output that cannot be written fails here
-            except OSError as exc:
-                raise _OutputError from exc
+            code = main()
+        except SystemExit as exc:  # argparse: --help, --version, usage errors
+            code = exc.code
         except _OutputError:
             # Python flushes stdout again at exit, which would fail again;
             # point it at devnull first, as the signal module's note on

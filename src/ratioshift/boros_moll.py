@@ -111,8 +111,7 @@ def _bm_row(m: int) -> tuple[list[int], int]:
 
 def bm_shifted_seq(m: int) -> tuple[Fraction, ...]:
     """(c_0(m), ..., c_m(m)): the coefficient sequence of P_m(x - 1)."""
-    row, den = _bm_row(m)
-    return tuple([Fraction(v, den) for v in row])
+    return _from_cleared(*_bm_row(m)).coeffs
 
 
 def bm_polynomial(m: int) -> Polynomial:

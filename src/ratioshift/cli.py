@@ -11,9 +11,11 @@ Coefficient files are whitespace- or newline-separated rational tokens
 
 ``main`` returns these codes, or leaves through argparse's own
 ``SystemExit`` (0 for ``--help`` and ``--version``, 2 for a usage error).
-The console script is ``__main__.run``: it calls ``main`` and owns two
-exits of its own, 2 when stdout cannot be written (a closed pipe, a full
-disk) and 130 on an interrupt, each with one line on stderr.
+Every write to stdout, argparse's own included, goes through ``_write``,
+which flushes it and raises ``_OutputError`` when it fails. The console
+script is ``__main__.run``: it calls ``main`` and owns two exits of its
+own, 2 on that ``_OutputError`` (a closed pipe, a full disk) and 130 on an
+interrupt, each with one line on stderr.
 """
 
 from __future__ import annotations
@@ -43,25 +45,25 @@ class _OutputError(Exception):
     """Stdout could not be written; ``__main__.run`` maps it to exit code 2."""
 
 
-def _print(text: str) -> None:
+def _write(text: str) -> None:
+    """The program's one writer to stdout. It flushes each write, so a write
+    that fails (a closed pipe, a full disk) fails here, buffered or not."""
     try:
-        print(text)
+        sys.stdout.write(text)
+        sys.stdout.flush()
     except OSError as exc:
         raise _OutputError from exc
 
 
 class _Parser(argparse.ArgumentParser):
     """argparse drops a failed write of its own output to stdout (``--help``,
-    ``--version``) and exits 0; this raises ``_OutputError`` instead. Its
-    subparsers are of this class too."""
+    ``--version``) and exits 0; this sends that output to ``_write``
+    instead. Its subparsers are of this class too."""
 
     def _print_message(self, message: str, file=None) -> None:
         if file is not sys.stdout:
             return super()._print_message(message, file)
-        try:
-            file.write(message)
-        except OSError as exc:
-            raise _OutputError from exc
+        _write(message)
 
 
 def _read_coefficients(path: str) -> list:
@@ -92,13 +94,13 @@ def _parse_c(text: str) -> Rational:
 
 
 def _emit(args: argparse.Namespace, inputs: dict, results: list) -> None:
-    _print(json.dumps({
+    _write(json.dumps({
         "command": args.command,
         "version": __version__,
         "inputs": inputs,
         "results": results,
         "timing": {"seconds": time.perf_counter() - args.started},
-    }, indent=2))
+    }, indent=2) + "\n")
 
 
 def _cmd_shift(args: argparse.Namespace) -> int:
@@ -106,7 +108,7 @@ def _cmd_shift(args: argparse.Namespace) -> int:
     shifted = taylor_shift(Polynomial(coeffs), _parse_c(args.c), ShiftAlgorithm(args.algo))
     # Render every coefficient before printing any, so a coefficient too long
     # to render (DomainError, exit 2) leaves stdout empty.
-    _print("\n".join([render_rational(value) for value in shifted.coeffs]))
+    _write("\n".join([render_rational(value) for value in shifted.coeffs]) + "\n")
     return 0
 
 
@@ -141,7 +143,7 @@ def _cmd_boros_moll(args: argparse.Namespace) -> int:
         _emit(args, {"m": args.m, "mode": basis},
               [{"m": args.m, "basis": basis, "coefficients": rendered}])
     else:
-        _print("\n".join(rendered))
+        _write("\n".join(rendered) + "\n")
     return 0
 
 

@@ -22,9 +22,9 @@ Each sequence predicate calls ``Polynomial`` on its input, which takes a
 ``Polynomial`` as it is and coerces and clears a sequence once, sums and
 compares its cleared numerators as plain ints, and builds one Fraction per
 returned value; their nondecreasing hypotheses are decided by the code behind
-``shape_props.check_nonneg_nondecreasing``. ``lemma2_preserved`` decides
-ratio monotonicity (every entry positive, no failing link) on the cleared
-numerators of B and of (x + 1) B, and builds no Fraction.
+``shape_props.check_nonneg_nondecreasing``. ``lemma2_preserved`` asks
+``shape_props.check_ratio_monotone`` whether B and (x + 1) B are ratio
+monotone.
 
 Hypothesis violations raise (``HypothesisError`` or ``DomainError``) while a
 false conclusion is returned as data, so a randomized campaign can prove it
@@ -44,7 +44,7 @@ from typing import NamedTuple, Sequence
 from .numeric_core import DomainError, as_rational, ratio_leq
 from .poly_ops import (Polynomial, ShiftAlgorithm, _from_cleared, _scaled_boundary,
                        mul_by_x_plus_one, taylor_shift)
-from .shape_props import _nonneg_nondecreasing_witness, _ratio_monotone_w
+from .shape_props import _nonneg_nondecreasing_witness, check_ratio_monotone
 
 __all__ = [
     "HypothesisError",
@@ -183,11 +183,6 @@ def lemma2_preserved(b: Sequence[Fraction | int]) -> bool:
     under the hypothesis.
     """
     b = Polynomial(b)
-    if not _ratio_monotone(b):
+    if not check_ratio_monotone(b).holds:
         raise HypothesisError("input polynomial is not ratio monotone")
-    return _ratio_monotone(mul_by_x_plus_one(b))
-
-
-def _ratio_monotone(p: Polynomial) -> bool:
-    s = p._cleared()[0]
-    return min(s) > 0 and _ratio_monotone_w(s) is None
+    return check_ratio_monotone(mul_by_x_plus_one(b)).holds

@@ -82,17 +82,6 @@ MUTANTS = (
            "if statuses[holds] is _HOLDS and statuses[fails] is _FAILS",
            "if statuses[fails] is _HOLDS and statuses[holds] is _FAILS",
            ("tests/test_fuzz_harness.py::test_separation_campaign_finds_and_counts_examples",)),
-    # lemma2_preserved decides ratio monotonicity on the cleared ints.
-    Mutant("lemma2: a zero entry taken as positive",
-           "src/ratioshift/theorem_engine.py",
-           "return min(s) > 0 and _ratio_monotone_w(s) is None",
-           "return min(s) >= 0 and _ratio_monotone_w(s) is None",
-           (_LATTICE_TEST,)),
-    Mutant("lemma2: no positivity test",
-           "src/ratioshift/theorem_engine.py",
-           "return min(s) > 0 and _ratio_monotone_w(s) is None",
-           "return _ratio_monotone_w(s) is None",
-           (_LATTICE_TEST,)),
     # The floor view only proves a link; it never decides a failure.
     Mutant("floor view: one + 1 dropped",
            "src/ratioshift/shape_props.py",
@@ -253,7 +242,7 @@ MUTANTS = (
            "        if False:\n",
            ("tests/test_cli.py::test_dashdash_as_an_option_value_is_usage_error",)),
     # The console script maps an interrupt, also one while the package
-    # loads, to exit 130, and a stdout it cannot flush to exit 2.
+    # loads, to exit 130, and a stdout that cli._write cannot write to exit 2.
     Mutant("console: an interrupt not caught",
            "src/ratioshift/__main__.py",
            "    except KeyboardInterrupt:\n",
@@ -261,10 +250,17 @@ MUTANTS = (
            ("tests/test_cli.py::"
             "test_interrupt_while_the_package_loads_is_one_line_and_exit_130",)),
     Mutant("console: a failed flush ignored",
-           "src/ratioshift/__main__.py",
-           "            raise _OutputError from exc\n",
-           "            pass\n",
+           "src/ratioshift/cli.py",
+           "        raise _OutputError from exc\n",
+           "        pass\n",
            ("tests/test_cli.py::test_closed_pipe_is_one_line_and_exit_two",)),
+    # A buffered write fails only when flushed: _write flushes each one.
+    Mutant("cli: _write does not flush",
+           "src/ratioshift/cli.py",
+           "        sys.stdout.flush()\n",
+           "",
+           ("tests/test_cli.py::test_closed_pipe_is_one_line_and_exit_two",
+            "tests/test_cli.py::test_full_device_is_one_line_and_exit_two")),
     # Importing the CLI loads neither dataclasses (and with it inspect) nor
     # pathlib.
     Mutant("imports: poly_ops loads dataclasses",

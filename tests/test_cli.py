@@ -4,6 +4,7 @@ Exit code contract: 0 when everything holds, 1 when a property fails or a
 verification misses its tolerance, 2 on usage or input errors.
 """
 
+import ast
 import collections
 import contextlib
 import io
@@ -697,9 +698,10 @@ def test_seeded_argv_ends_in_an_exit_code(tmp_path):
 # --- the console script: failed writes and interrupts ---
 # A failed write to stdout and an interrupt are exits that only the console
 # script, __main__.run, decides, so these tests launch it in a fresh
-# interpreter as `python -m ratioshift`. With stdout buffered (the default
-# for a pipe or a file) a write fails when run flushes it; unbuffered, it
-# fails in the write itself.
+# interpreter as `python -m ratioshift`. Every write to stdout goes through
+# cli._write, which flushes it: with stdout buffered (the default for a pipe
+# or a file) a write fails in that flush; unbuffered, it fails in the write
+# itself.
 
 _SRC = str(Path(ratioshift.__file__).resolve().parent.parent)
 
@@ -721,10 +723,19 @@ def _console(*argv, unbuffered=False, **popen):
     # unbuffered) and exits 0. Subcommand parsers write the same way.
     (("--version",), False), (("--version",), True),
     (("--help",), False), (("--help",), True), (("fuzz", "--help"), True),
+    # Each subcommand's own writes; FILE is a coefficient file.
+    *((argv, unbuffered) for argv in (
+        ("shift", "FILE", "--c", "1"), ("check", "FILE", "--props", "all"),
+        ("verify-integral", "--m", "2", "--x", "1"),
+        ("fuzz", "--target", "theorem1", "--trials", "20"),
+        ("boros-moll", "--m", "3", "--json"))
+      for unbuffered in (False, True)),
 ])
-def test_closed_pipe_is_one_line_and_exit_two(argv, unbuffered):
+def test_closed_pipe_is_one_line_and_exit_two(poly_file, argv, unbuffered):
     # As `ratioshift boros-moll --m 400 | head -c 10`, with the reader gone
     # before the first write, so the write fails whatever its size.
+    path = poly_file("1\n2\n2\n")
+    argv = [path if arg == "FILE" else arg for arg in argv]
     proc = _console(*argv, unbuffered=unbuffered, stdout=subprocess.PIPE)
     proc.stdout.close()
     _, err = proc.communicate(timeout=60)
@@ -741,6 +752,28 @@ def test_full_device_is_one_line_and_exit_two(poly_file, unbuffered):
         _, err = proc.communicate(timeout=60)
     assert proc.returncode == 2
     assert err == "ratioshift: error: cannot write output\n"
+
+
+def test_only_cli_write_writes_to_stdout():
+    # A print to stdout, or a call on sys.stdout, outside cli._write would
+    # leave a failed write unmapped: buffered, Python's flush at exit would
+    # end a closed pipe in exit 120 and an "Exception ignored" message.
+    found = []
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        writer = [node for node in tree.body if path.name == "cli.py"
+                  and isinstance(node, ast.FunctionDef) and node.name == "_write"]
+        allowed = {id(node) for top in writer for node in ast.walk(top)}
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call) or id(node) in allowed:
+                continue
+            func = ast.unparse(node.func)
+            to_stderr = any(k.arg == "file" and ast.unparse(k.value) == "sys.stderr"
+                            for k in node.keywords)
+            if ((func == "print" and not to_stderr)
+                    or (func.startswith("sys.stdout.") and func != "sys.stdout.fileno")):
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    assert found == []
 
 
 def test_interrupt_is_one_line_and_exit_130():

@@ -19,6 +19,7 @@ from fractions import Fraction
 import pytest
 
 from ratioshift import quartic_integral
+from ratioshift.boros_moll import bm_polynomial
 from ratioshift.numeric_core import DomainError
 from ratioshift.quartic_integral import (
     QuadratureError,
@@ -191,6 +192,34 @@ def test_anchor_3pi_over_2_pow_72():
 def test_closed_form_matches_anchor_values():
     assert abs(closed_form_rhs(1.0, 0) - math.pi / 4.0) < 1e-12
     assert abs(closed_form_rhs(0.0, 1) - 3.0 * math.pi / 2.0 ** 3.5) < 1e-12
+
+
+def test_closed_form_is_the_exact_p_m_rounded_once():
+    # closed_form_rhs evaluates P_m exactly at the float x and rounds it to a
+    # float once; here P_m(x) comes from Fraction arithmetic on the power
+    # basis instead, then the same float formula. Either side may overflow
+    # or divide by zero, and then both must raise the same error.
+    def outcome(f, x, m):
+        try:
+            return f(x, m).hex()
+        except (OverflowError, ZeroDivisionError) as exc:
+            return type(exc)
+
+    def reference(x, m):
+        p_m = float(bm_polynomial(m)(Fraction(x)))
+        return math.pi * p_m / (2.0 ** (m + 1.5) * (x + 1.0) ** (m + 0.5))
+
+    rng = random.Random(35)
+    outcomes = []
+    for i in range(400):
+        # Half far from -1, half near it.
+        x = 10.0 ** rng.uniform(-2, 6) if i % 2 else 10.0 ** -rng.uniform(0, 7) - 1.0
+        m = rng.randint(0, 80)
+        got = outcome(closed_form_rhs, x, m)
+        assert got == outcome(reference, x, m), (x, m)
+        outcomes.append(isinstance(got, str))
+    # Both kinds are exercised.
+    assert 0 < sum(outcomes) < len(outcomes)
 
 
 # --- the identity itself ---

@@ -558,7 +558,7 @@ def test_integer_checkers_match_fraction_reference(checker, reference):
 
 def test_lattice_statuses_match_fraction_reference():
     # The status path that the lattice audit and separation trials decide on
-    # builds no verdict; lemma2_preserved decides on the same ratio finder.
+    # builds no verdict; lemma2_preserved asks check_ratio_monotone.
     references = {"unimodal": reference_unimodal, "spiral": reference_spiral,
                   "log-concave": reference_log_concave,
                   "ratio-monotone": reference_ratio_monotone}
